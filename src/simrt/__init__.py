@@ -4,9 +4,10 @@ from . import audit
 from .engine import (BufferPool, Metrics, SimConfig, SimResult, Trace,
                      TraceRecord, compute_metrics, simulate)
 from .errors import (AuditError, BadInterval, CycleDetected, DuplicateId,
-                     GraphError, InvalidRate, InvalidScenario, MissingCost,
-                     NegativeValue, ParseError, SimrtError, UnderflowRelease,
-                     UnknownDependency, UnresolvableCost)
+                     EngineError, GraphError, InvalidConfig, InvalidRate,
+                     InvalidScenario, MissingCost, NegativeValue, ParseError,
+                     SimrtError, UnderflowRelease, UnknownDependency,
+                     UnresolvableCost)
 from .profiles import (CostEntry, OffloadBreakdown, PlatformProfile, SetupMode,
                        UnitKind, UnitSpec, WorkloadSpec, builtin_profiles,
                        cloud_latency, energy_of, kernel_time, load_profile,
@@ -15,7 +16,7 @@ from .scenarios import (ScenarioSpec, convolution_batch, inference_comparison,
                         robot_pipeline)
 from .scheduler import (BasicPolicy, Policy, Route, RouteClass, SchedulerState,
                         classify, dispatch, dispatch_energy, dispatch_latency,
-                        dispatch_throughput, init_runtime, on_unit_free)
+                        dispatch_throughput, on_unit_free)
 from .tasks import (Task, TaskGraph, TaskId, TaskTags, dump_scenario,
                     load_scenario, ready_set, validate_graph)
 

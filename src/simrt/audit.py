@@ -6,6 +6,8 @@ independent of the engine internals: everything is reconstructed from the
 records alone.
 """
 
+from collections import deque
+
 from .engine import (LABEL_CLOUD, LABEL_HP, PHASE_CLOUD_COMPLETE,
                      PHASE_CLOUD_SUBMIT, PHASE_COMPLETE, PHASE_DISPATCH,
                      PHASE_DROP, PHASE_KERNEL, PHASE_SETUP, PHASE_XFER_IN,
@@ -100,22 +102,25 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
     """No participating unit sits idle across a time step while its own FIFO
     holds a task or the high-priority queue head is runnable on it."""
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
-    units = list(state.units)
-    fifos: dict = {u.value: [] for u in units}
-    hp: list = []
-    busy: dict = {u.value: False for u in units}
+    fifos: dict = {u.value: deque() for u in state.units}
+    hp: deque = deque()
+    busy: dict = {label: False for label in fifos}
     workload_of: dict = {}
+    runnable: dict = {}  # (workload, unit label) -> profile.resolvable
 
     def check_idle(now: int) -> None:
-        for unit in fifos:
+        for unit, fifo in fifos.items():
             if busy[unit]:
                 continue
-            if fifos[unit]:
+            if fifo:
                 raise AuditError(
-                    f"unit {unit} idle at {now} with queued tasks {fifos[unit]}")
+                    f"unit {unit} idle at {now} with queued tasks {list(fifo)}")
             if hp:
                 head = hp[0]
-                if profile.resolvable(workload_of[head], UnitKind.parse(unit)):
+                key = (workload_of[head], unit)
+                if key not in runnable:
+                    runnable[key] = profile.resolvable(key[0], UnitKind.parse(unit))
+                if runnable[key]:
                     raise AuditError(
                         f"unit {unit} idle at {now} while high-priority head "
                         f"{head} is runnable on it")
@@ -135,16 +140,17 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                         f"task {r.task_id} dispatched to non-participating unit {r.unit}")
                 fifos[r.unit].append(r.task_id)
         elif r.phase == PHASE_SETUP:
-            if r.unit not in fifos:
+            fifo = fifos.get(r.unit)
+            if fifo is None:
                 raise AuditError(f"task {r.task_id} ran on non-participating unit {r.unit}")
             if hp and hp[0] == r.task_id:
-                hp.pop(0)
-            elif r.task_id in fifos[r.unit]:
-                if fifos[r.unit][0] != r.task_id:
-                    raise AuditError(
-                        f"unit {r.unit} started {r.task_id} out of FIFO order; "
-                        f"queue was {fifos[r.unit]}")
-                fifos[r.unit].pop(0)
+                hp.popleft()
+            elif fifo and fifo[0] == r.task_id:
+                fifo.popleft()
+            elif r.task_id in fifo:
+                raise AuditError(
+                    f"unit {r.unit} started {r.task_id} out of FIFO order; "
+                    f"queue was {list(fifo)}")
             else:
                 raise AuditError(
                     f"unit {r.unit} started task {r.task_id} that was not queued "

@@ -11,9 +11,9 @@ import sys
 
 from .audit import audit_all
 from .engine import PHASE_COMPLETE, SimConfig, simulate
-from .errors import (AuditError, BadInterval, GraphError, InvalidRate,
-                     InvalidScenario, MissingCost, NegativeValue, ParseError,
-                     SimrtError, UnresolvableCost)
+from .errors import (AuditError, BadInterval, GraphError, InvalidConfig,
+                     InvalidRate, InvalidScenario, MissingCost, NegativeValue,
+                     ParseError, SimrtError, UnresolvableCost)
 from .profiles import (PlatformProfile, SetupMode, UnitKind, builtin_profiles,
                        load_profile, offload_time, preference_matrix)
 from .scenarios import convolution_batch, inference_comparison, robot_pipeline
@@ -26,7 +26,7 @@ EXIT_INPUT_ERROR = 2
 
 _INPUT_ERRORS = (ParseError, GraphError, MissingCost, NegativeValue,
                  BadInterval, InvalidScenario, UnresolvableCost, InvalidRate,
-                 FileNotFoundError)
+                 InvalidConfig, FileNotFoundError)
 
 
 def _load_profile_arg(name_or_path: str) -> PlatformProfile:

@@ -16,12 +16,14 @@ byte-identical traces.
 """
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import scheduler as sched
-from .errors import InvalidScenario, UnderflowRelease, UnresolvableCost
+from .errors import (EngineError, InvalidConfig, InvalidScenario,
+                     UnderflowRelease, UnresolvableCost)
 from .profiles import (PlatformProfile, SetupMode, UnitKind, cloud_latency,
                        energy_of, offload_time)
 from .scheduler import Policy, RouteClass, SchedulerState
@@ -93,6 +95,26 @@ class SimConfig:
     cloud_in_makespan: bool = True
     fpga_as_gpu: bool = False
 
+    def __post_init__(self):
+        if self.buffer_capacity is not None and not _is_int_at_least(self.buffer_capacity, 0):
+            raise InvalidConfig(
+                f"buffer_capacity must be None or an integer >= 0, got {self.buffer_capacity!r}")
+        if self.cloud_slots is not None and not _is_int_at_least(self.cloud_slots, 1):
+            raise InvalidConfig(
+                f"cloud_slots must be None or an integer >= 1, got {self.cloud_slots!r}")
+        if self.weights is not None:
+            if not isinstance(self.weights, dict):
+                raise InvalidConfig(f"weights must be a dict, got {self.weights!r}")
+            for slot, weight in self.weights.items():
+                if slot not in ("g", "d", "c") or not _is_int_at_least(weight, 0):
+                    raise InvalidConfig(
+                        f"weights: bad item {slot!r}: {weight!r}; keys are g, d, c "
+                        f"and weights are integers >= 0")
+
+
+def _is_int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
 
 class BufferPool:
     """Bounded pool of image buffers; acquiring from a full pool is a drop."""
@@ -162,13 +184,14 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     completes = []
     drops = 0
     for r in trace.records:
-        if r.phase == PHASE_DISPATCH:
+        phase = r.phase
+        if phase == PHASE_DISPATCH:
             dispatch_t[r.task_id] = r.time_us
-        elif r.phase == PHASE_COMPLETE:
+        elif phase == PHASE_COMPLETE:
             completes.append((r.task_id, r.workload, r.unit, r.time_us))
-        elif r.phase == PHASE_CLOUD_COMPLETE:
+        elif phase == PHASE_CLOUD_COMPLETE:
             completes.append((r.task_id, r.workload, LABEL_CLOUD, r.time_us))
-        elif r.phase == PHASE_DROP:
+        elif phase == PHASE_DROP:
             drops += 1
 
     end_times = [t for (_, _, unit, t) in completes
@@ -177,11 +200,14 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     makespan = max(end_times) - start if end_times else 0
 
     latencies: dict = {}
+    energy_memo: dict = {}  # (workload, unit label) -> per-run energy
     energy_uj = 0
     for tid, workload, unit, t in completes:
         latencies.setdefault(unit, []).append(t - dispatch_t[tid])
-        kind = UnitKind.CLOUD if unit == LABEL_CLOUD else UnitKind.parse(unit)
-        energy_uj += energy_of(profile, workload, kind)
+        if (workload, unit) not in energy_memo:
+            kind = UnitKind.CLOUD if unit == LABEL_CLOUD else UnitKind.parse(unit)
+            energy_memo[workload, unit] = energy_of(profile, workload, kind)
+        energy_uj += energy_memo[workload, unit]
 
     idle_watts = sum(u.idle_watts for u in profile.local_units())
     if idle_watts:
@@ -208,26 +234,50 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     )
 
 
+def _phase_table(scenario: TaskGraph, profile: PlatformProfile,
+                 state: SchedulerState, setup_mode: SetupMode) -> dict:
+    """unit -> {workload: ends of setup, xfer_in, kernel and xfer_out as offsets
+    from the start} per runnable scenario workload; AMORTIZED pays no setup."""
+    initialized = setup_mode is SetupMode.AMORTIZED
+    workloads = dict.fromkeys(t.workload for t in scenario)
+    table = {}
+    for unit in state.units:
+        plans = table[unit] = {}
+        for workload in workloads:
+            if workload in state.runnable[unit]:
+                bd = offload_time(profile, workload, unit, setup_mode, initialized)
+                plans[workload] = tuple(itertools.accumulate(
+                    (bd.setup_us, bd.xfer_in_us, bd.kernel_us, bd.xfer_out_us)))
+    return table
+
+
 def _check_scenario(scenario: TaskGraph, profile: PlatformProfile,
-                    policy: Policy, state: SchedulerState) -> None:
-    """Reject scenarios that could route a task somewhere it cannot run."""
-    participating = state.units
+                    policy: Policy, state: SchedulerState, table: dict) -> None:
+    """Reject scenarios that could route a task somewhere it cannot run;
+    each distinct (workload, route class) is checked once."""
     needs_basic = False
-    for task in scenario:
-        route = sched.classify(task) if policy.advanced else RouteClass.BASIC
+    for workload, route in dict.fromkeys(
+            (t.workload, sched.classify(t) if policy.advanced else RouteClass.BASIC)
+            for t in scenario):
         if route is RouteClass.CLOUD:
             if not profile.has_cloud:
-                raise UnresolvableCost(task.workload, UnitKind.CLOUD)
+                raise UnresolvableCost(workload, UnitKind.CLOUD)
         elif route is RouteClass.HIGH_PRIORITY:
-            if not any(profile.resolvable(task.workload, u) for u in participating):
-                raise UnresolvableCost(task.workload, "any participating unit")
+            if not any(workload in table[u] for u in state.units):
+                raise UnresolvableCost(workload, "any participating unit")
         else:
             needs_basic = True
-            for unit in participating:
-                if not profile.resolvable(task.workload, unit):
-                    raise UnresolvableCost(task.workload, unit)
-    if needs_basic and not participating:
+            for unit in state.units:
+                if workload not in table[unit]:
+                    raise UnresolvableCost(workload, unit)
+    if needs_basic and not state.units:
         raise InvalidScenario("no participating local units with positive weight")
+
+
+# a phase event's kind is the phase the task enters at that boundary;
+# phase -> (index of its boundary in the phase plan, next phase)
+_NEXT_PHASE = {PHASE_XFER_IN: (0, PHASE_KERNEL), PHASE_KERNEL: (1, PHASE_XFER_OUT),
+               PHASE_XFER_OUT: (2, PHASE_COMPLETE)}
 
 
 class _Engine:
@@ -240,39 +290,41 @@ class _Engine:
         self.rng = random.Random(config.seed)
         self.state = SchedulerState(profile, weights=config.weights,
                                     fpga_as_gpu=config.fpga_as_gpu)
-        sched.init_runtime(self.state, profile, config.setup_mode)
+        self.table = _phase_table(scenario, profile, self.state, config.setup_mode)
+        self.labels = {u: u.value for u in self.state.units}
         self.pool = BufferPool(config.buffer_capacity)
         self.trace = Trace()
+        self._append = self.trace.records.append
         self.heap = []
-        self.seq = 0
+        self._seq = itertools.count()
 
+        self.tasks = {t.id: t for t in scenario}
         self.status = {t.id: _PENDING for t in scenario}
         self.deps_left = {t.id: len(t.deps) for t in scenario}
         self.dependents = {t.id: [] for t in scenario}
+        self.image_consumers: dict = {}  # producer id -> image-input dependents
+        self.image_producers: dict = {}  # image-input task id -> sorted deps
         for t in scenario:
-            for dep in sorted(t.deps):
+            for dep in t.deps:
                 self.dependents[dep].append(t.id)
-        self.image_consumers = {
-            t.id: [d for d in self.dependents[t.id]
-                   if scenario.task(d).tags.image_input]
-            for t in scenario
-        }
+            if t.tags.image_input:
+                self.image_producers[t.id] = sorted(t.deps)
+                for dep in t.deps:
+                    self.image_consumers.setdefault(dep, []).append(t.id)
         self.buffer_refs: dict = {}  # producer id -> live consumer count
 
         self.busy = {u: False for u in self.state.units}
         self.cloud_active = 0
-        self.dispatch_time: dict = {}
-        self._phase_plan: dict = {}  # task id -> remaining (time, phase) boundaries
+        self.running: dict = {}  # task id -> (unit, label, workload, start, phase plan)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _push(self, time_us: int, prio: int, kind: str, payload) -> None:
-        heapq.heappush(self.heap, (time_us, prio, self.seq, kind, payload))
-        self.seq += 1
+    def _push(self, time_us: int, prio: int, kind: str, task_id: int) -> None:
+        heapq.heappush(self.heap, (time_us, prio, next(self._seq), kind, task_id))
 
     def _rec(self, time_us: int, task_id: int, unit: str, phase: str) -> None:
-        workload = self.scenario.task(task_id).workload
-        self.trace.append(TraceRecord(time_us, task_id, workload, unit, phase))
+        workload = self.tasks[task_id].workload
+        self._append(TraceRecord(time_us, task_id, workload, unit, phase))
 
     # -- dispatch and execution -------------------------------------------
 
@@ -280,33 +332,29 @@ class _Engine:
         for t in self.scenario:
             self._push(t.release_us, _PRIO_RELEASE, "release", t.id)
         while self.heap:
-            time_us, _, _, kind, payload = heapq.heappop(self.heap)
+            now, _, _, kind, tid = heapq.heappop(self.heap)
             if kind == "release":
-                self._on_release(payload, time_us)
-            elif kind == "phase":
-                self._on_phase(payload, time_us)
+                if self.status[tid] == _PENDING and self.deps_left[tid] == 0:
+                    self._dispatch(tid, now)
+            elif kind == PHASE_COMPLETE:
+                self._complete_local(tid, now)
+            elif kind == "cloud":
+                self._on_cloud_complete(tid, now)
             else:
-                self._on_cloud_complete(payload, time_us)
+                self._on_phase(tid, kind, now)
 
-        leftover = [tid for tid, s in self.status.items()
-                    if s not in (_DONE, _SKIPPED)]
+        leftover = [tid for tid, s in self.status.items() if s not in (_DONE, _SKIPPED)]
         if leftover or self.pool.in_use:
-            raise RuntimeError(
+            raise EngineError(
                 f"simulation did not quiesce: pending={leftover} "
                 f"buffers_in_use={self.pool.in_use}")
         metrics = compute_metrics(self.trace, self.profile, self.config,
                                   scenario=self.scenario)
         return SimResult(metrics, self.trace)
 
-    def _on_release(self, tid: int, now: int) -> None:
-        if self.status[tid] == _PENDING and self.deps_left[tid] == 0:
-            self._dispatch(tid, now)
-
     def _dispatch(self, tid: int, now: int) -> None:
-        task = self.scenario.task(tid)
-        route = sched.dispatch(self.state, task, self.policy)
+        route = sched.dispatch(self.state, self.tasks[tid], self.policy)
         self.status[tid] = _DISPATCHED
-        self.dispatch_time[tid] = now
         if route.target is RouteClass.CLOUD:
             self._rec(now, tid, LABEL_CLOUD, PHASE_DISPATCH)
             self._drain_cloud(now)
@@ -314,7 +362,7 @@ class _Engine:
             self._rec(now, tid, LABEL_HP, PHASE_DISPATCH)
             self._kick(now)
         else:
-            self._rec(now, tid, route.unit.value, PHASE_DISPATCH)
+            self._rec(now, tid, self.labels[route.unit], PHASE_DISPATCH)
             self._try_start(route.unit, now)
 
     def _kick(self, now: int) -> None:
@@ -324,57 +372,50 @@ class _Engine:
     def _try_start(self, unit: UnitKind, now: int) -> None:
         if self.busy[unit]:
             return
+        hp = self.state.hp_queue
+        hp_head = hp[0] if hp else None
         tid = sched.on_unit_free(self.state, unit)
         if tid is None:
             return
         self._start(tid, unit, now)
+        if tid == hp_head and hp:
+            # the new high-priority head may be runnable on another idle unit
+            self._kick(now)
 
     def _start(self, tid: int, unit: UnitKind, now: int) -> None:
-        task = self.scenario.task(tid)
-        breakdown = offload_time(
-            self.profile, task.workload, unit, self.config.setup_mode,
-            unit in self.state.initialized_units)
+        workload = self.tasks[tid].workload
+        plan = self.table[unit][workload]
+        label = self.labels[unit]
         self.busy[unit] = True
-        self._rec(now, tid, unit.value, PHASE_SETUP)
-        boundaries = (
-            (now + breakdown.setup_us, PHASE_XFER_IN),
-            (now + breakdown.setup_us + breakdown.xfer_in_us, PHASE_KERNEL),
-            (now + breakdown.total_us - breakdown.xfer_out_us, PHASE_XFER_OUT),
-            (now + breakdown.total_us, PHASE_COMPLETE),
-        )
-        # each boundary event carries the phase being entered
-        self._phase_plan[tid] = list(boundaries)
-        self._push(boundaries[0][0], _PRIO_COMPLETION, "phase", (tid, unit))
+        self._append(TraceRecord(now, tid, workload, label, PHASE_SETUP))
+        self.running[tid] = (unit, label, workload, now, plan)
+        self._push(now + plan[0], _PRIO_COMPLETION, PHASE_XFER_IN, tid)
 
-    def _on_phase(self, payload, now: int) -> None:
-        tid, unit = payload
-        boundary_time, phase = self._phase_plan[tid].pop(0)
-        assert boundary_time == now
-        if phase == PHASE_COMPLETE:
-            del self._phase_plan[tid]
-            self._complete_local(tid, unit, now)
-            return
-        self._rec(now, tid, unit.value, phase)
+    def _on_phase(self, tid: int, phase: str, now: int) -> None:
+        _, label, workload, start, plan = self.running[tid]
+        index, next_phase = _NEXT_PHASE[phase]
+        if start + plan[index] != now:
+            raise EngineError(f"task {tid} entered {phase} at {now}, "
+                              f"off its plan {start + plan[index]}")
+        self._append(TraceRecord(now, tid, workload, label, phase))
         if phase == PHASE_KERNEL:
             self._release_buffers_for(tid)
-        self._push(self._phase_plan[tid][0][0], _PRIO_COMPLETION, "phase", (tid, unit))
+        self._push(start + plan[index + 1], _PRIO_COMPLETION, next_phase, tid)
 
     def _release_buffers_for(self, tid: int) -> None:
-        task = self.scenario.task(tid)
-        if not task.tags.image_input:
-            return
-        for producer in sorted(task.deps):
+        for producer in self.image_producers.get(tid, ()):
             if producer in self.buffer_refs:
                 self.buffer_refs[producer] -= 1
                 if self.buffer_refs[producer] == 0:
                     self.pool.release()
                     del self.buffer_refs[producer]
 
-    def _complete_local(self, tid: int, unit: UnitKind, now: int) -> None:
-        self._rec(now, tid, unit.value, PHASE_COMPLETE)
+    def _complete_local(self, tid: int, now: int) -> None:
+        unit, label, workload, _, _ = self.running.pop(tid)
+        self._append(TraceRecord(now, tid, workload, label, PHASE_COMPLETE))
         self.status[tid] = _DONE
         self.busy[unit] = False
-        self._after_completion(tid, unit.value, now)
+        self._after_completion(tid, label, now)
         self._try_start(unit, now)
 
     def _on_cloud_complete(self, tid: int, now: int) -> None:
@@ -386,14 +427,15 @@ class _Engine:
 
     def _after_completion(self, tid: int, unit_label: str, now: int) -> None:
         self._acquire_buffer(tid, unit_label, now)
+        status, deps_left = self.status, self.deps_left
         for dep in self.dependents[tid]:
-            self.deps_left[dep] -= 1
-            if (self.status[dep] == _PENDING and self.deps_left[dep] == 0
-                    and self.scenario.task(dep).release_us <= now):
+            deps_left[dep] -= 1
+            if (status[dep] == _PENDING and deps_left[dep] == 0
+                    and self.tasks[dep].release_us <= now):
                 self._dispatch(dep, now)
 
     def _acquire_buffer(self, tid: int, unit_label: str, now: int) -> None:
-        consumers = [c for c in self.image_consumers[tid]
+        consumers = [c for c in self.image_consumers.get(tid, ())
                      if self.status[c] != _SKIPPED]
         if not consumers:
             return
@@ -411,7 +453,7 @@ class _Engine:
             if self.status[cur] == _SKIPPED:
                 continue
             if self.status[cur] != _PENDING:
-                raise RuntimeError(f"cannot skip task {cur}: already dispatched")
+                raise EngineError(f"cannot skip task {cur}: already dispatched")
             self.status[cur] = _SKIPPED
             self._release_buffers_for(cur)
             for dep in self.dependents[cur]:
@@ -439,5 +481,5 @@ def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
     """
     validate_graph(scenario)
     engine = _Engine(scenario, profile, policy, config)
-    _check_scenario(scenario, profile, policy, engine.state)
+    _check_scenario(scenario, profile, policy, engine.state, engine.table)
     return engine.run()

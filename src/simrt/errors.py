@@ -75,6 +75,14 @@ class UnderflowRelease(SimrtError):
     """Image buffer released more times than acquired (engine bug)."""
 
 
+class InvalidConfig(SimrtError):
+    """A SimConfig field is out of its documented range."""
+
+
+class EngineError(SimrtError):
+    """The engine reached a state its invariants rule out (engine bug)."""
+
+
 class InvalidRate(SimrtError):
     def __init__(self, name: str, value):
         super().__init__(f"rate parameter {name} must be positive, got {value}")

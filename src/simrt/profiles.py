@@ -25,6 +25,9 @@ class UnitKind(Enum):
     FPGA = "FPGA"
     CLOUD = "CLOUD"
 
+    # members are singletons: identity hashing runs in C, Enum's hash(name) does not
+    __hash__ = object.__hash__
+
     def __str__(self) -> str:
         return self.value
 
@@ -118,15 +121,11 @@ class PlatformProfile:
 
     def resolvable(self, workload: str, unit: UnitKind) -> bool:
         """True when a full offload breakdown can be produced for the pair."""
-        entry = self.costs.get((workload, unit))
-        if entry is None:
+        try:
+            kernel_time(self, workload, unit)
+        except MissingCost:
             return False
-        if entry.kernel_us is not None:
-            return True
-        spec = self.workloads.get(workload)
-        uspec = self.unit(unit)
-        return bool(spec is not None and spec.ops is not None
-                    and uspec is not None and uspec.ops_per_sec)
+        return True
 
 
 def kernel_time(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:

@@ -23,9 +23,10 @@ may be mapped into that slot with an explicit flag).
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 
 from .errors import InvalidScenario, ParseError
-from .profiles import PlatformProfile, SetupMode, UnitKind
+from .profiles import PlatformProfile, UnitKind
 from .tasks import Task
 
 
@@ -33,6 +34,8 @@ class BasicPolicy(Enum):
     LATENCY = "latency"
     THROUGHPUT = "throughput"
     ENERGY = "energy"
+
+    __hash__ = object.__hash__  # members are singletons; see UnitKind
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,8 @@ class RouteClass(Enum):
     CLOUD = "cloud"
     HIGH_PRIORITY = "high_priority"
     BASIC = "basic"
+
+    __hash__ = object.__hash__  # members are singletons; see UnitKind
 
 
 @dataclass(frozen=True)
@@ -142,66 +147,61 @@ class SchedulerState:
         self.hp_queue: deque = deque()
         self.cloud_queue: deque = deque()
         self.counter_n = 0
-        self.initialized_units: set = set()
         self._workloads: dict = {}  # task id -> workload name, recorded on dispatch
+        # workloads each unit has a resolvable cost for: the HP head check
+        self.runnable: dict = {u: frozenset(w for (w, k) in profile.costs
+                                            if k is u and profile.resolvable(w, u))
+                               for u in self.units}
+        self._routes: dict = {u: Route(RouteClass.BASIC, u) for u in self.units}
+        # latency rotation as (cumulative weight, unit), walked by counter_n
+        latency_units = self._slot_units(_LATENCY_ORDER)
+        self._rotation = list(zip(accumulate(self.weights[u] for u in latency_units),
+                                  latency_units))
+        self._throughput_units = self._slot_units(_THROUGHPUT_ORDER)
+        self._energy_units = self._slot_units(_ENERGY_ORDER)
 
     def load(self, unit: UnitKind) -> int:
         return self._loads[unit]
 
-    def weight(self, unit: UnitKind) -> int:
-        return self.weights[unit]
-
     def _slot_units(self, order: tuple) -> list:
-        units = []
-        for slot in order:
-            kind = self._slot_kind[slot]
-            if kind is not None and kind in self.weights:
-                units.append(kind)
-        if not units:
-            raise InvalidScenario("no participating units for the selected policy")
-        return units
-
-    def workload_of(self, task_id: int) -> str:
-        return self._workloads[task_id]
+        return [kind for slot in order if (kind := self._slot_kind[slot]) in self.weights]
 
 
 def dispatch_latency(state: SchedulerState) -> UnitKind:
     """Weighted round-robin: each cycle hands the gpu queue its weight of
     dispatches, then the dsp queue, then the cpu queue; the counter resets
     at the end of a cycle."""
-    rotation = state._slot_units(_LATENCY_ORDER)
-    total = sum(state.weights[u] for u in rotation)
+    rotation = state._rotation
+    if not rotation:
+        raise InvalidScenario("no participating units for the selected policy")
     pos = state.counter_n
-    cum = 0
-    chosen = rotation[-1]
-    for unit in rotation:
-        cum += state.weights[unit]
+    for cum, unit in rotation:
         if pos < cum:
-            chosen = unit
             break
-    state.counter_n = (pos + 1) % total
-    return chosen
+    state.counter_n = (pos + 1) % rotation[-1][0]
+    return unit
 
 
-def _fill_first(state: SchedulerState, order: tuple, overflow_slot: str) -> UnitKind:
-    units = state._slot_units(order)
+def _fill_first(state: SchedulerState, units: list, overflow_slot: str) -> UnitKind:
+    if not units:
+        raise InvalidScenario("no participating units for the selected policy")
     for unit in units:
         if state._loads[unit] < state.weights[unit]:
             return unit
     overflow = state._slot_kind[overflow_slot]
-    if overflow is not None and overflow in state.weights:
+    if overflow in state.weights:
         return overflow
     return units[0]
 
 
 def dispatch_throughput(state: SchedulerState) -> UnitKind:
     """Keep the gpu queue full of load, then cpu, then dsp; overflow to cpu."""
-    return _fill_first(state, _THROUGHPUT_ORDER, _CPU_SLOT)
+    return _fill_first(state, state._throughput_units, _CPU_SLOT)
 
 
 def dispatch_energy(state: SchedulerState) -> UnitKind:
     """Prefer the dsp queue, then gpu, then cpu; overflow to dsp."""
-    return _fill_first(state, _ENERGY_ORDER, _DSP_SLOT)
+    return _fill_first(state, state._energy_units, _DSP_SLOT)
 
 
 _BASIC_DISPATCH = {
@@ -209,6 +209,8 @@ _BASIC_DISPATCH = {
     BasicPolicy.THROUGHPUT: dispatch_throughput,
     BasicPolicy.ENERGY: dispatch_energy,
 }
+_CLOUD_ROUTE = Route(RouteClass.CLOUD)
+_HP_ROUTE = Route(RouteClass.HIGH_PRIORITY)
 
 
 def dispatch(state: SchedulerState, task: Task, policy: Policy) -> Route:
@@ -218,14 +220,14 @@ def dispatch(state: SchedulerState, task: Task, policy: Policy) -> Route:
         route_class = classify(task)
         if route_class is RouteClass.CLOUD:
             state.cloud_queue.append(task.id)
-            return Route(RouteClass.CLOUD)
+            return _CLOUD_ROUTE
         if route_class is RouteClass.HIGH_PRIORITY:
             state.hp_queue.append(task.id)
-            return Route(RouteClass.HIGH_PRIORITY)
+            return _HP_ROUTE
     unit = _BASIC_DISPATCH[policy.basic](state)
     state.queues[unit].append(task.id)
     state._loads[unit] += 1
-    return Route(RouteClass.BASIC, unit)
+    return state._routes[unit]
 
 
 def on_unit_free(state: SchedulerState, unit: UnitKind):
@@ -235,26 +237,11 @@ def on_unit_free(state: SchedulerState, unit: UnitKind):
     resolvable cost for it (head-only check, FIFO order preserved);
     otherwise the unit's own FIFO head; otherwise None.
     """
-    if state.hp_queue:
-        head = state.hp_queue[0]
-        if state.profile.resolvable(state._workloads[head], unit):
-            return state.hp_queue.popleft()
-    if state.queues[unit]:
+    hp = state.hp_queue
+    if hp and state._workloads[hp[0]] in state.runnable[unit]:
+        return hp.popleft()
+    queue = state.queues[unit]
+    if queue:
         state._loads[unit] -= 1
-        return state.queues[unit].popleft()
+        return queue.popleft()
     return None
-
-
-def init_runtime(state: SchedulerState, profile: PlatformProfile,
-                 setup_mode: SetupMode) -> SchedulerState:
-    """Mark accelerators initialized per setup mode.
-
-    AMORTIZED initializes every unit up front (setup paid once, before the
-    clock starts), so later offloads carry no setup component; PER_OFFLOAD
-    initializes none.
-    """
-    if setup_mode is SetupMode.AMORTIZED:
-        state.initialized_units = {u.kind for u in profile.local_units()}
-    else:
-        state.initialized_units = set()
-    return state

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from simrt import (Policy, SimConfig, builtin_profiles, convolution_batch,
-                   dump_scenario, load_scenario, simulate)
+from simrt import (EngineError, Policy, SimConfig, builtin_profiles,
+                   convolution_batch, dump_scenario, load_scenario,
+                   robot_pipeline, simulate)
 from simrt.cli import main
 
 
@@ -69,6 +70,27 @@ class TestRun:
         monkeypatch.setenv("SIMRT_PROFILE_DIR", str(tmp_path))
         code, out, _ = run_cli(capsys, "run", "-p", "mine", "-s", conv_scenario)
         assert code == 0
+
+
+    @pytest.mark.parametrize("flag", [("--cloud-slots", "0"),
+                                      ("--buffer-capacity", "-1")])
+    def test_out_of_range_config_exits_2(self, capsys, tmp_path, flag):
+        scenario = tmp_path / "robot.json"
+        scenario.write_text(dump_scenario(robot_pipeline(1, 25, 200, 3)))
+        code, out, err = run_cli(capsys, "run", "-p", "sd820-robot", "-s", str(scenario),
+                                 "--policy", "advanced:throughput", *flag)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert flag[0].lstrip("-").replace("-", "_") in err
+
+    def test_engine_error_exits_1(self, capsys, monkeypatch, conv_scenario):
+        def broken(*args, **kwargs):
+            raise EngineError("simulation did not quiesce")
+        monkeypatch.setattr("simrt.cli.simulate", broken)
+        code, _, err = run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario)
+        assert code == 1
+        assert err == "simulation error: simulation did not quiesce\n"
 
 
 class TestValidate:

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
-from simrt import (BasicPolicy, BufferPool, Policy, SimConfig, Task,
-                   TaskGraph, TaskTags, Trace, TraceRecord, UnderflowRelease,
-                   UnitKind, UnresolvableCost, audit, builtin_profiles,
-                   compute_metrics, energy_of, load_profile, restrict,
-                   simulate)
+import simrt.engine
+from simrt import (BasicPolicy, BufferPool, InvalidConfig, PlatformProfile,
+                   Policy, SimConfig, Task, TaskGraph, TaskTags, Trace,
+                   TraceRecord, UnderflowRelease, UnitKind, UnresolvableCost,
+                   audit, builtin_profiles, compute_metrics, energy_of,
+                   load_profile, restrict, robot_pipeline, simulate)
 
 from .helpers import ALL_POLICIES, random_profile, random_scenario
 
@@ -372,3 +373,98 @@ class TestAudits:
         bad = [r for r in trace if not (r.task_id == 2 and r.phase == "setup")]
         with pytest.raises(audit.AuditError):
             audit.audit_work_conservation(Trace(bad), p)
+
+
+def partial_hp_profile(rng: random.Random):
+    """CPU, mGPU and DSP; "alpha" runs everywhere, while "beta" and "gamma"
+    lack a random subset of units (never all of them)."""
+    kinds = ["CPU", "mGPU", "DSP"]
+    costs = {}
+    for workload in ("alpha", "beta", "gamma"):
+        units = kinds if workload == "alpha" else rng.sample(kinds, rng.randint(1, 2))
+        for kind in units:
+            costs[f"{workload}@{kind}"] = {"setup_us": rng.randint(0, 300),
+                                           "kernel_us": rng.randint(1, 800),
+                                           "energy_uj": 1}
+    doc = {"units": [{"kind": k, "weight": rng.randint(1, 3)} for k in kinds],
+           "workloads": [{"name": w} for w in ("alpha", "beta", "gamma")],
+           "costs": costs}
+    return load_profile(json.dumps(doc))
+
+
+class TestHighPriorityRekick:
+    def test_next_hp_head_goes_to_idle_unit(self):
+        p = builtin_profiles()["sd820-robot"]
+        g = TaskGraph([rt(1, "undistort", image=True), rt(2, "undistort", image=True),
+                       rt(3, "conv1", image=True)])
+        _, trace = simulate(g, p, Policy.advanced_over(BasicPolicy.THROUGHPUT))
+        audit.audit_all(trace, g, p)
+        # the DSP takes task 2 at 1320; task 3, the new head, runs on the idle CPU
+        starts = {r.task_id: (r.time_us, r.unit) for r in trace if r.phase == "setup"}
+        assert starts[3] == (1320, "CPU")
+
+    def test_audits_pass_with_partially_runnable_hp_heads(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            profile = partial_hp_profile(rng)
+            tasks = [rt(i, rng.choice(("beta", "gamma")), image=True,
+                        release=rng.randint(0, 3000))
+                     if rng.random() < 0.7 else rt(i, "alpha", release=rng.randint(0, 3000))
+                     for i in range(1, rng.randint(2, 30))]
+            scenario = TaskGraph(tasks)
+            policy = Policy.advanced_over(rng.choice(list(BasicPolicy)))
+            _, trace = simulate(scenario, profile, policy)
+            audit.audit_all(trace, scenario, profile)
+
+
+class TestSimConfigValidation:
+    @pytest.mark.parametrize("kwargs", [
+        {"buffer_capacity": -1}, {"buffer_capacity": 1.5}, {"buffer_capacity": True},
+        {"cloud_slots": 0}, {"cloud_slots": -2}, {"cloud_slots": "2"},
+        {"weights": {"x": 1}}, {"weights": {"g": -1}}, {"weights": {"d": 1.0}},
+        {"weights": [("g", 1)]},
+    ])
+    def test_rejects_out_of_range_fields(self, kwargs):
+        with pytest.raises(InvalidConfig):
+            SimConfig(**kwargs)
+
+    def test_accepts_boundary_values(self):
+        SimConfig(buffer_capacity=0, cloud_slots=1, weights={"g": 0, "d": 2, "c": 1})
+
+
+class TestCostTableCallCounts:
+    """The engine resolves each (workload, unit) cost once per run; the cost
+    model's entry points are not called per task or per event."""
+
+    def counted_run(self, monkeypatch, scenario) -> dict:
+        counts = {"offload_time": 0, "energy_of": 0, "resolvable": 0}
+
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(simrt.engine, "offload_time",
+                            counting("offload_time", simrt.engine.offload_time))
+        monkeypatch.setattr(simrt.engine, "energy_of",
+                            counting("energy_of", simrt.engine.energy_of))
+        monkeypatch.setattr(PlatformProfile, "resolvable",
+                            counting("resolvable", PlatformProfile.resolvable))
+        simulate(scenario, builtin_profiles()["sd820-robot"],
+                 Policy.advanced_over(BasicPolicy.THROUGHPUT),
+                 SimConfig(buffer_capacity=4))
+        monkeypatch.undo()
+        return counts
+
+    def test_calls_bounded_by_distinct_pairs_and_flat_in_task_count(self, monkeypatch):
+        profile = builtin_profiles()["sd820-robot"]
+        small, large = robot_pipeline(1, 25, 200, 3), robot_pipeline(2, 25, 200, 3)
+        assert len(large) > 1.9 * len(small)
+        labels = [u.kind.value for u in profile.local_units()] + ["CLOUD"]
+        pairs = len({t.workload for t in small}) * len(labels)
+        small_counts = self.counted_run(monkeypatch, small)
+        large_counts = self.counted_run(monkeypatch, large)
+        for name, count in small_counts.items():
+            assert 0 < count <= 2 * pairs, name
+            assert large_counts[name] <= count, name

@@ -1,0 +1,142 @@
+"""Golden lock: the SHA-256 of trace CSV plus metrics JSON for fixed runs.
+
+Together the cases cover every policy, both setup modes, buffer drops and
+skip cascades, bounded cloud slots, a weights override and `fpga_as_gpu`.
+A change that moves a hash changes simulated behaviour; say why when you
+update one. Print the current hashes with
+
+    PYTHONPATH=src python -m tests.test_golden
+"""
+
+import hashlib
+import json
+import random
+
+import pytest
+
+from simrt import (Policy, SetupMode, SimConfig, Task, TaskGraph, TaskTags,
+                   builtin_profiles, convolution_batch, load_profile,
+                   robot_pipeline, simulate)
+
+from .helpers import random_profile, random_scenario
+
+_IMAGE = ("undistort", "gaussian_blur", "feature_detect", "optical_flow")
+_BASIC = ("capture", "update", "propagate", "planning", "conv1", "fc6")
+_CLOUD = ("scene_understanding", "map_generation")
+
+
+def robot_dag(seed: int, n: int = 400) -> TaskGraph:
+    """Random DAG on sd820-robot workloads: jobs of 4-10 tasks, image
+    consumers fed by earlier tasks of their job, 10% cloud leaves."""
+    rng = random.Random(seed)
+    tasks, job = [], []
+    for tid in range(1, n + 1):
+        if not job or rng.random() < 0.15:
+            job = []
+        role = rng.choice(("image", "image", "basic", "basic", "basic", "cloud"))
+        deps = sorted(rng.sample(job, min(rng.randint(1, 2), len(job))))
+        if role == "image" and not deps:
+            role = "basic"
+        names = {"image": _IMAGE, "basic": _BASIC, "cloud": _CLOUD}[role]
+        tasks.append(Task(id=tid, workload=rng.choice(names),
+                          tags=TaskTags(real_time=role != "cloud",
+                                        image_input=role == "image"),
+                          deps=frozenset(deps), release_us=(tid - 1) // 4 * 2000))
+        if role != "cloud":
+            job.append(tid)
+    return TaskGraph(tasks)
+
+
+def fpga_profile():
+    units = {"CPU": (0, 400, 90), "FPGA": (500, 120, 30), "DSP": (300, 260, 40)}
+    costs = {}
+    for scale, workload in enumerate(("alpha", "beta", "gamma"), start=1):
+        for kind, (setup, kernel, energy) in units.items():
+            costs[f"{workload}@{kind}"] = {
+                "setup_us": setup, "xfer_in_us": 20, "kernel_us": kernel * scale,
+                "xfer_out_us": 10, "energy_uj": energy * scale}
+    doc = {
+        "units": [{"kind": "CPU", "weight": 2}, {"kind": "FPGA", "weight": 3},
+                  {"kind": "DSP", "weight": 1}],
+        "workloads": [{"name": n} for n in ("alpha", "beta", "gamma")],
+        "costs": costs,
+        "cloud": {"latency_us": [1000, 4000], "energy_uj": 50},
+    }
+    return load_profile(json.dumps(doc))
+
+
+def _cases() -> dict:
+    """name -> (scenario, profile, policy, config), all built afresh."""
+    b = builtin_profiles()
+    per_offload = SetupMode.PER_OFFLOAD
+    return {
+        "robot-adv-throughput-buf4": (
+            robot_pipeline(1, 25, 200, 3), b["sd820-robot"],
+            Policy.parse("advanced:throughput"), SimConfig(buffer_capacity=4)),
+        "robot-adv-latency-per-offload": (
+            robot_pipeline(1, 25, 200, 3), b["sd820-robot"],
+            Policy.parse("advanced:latency"),
+            SimConfig(setup_mode=per_offload, seed=4, cloud_in_makespan=False)),
+        "conv-latency-weights": (
+            convolution_batch(300), b["sd820"], Policy.parse("latency"),
+            SimConfig(weights={"g": 3, "d": 1, "c": 2})),
+        "conv-throughput-per-offload": (
+            convolution_batch(300), b["sd820"], Policy.parse("throughput"),
+            SimConfig(setup_mode=per_offload)),
+        "conv-energy": (
+            convolution_batch(300), b["sd820"], Policy.parse("energy"), SimConfig()),
+        "dag-adv-energy-drops-cloud2": (
+            robot_dag(5), b["sd820-robot"], Policy.parse("advanced:energy"),
+            SimConfig(setup_mode=per_offload, seed=5, buffer_capacity=1,
+                      cloud_slots=2)),
+        "random-adv-latency-cloud1": (
+            random_scenario(random.Random(20), max_tasks=60),
+            random_profile(random.Random(11)), Policy.parse("advanced:latency"),
+            SimConfig(seed=3, buffer_capacity=1, cloud_slots=1)),
+        "fpga-as-gpu-adv-throughput": (
+            random_scenario(random.Random(23), max_tasks=60), fpga_profile(),
+            Policy.parse("advanced:throughput"),
+            SimConfig(setup_mode=per_offload, seed=8, buffer_capacity=2,
+                      cloud_slots=3, fpga_as_gpu=True,
+                      weights={"g": 2, "d": 2, "c": 1})),
+    }
+
+
+GOLDEN = {
+    "conv-energy": "3d7b4f1bb1fa58e2d9cff54d682bdb3969c9e7f46446e474b5bd389a0a6d6bd0",
+    "conv-latency-weights": "9133f79c90b2818b52dca8cbd13574b5c4b37e9a00a0525233f9f26b229bc71e",
+    "conv-throughput-per-offload": "abef00d28a60b213aa4991f4becd02300ef2c30b68a0f3b8871295dcb5b63b99",
+    "dag-adv-energy-drops-cloud2": "144cf1bb2225ac4ae25e5f72f8d0a72fef14cbf049a6f15823f3658c166a997c",
+    "fpga-as-gpu-adv-throughput": "203a62d3c44c3ded0d78497a360082cdeef413302e57d65da75d8c850d905994",
+    "random-adv-latency-cloud1": "8ad9025df79397f989ffedc4b9abe6a5334479a81f806bb6da7ce98941a65c9d",
+    "robot-adv-latency-per-offload": "01d0c49afb543f61e2eccdfc41f3e6b5c757cd247cdc189ebbba02bd33a76ca4",
+    "robot-adv-throughput-buf4": "df1c71f4a0881b8cf861fa0c9d7bde14364f6bbdd582f4e8eaee27622433471d",
+}
+
+
+def digest(case) -> str:
+    scenario, profile, policy, config = case
+    metrics, trace = simulate(scenario, profile, policy, config)
+    text = trace.to_csv() + json.dumps(metrics.to_dict(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_digest(name):
+    assert digest(_cases()[name]) == GOLDEN[name]
+
+
+def test_golden_covers_every_case():
+    assert set(GOLDEN) == set(_cases())
+
+
+def test_cases_reach_drops_skips_and_cloud_slots():
+    scenario, profile, policy, config = _cases()["dag-adv-energy-drops-cloud2"]
+    metrics, trace = simulate(scenario, profile, policy, config)
+    assert metrics.drops > 0 and metrics.skipped > 0
+    assert any(r.phase == "cloud_submit" for r in trace)
+
+
+if __name__ == "__main__":
+    for name, case in sorted(_cases().items()):
+        print(f'    "{name}": "{digest(case)}",')

@@ -3,10 +3,10 @@ import random
 
 import pytest
 
-from simrt import (BasicPolicy, Policy, RouteClass, SchedulerState, SetupMode,
-                   Task, TaskTags, UnitKind, classify, dispatch,
-                   dispatch_energy, dispatch_latency, dispatch_throughput,
-                   init_runtime, load_profile, offload_time, on_unit_free)
+from simrt import (BasicPolicy, Policy, RouteClass, SchedulerState, Task,
+                   TaskTags, UnitKind, classify, dispatch, dispatch_energy,
+                   dispatch_latency, dispatch_throughput, load_profile,
+                   on_unit_free)
 
 from .helpers import random_profile
 
@@ -237,30 +237,6 @@ class TestOnUnitFree:
                     on_unit_free(state, rng.choice(state.units))
                 for unit in state.units:
                     assert state.load(unit) == len(state.queues[unit])
-
-
-class TestInitRuntime:
-    def test_amortized_marks_all_units(self):
-        profile = three_unit_profile()
-        state = init_runtime(SchedulerState(profile), profile, SetupMode.AMORTIZED)
-        assert state.initialized_units == {UnitKind.CPU, UnitKind.MGPU, UnitKind.DSP}
-
-    def test_per_offload_marks_none(self):
-        profile = three_unit_profile()
-        state = init_runtime(SchedulerState(profile), profile, SetupMode.PER_OFFLOAD)
-        assert state.initialized_units == set()
-
-    def test_composition_with_offload_time(self):
-        doc = {
-            "units": [{"kind": "DSP", "weight": 1}],
-            "workloads": [{"name": "w"}],
-            "costs": {"w@DSP": {"setup_us": 700, "kernel_us": 10, "energy_uj": 1}},
-        }
-        profile = load_profile(json.dumps(doc))
-        state = init_runtime(SchedulerState(profile), profile, SetupMode.AMORTIZED)
-        bd = offload_time(profile, "w", UnitKind.DSP, SetupMode.AMORTIZED,
-                          UnitKind.DSP in state.initialized_units)
-        assert bd.setup_us == 0
 
 
 class TestFpgaSlot:
