@@ -18,6 +18,6 @@ from .scheduler import (BasicPolicy, Policy, Route, RouteClass, SchedulerState,
                         classify, dispatch, dispatch_energy, dispatch_latency,
                         dispatch_throughput, on_unit_free)
 from .tasks import (Task, TaskGraph, TaskId, TaskTags, dump_scenario,
-                    load_scenario, ready_set, validate_graph)
+                    load_scenario, validate_graph)
 
 __version__ = "0.1.0"

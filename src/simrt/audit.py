@@ -17,58 +17,62 @@ from .profiles import PlatformProfile, UnitKind
 from .scheduler import SchedulerState
 from .tasks import TaskGraph
 
-_LOCAL_ORDER = (PHASE_DISPATCH, PHASE_SETUP, PHASE_XFER_IN, PHASE_KERNEL,
-                PHASE_XFER_OUT, PHASE_COMPLETE)
+# phase -> phases a task may record next; a task's last phase must be terminal
+_NEXT_ALLOWED = {
+    PHASE_DISPATCH: (PHASE_SETUP, PHASE_CLOUD_SUBMIT), PHASE_SETUP: (PHASE_XFER_IN,),
+    PHASE_XFER_IN: (PHASE_KERNEL,), PHASE_KERNEL: (PHASE_XFER_OUT,),
+    PHASE_XFER_OUT: (PHASE_COMPLETE,), PHASE_COMPLETE: (),
+    PHASE_CLOUD_SUBMIT: (PHASE_CLOUD_COMPLETE,), PHASE_CLOUD_COMPLETE: (),
+}
 
 
 def audit_phase_order(trace: Trace) -> None:
     """Per task, phases appear exactly once, in order, at non-decreasing times."""
-    seen: dict = {}
-    for r in trace:
-        if r.phase in (PHASE_DROP,):
+    last: dict = {}  # task id -> (last phase, its time)
+    for time_us, tid, _, _, phase in trace.records:
+        if phase == PHASE_DROP:
             continue
-        phases = seen.setdefault(r.task_id, [])
-        phases.append((r.phase, r.time_us))
-    for tid, phases in seen.items():
-        names = [p for p, _ in phases]
-        times = [t for _, t in phases]
-        if times != sorted(times):
-            raise AuditError(f"task {tid}: phase timestamps decrease: {phases}")
-        if names[0] != PHASE_DISPATCH:
-            raise AuditError(f"task {tid}: first record is {names[0]}, not dispatch")
-        if PHASE_CLOUD_SUBMIT in names:
-            expect = [PHASE_DISPATCH, PHASE_CLOUD_SUBMIT, PHASE_CLOUD_COMPLETE]
+        if tid not in last:
+            if phase != PHASE_DISPATCH:
+                raise AuditError(f"task {tid}: first record is {phase}, not dispatch")
         else:
-            expect = list(_LOCAL_ORDER)
-        if names != expect:
-            raise AuditError(f"task {tid}: phase sequence {names} != {expect}")
+            prev_phase, prev_time = last[tid]
+            if time_us < prev_time:
+                raise AuditError(f"task {tid}: {phase} at {time_us} after "
+                                 f"{prev_phase} at {prev_time}")
+            if phase not in _NEXT_ALLOWED[prev_phase]:
+                raise AuditError(f"task {tid}: {phase} follows {prev_phase}")
+        last[tid] = (phase, time_us)
+    for tid, (phase, _) in last.items():
+        if _NEXT_ALLOWED[phase]:
+            raise AuditError(f"task {tid}: phase sequence ends at {phase}")
 
 
 def audit_unit_exclusivity(trace: Trace) -> None:
     """A local unit never runs two tasks at once."""
     running: dict = {}  # unit -> (task, setup time)
     last_end: dict = {}  # unit -> latest completion time
-    for r in trace:
-        if r.unit in (LABEL_HP, LABEL_CLOUD):
+    for time_us, tid, _, unit, phase in trace.records:
+        if unit == LABEL_HP or unit == LABEL_CLOUD:
             continue
-        if r.phase == PHASE_SETUP:
-            if r.unit in running:
-                other, since = running[r.unit]
+        if phase == PHASE_SETUP:
+            if unit in running:
+                other, since = running[unit]
                 raise AuditError(
-                    f"unit {r.unit}: task {r.task_id} starts at {r.time_us} while "
+                    f"unit {unit}: task {tid} starts at {time_us} while "
                     f"task {other} (running since {since}) has not completed")
-            if r.time_us < last_end.get(r.unit, 0):
+            if time_us < last_end.get(unit, 0):
                 raise AuditError(
-                    f"unit {r.unit}: task {r.task_id} starts at {r.time_us}, before "
-                    f"the previous occupant completed at {last_end[r.unit]}")
-            running[r.unit] = (r.task_id, r.time_us)
-        elif r.phase == PHASE_COMPLETE:
-            if r.unit not in running or running[r.unit][0] != r.task_id:
+                    f"unit {unit}: task {tid} starts at {time_us}, before "
+                    f"the previous occupant completed at {last_end[unit]}")
+            running[unit] = (tid, time_us)
+        elif phase == PHASE_COMPLETE:
+            if unit not in running or running[unit][0] != tid:
                 raise AuditError(
-                    f"unit {r.unit}: completion of task {r.task_id} at {r.time_us} "
-                    f"does not match the running task {running.get(r.unit)}")
-            del running[r.unit]
-            last_end[r.unit] = r.time_us
+                    f"unit {unit}: completion of task {tid} at {time_us} "
+                    f"does not match the running task {running.get(unit)}")
+            del running[unit]
+            last_end[unit] = time_us
     if running:
         raise AuditError(f"tasks still running at end of trace: {running}")
 
@@ -77,11 +81,11 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
     """No task starts before its release time and all dependency completions."""
     done_at: dict = {}
     started_at: dict = {}
-    for r in trace:
-        if r.phase in (PHASE_COMPLETE, PHASE_CLOUD_COMPLETE):
-            done_at[r.task_id] = r.time_us
-        elif r.phase in (PHASE_SETUP, PHASE_CLOUD_SUBMIT):
-            started_at[r.task_id] = r.time_us
+    for time_us, tid, _, _, phase in trace.records:
+        if phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE:
+            done_at[tid] = time_us
+        elif phase == PHASE_SETUP or phase == PHASE_CLOUD_SUBMIT:
+            started_at[tid] = time_us
     for tid, start in started_at.items():
         task = scenario.task(tid)
         if start < task.release_us:
@@ -103,9 +107,8 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
     holds a task or the high-priority queue head is runnable on it."""
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
     fifos: dict = {u.value: deque() for u in state.units}
-    hp: deque = deque()
+    hp: deque = deque()  # (task id, workload)
     busy: dict = {label: False for label in fifos}
-    workload_of: dict = {}
     runnable: dict = {}  # (workload, unit label) -> profile.resolvable
 
     def check_idle(now: int) -> None:
@@ -116,8 +119,8 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                 raise AuditError(
                     f"unit {unit} idle at {now} with queued tasks {list(fifo)}")
             if hp:
-                head = hp[0]
-                key = (workload_of[head], unit)
+                head, workload = hp[0]
+                key = (workload, unit)
                 if key not in runnable:
                     runnable[key] = profile.resolvable(key[0], UnitKind.parse(unit))
                 if runnable[key]:
@@ -126,38 +129,37 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                         f"{head} is runnable on it")
 
     prev_time = None
-    for r in trace:
-        if prev_time is not None and r.time_us > prev_time:
+    for time_us, tid, workload, unit, phase in trace.records:
+        if prev_time is not None and time_us > prev_time:
             check_idle(prev_time)
-        prev_time = r.time_us
-        workload_of.setdefault(r.task_id, r.workload)
-        if r.phase == PHASE_DISPATCH:
-            if r.unit == LABEL_HP:
-                hp.append(r.task_id)
-            elif r.unit != LABEL_CLOUD:
-                if r.unit not in fifos:
+        prev_time = time_us
+        if phase == PHASE_DISPATCH:
+            if unit == LABEL_HP:
+                hp.append((tid, workload))
+            elif unit != LABEL_CLOUD:
+                if unit not in fifos:
                     raise AuditError(
-                        f"task {r.task_id} dispatched to non-participating unit {r.unit}")
-                fifos[r.unit].append(r.task_id)
-        elif r.phase == PHASE_SETUP:
-            fifo = fifos.get(r.unit)
+                        f"task {tid} dispatched to non-participating unit {unit}")
+                fifos[unit].append(tid)
+        elif phase == PHASE_SETUP:
+            fifo = fifos.get(unit)
             if fifo is None:
-                raise AuditError(f"task {r.task_id} ran on non-participating unit {r.unit}")
-            if hp and hp[0] == r.task_id:
+                raise AuditError(f"task {tid} ran on non-participating unit {unit}")
+            if hp and hp[0][0] == tid:
                 hp.popleft()
-            elif fifo and fifo[0] == r.task_id:
+            elif fifo and fifo[0] == tid:
                 fifo.popleft()
-            elif r.task_id in fifo:
+            elif tid in fifo:
                 raise AuditError(
-                    f"unit {r.unit} started {r.task_id} out of FIFO order; "
+                    f"unit {unit} started {tid} out of FIFO order; "
                     f"queue was {list(fifo)}")
             else:
                 raise AuditError(
-                    f"unit {r.unit} started task {r.task_id} that was not queued "
+                    f"unit {unit} started task {tid} that was not queued "
                     f"for it or at the high-priority head")
-            busy[r.unit] = True
-        elif r.phase == PHASE_COMPLETE:
-            busy[r.unit] = False
+            busy[unit] = True
+        elif phase == PHASE_COMPLETE:
+            busy[unit] = False
     if prev_time is not None:
         check_idle(prev_time)
 

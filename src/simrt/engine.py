@@ -12,13 +12,19 @@ dependents.
 Event ordering is total and reproducible: events fire in (time,
 completions-before-releases, insertion sequence) order, so a run is a pure
 function of (scenario, profile, policy, config) and two runs emit
-byte-identical traces.
+byte-identical traces. Releases sit in one list stably sorted by release
+time; a phase or cloud completion due later goes on a heap ordered by
+(time, sequence), and one due at the current instant goes to a FIFO. The
+loop runs the heap events due now (scheduled earlier, so older), then the
+FIFO, and takes a release only when no completion is due at or before it.
 """
 
 import heapq
 import itertools
 import random
+from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import scheduler as sched
@@ -43,14 +49,12 @@ PHASE_CLOUD_COMPLETE = "cloud_complete"
 LABEL_HP = "HP"
 LABEL_CLOUD = "CLOUD"
 
-_PRIO_COMPLETION = 0
-_PRIO_RELEASE = 1
+_NO_RELEASE = (float("inf"), None)  # (time, task id) after the last release
 
 _PENDING, _DISPATCHED, _DONE, _SKIPPED = range(4)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     time_us: int
     task_id: int
     workload: str
@@ -62,24 +66,21 @@ CSV_HEADER = "time_us,task_id,workload,unit,phase"
 
 
 class Trace:
-    """Ordered, append-only record of simulation events."""
+    """Ordered, append-only record of simulation events. `records` holds plain
+    (time_us, task_id, workload, unit, phase) tuples, which readers unpack;
+    iterating a Trace yields them as `TraceRecord`s."""
 
     def __init__(self, records=None):
         self.records = list(records or [])
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
-        lines.extend(
-            f"{r.time_us},{r.task_id},{r.workload},{r.unit},{r.phase}"
-            for r in self.records
-        )
+        lines += [f"{t},{tid},{workload},{unit},{phase}"
+                  for t, tid, workload, unit, phase in self.records]
         return "\n".join(lines) + "\n"
 
     def __iter__(self):
-        return iter(self.records)
+        return map(TraceRecord._make, self.records)
 
     def __len__(self):
         return len(self.records)
@@ -183,14 +184,13 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     dispatch_t = {}
     completes = []
     drops = 0
-    for r in trace.records:
-        phase = r.phase
+    for time_us, tid, workload, unit, phase in trace.records:
         if phase == PHASE_DISPATCH:
-            dispatch_t[r.task_id] = r.time_us
+            dispatch_t[tid] = time_us
         elif phase == PHASE_COMPLETE:
-            completes.append((r.task_id, r.workload, r.unit, r.time_us))
+            completes.append((tid, workload, unit, time_us))
         elif phase == PHASE_CLOUD_COMPLETE:
-            completes.append((r.task_id, r.workload, LABEL_CLOUD, r.time_us))
+            completes.append((tid, workload, LABEL_CLOUD, time_us))
         elif phase == PHASE_DROP:
             drops += 1
 
@@ -295,7 +295,8 @@ class _Engine:
         self.pool = BufferPool(config.buffer_capacity)
         self.trace = Trace()
         self._append = self.trace.records.append
-        self.heap = []
+        self.heap = []  # (time, sequence, kind, task id), due after the current instant
+        self.due_now: deque = deque()  # (kind, task id), due at the current instant
         self._seq = itertools.count()
 
         self.tasks = {t.id: t for t in scenario}
@@ -319,26 +320,42 @@ class _Engine:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _push(self, time_us: int, prio: int, kind: str, task_id: int) -> None:
-        heapq.heappush(self.heap, (time_us, prio, next(self._seq), kind, task_id))
+    def _push(self, time_us: int, now: int, kind: str, task_id: int) -> None:
+        if time_us == now:
+            self.due_now.append((kind, task_id))
+        else:
+            heapq.heappush(self.heap, (time_us, next(self._seq), kind, task_id))
 
     def _rec(self, time_us: int, task_id: int, unit: str, phase: str) -> None:
-        workload = self.tasks[task_id].workload
-        self._append(TraceRecord(time_us, task_id, workload, unit, phase))
+        self._append((time_us, task_id, self.tasks[task_id].workload, unit, phase))
 
     # -- dispatch and execution -------------------------------------------
 
     def run(self) -> SimResult:
-        for t in self.scenario:
-            self._push(t.release_us, _PRIO_RELEASE, "release", t.id)
-        while self.heap:
-            now, _, _, kind, tid = heapq.heappop(self.heap)
-            if kind == "release":
-                if self.status[tid] == _PENDING and self.deps_left[tid] == 0:
+        heap, due_now, pop = self.heap, self.due_now, heapq.heappop
+        status, deps_left = self.status, self.deps_left
+        releases = iter(sorted(((t.release_us, t.id) for t in self.scenario),
+                               key=itemgetter(0)))
+        release_at, release_tid = next(releases, _NO_RELEASE)
+        now = 0
+        while True:
+            if heap and heap[0][0] == now:
+                _, _, kind, tid = pop(heap)
+            elif due_now:
+                kind, tid = due_now.popleft()
+            elif heap and heap[0][0] <= release_at:
+                now, _, kind, tid = pop(heap)
+            elif release_tid is not None:
+                now, tid = release_at, release_tid
+                release_at, release_tid = next(releases, _NO_RELEASE)
+                if status[tid] == _PENDING and deps_left[tid] == 0:
                     self._dispatch(tid, now)
-            elif kind == PHASE_COMPLETE:
+                continue
+            else:
+                break
+            if kind == PHASE_COMPLETE:
                 self._complete_local(tid, now)
-            elif kind == "cloud":
+            elif kind == PHASE_CLOUD_COMPLETE:
                 self._on_cloud_complete(tid, now)
             else:
                 self._on_phase(tid, kind, now)
@@ -387,9 +404,9 @@ class _Engine:
         plan = self.table[unit][workload]
         label = self.labels[unit]
         self.busy[unit] = True
-        self._append(TraceRecord(now, tid, workload, label, PHASE_SETUP))
+        self._append((now, tid, workload, label, PHASE_SETUP))
         self.running[tid] = (unit, label, workload, now, plan)
-        self._push(now + plan[0], _PRIO_COMPLETION, PHASE_XFER_IN, tid)
+        self._push(now + plan[0], now, PHASE_XFER_IN, tid)
 
     def _on_phase(self, tid: int, phase: str, now: int) -> None:
         _, label, workload, start, plan = self.running[tid]
@@ -397,10 +414,10 @@ class _Engine:
         if start + plan[index] != now:
             raise EngineError(f"task {tid} entered {phase} at {now}, "
                               f"off its plan {start + plan[index]}")
-        self._append(TraceRecord(now, tid, workload, label, phase))
+        self._append((now, tid, workload, label, phase))
         if phase == PHASE_KERNEL:
             self._release_buffers_for(tid)
-        self._push(start + plan[index + 1], _PRIO_COMPLETION, next_phase, tid)
+        self._push(start + plan[index + 1], now, next_phase, tid)
 
     def _release_buffers_for(self, tid: int) -> None:
         for producer in self.image_producers.get(tid, ()):
@@ -412,7 +429,7 @@ class _Engine:
 
     def _complete_local(self, tid: int, now: int) -> None:
         unit, label, workload, _, _ = self.running.pop(tid)
-        self._append(TraceRecord(now, tid, workload, label, PHASE_COMPLETE))
+        self._append((now, tid, workload, label, PHASE_COMPLETE))
         self.status[tid] = _DONE
         self.busy[unit] = False
         self._after_completion(tid, label, now)
@@ -469,7 +486,7 @@ class _Engine:
             # an image consumer needs its input only until upload
             self._release_buffers_for(tid)
             latency = cloud_latency(self.profile, self.rng)
-            self._push(now + latency, _PRIO_COMPLETION, "cloud", tid)
+            self._push(now + latency, now, PHASE_CLOUD_COMPLETE, tid)
 
 
 def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,

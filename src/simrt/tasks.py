@@ -47,9 +47,6 @@ class TaskGraph:
     def task(self, task_id: TaskId) -> Task:
         return self._by_id[task_id]
 
-    def ids(self) -> set:
-        return set(self._by_id)
-
     def __iter__(self) -> Iterator[Task]:
         return iter(self._tasks)
 
@@ -62,54 +59,35 @@ class TaskGraph:
 
 def validate_graph(graph: TaskGraph) -> None:
     """Check graph invariants; raises DuplicateId, UnknownDependency or CycleDetected."""
-    seen = set()
+    dependents: dict = {}  # task id -> ids of the tasks that depend on it
     for t in graph.tasks:
-        if t.id in seen:
+        if t.id in dependents:
             raise DuplicateId(t.id)
-        seen.add(t.id)
+        dependents[t.id] = []
     for t in graph.tasks:
-        for dep in sorted(t.deps):
-            if dep not in seen:
-                raise UnknownDependency(t.id, dep)
+        try:
+            for dep in t.deps:
+                dependents[dep].append(t.id)
+        except KeyError:
+            raise UnknownDependency(t.id, min(t.deps - dependents.keys())) from None
 
-    # Iterative DFS with coloring; reports one concrete cycle.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {tid: WHITE for tid in seen}
-    for root in (t.id for t in graph.tasks):
-        if color[root] != WHITE:
-            continue
-        stack = [(root, iter(sorted(graph.task(root).deps)))]
-        color[root] = GRAY
-        path = [root]
-        while stack:
-            node, deps = stack[-1]
-            advanced = False
-            for dep in deps:
-                if color[dep] == GRAY:
-                    cycle = path[path.index(dep):] + [dep]
-                    raise CycleDetected(cycle[:-1] if len(cycle) > 2 else [dep])
-                if color[dep] == WHITE:
-                    color[dep] = GRAY
-                    path.append(dep)
-                    stack.append((dep, iter(sorted(graph.task(dep).deps))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                path.pop()
-                stack.pop()
-
-
-def ready_set(graph: TaskGraph, completed: set, now: int) -> set:
-    """Tasks not yet completed whose deps are all completed and release time reached."""
-    unknown = completed - graph.ids()
-    if unknown:
-        raise ValueError(f"completed set references unknown tasks: {sorted(unknown)}")
-    return {
-        t.id
-        for t in graph.tasks
-        if t.id not in completed and t.deps <= completed and t.release_us <= now
-    }
+    # Kahn: count down each task's unfinished deps; what never reaches zero
+    # lies on or behind a cycle
+    deps_left = {t.id: len(t.deps) for t in graph.tasks}
+    order = [tid for tid, n in deps_left.items() if n == 0]
+    for tid in order:  # grows while iterating
+        for dependent in dependents[tid]:
+            deps_left[dependent] -= 1
+            if deps_left[dependent] == 0:
+                order.append(dependent)
+    if len(order) < len(deps_left):
+        # every leftover task has a leftover dep: walk them until a task repeats
+        node = next(tid for tid, n in deps_left.items() if n)
+        path: dict = {}  # task id -> position on the walk
+        while node not in path:
+            path[node] = len(path)
+            node = min(dep for dep in graph.task(node).deps if deps_left[dep])
+        raise CycleDetected(list(path)[path[node]:])
 
 
 _TASK_KEYS = {"id", "workload", "real_time", "image_input", "deps", "release_us"}

@@ -173,15 +173,3 @@ def kahn_has_topological_order(ids, deps_of) -> bool:
                 frontier.append(dependent)
     return visited == len(list(ids))
 
-
-def brute_force_ready(graph: TaskGraph, completed: set, now: int) -> set:
-    """Direct statement of readiness, written independently of the package."""
-    result = set()
-    for task in graph.tasks:
-        if task.id in completed:
-            continue
-        if task.release_us > now:
-            continue
-        if all(dep in completed for dep in task.deps):
-            result.add(task.id)
-    return result

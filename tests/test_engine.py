@@ -1,3 +1,4 @@
+import heapq
 import json
 import random
 
@@ -7,8 +8,8 @@ import simrt.engine
 from simrt import (BasicPolicy, BufferPool, InvalidConfig, PlatformProfile,
                    Policy, SimConfig, Task, TaskGraph, TaskTags, Trace,
                    TraceRecord, UnderflowRelease, UnitKind, UnresolvableCost,
-                   audit, builtin_profiles, compute_metrics, energy_of,
-                   load_profile, restrict, robot_pipeline, simulate)
+                   audit, builtin_profiles, compute_metrics, convolution_batch,
+                   energy_of, load_profile, restrict, robot_pipeline, simulate)
 
 from .helpers import ALL_POLICIES, random_profile, random_scenario
 
@@ -365,6 +366,20 @@ class TestAudits:
         with pytest.raises(audit.AuditError):
             audit.audit_causality(Trace(bad), g)
 
+    def test_audit_catches_phase_order_faults(self):
+        p = single_unit_profile(kernel=100, setup=10, xin=5, xout=5)
+        _, trace = simulate(TaskGraph([rt(1)]), p, Policy.latency())
+        rows = list(trace)  # dispatch, setup, xfer_in, kernel, xfer_out, complete
+        audit.audit_phase_order(Trace(rows))
+        late_setup = rows[1]._replace(time_us=rows[2].time_us + 1)
+        for bad in (rows[1:],  # first record is not dispatch
+                    rows[:3] + rows[4:],  # kernel missing
+                    rows[:3] + rows[2:],  # xfer_in repeated
+                    rows[:-1],  # never completes
+                    rows[:1] + [late_setup] + rows[2:]):  # time decreases
+            with pytest.raises(audit.AuditError):
+                audit.audit_phase_order(Trace(bad))
+
     def test_audit_catches_idle_unit_with_queued_work(self):
         p = single_unit_profile(kernel=100)
         g = TaskGraph([rt(1), rt(2)])
@@ -468,3 +483,24 @@ class TestCostTableCallCounts:
         for name, count in small_counts.items():
             assert 0 < count <= 2 * pairs, name
             assert large_counts[name] <= count, name
+
+
+class TestHeapTraffic:
+    """Releases and events due at the current instant stay off the event
+    heap; only phases that take time are pushed."""
+
+    def test_at_most_two_heap_pushes_per_task(self, monkeypatch):
+        pushes = 0
+        original = heapq.heappush
+
+        def counting(heap, item):
+            nonlocal pushes
+            pushes += 1
+            original(heap, item)
+
+        scenario = convolution_batch(2000)
+        monkeypatch.setattr(heapq, "heappush", counting)
+        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
+        monkeypatch.undo()
+        assert metrics.completed == len(scenario)
+        assert 0 < pushes <= 2 * len(scenario)

@@ -2,6 +2,10 @@
 
 Together the cases cover every policy, both setup modes, buffer drops and
 skip cascades, bounded cloud slots, a weights override and `fpga_as_gpu`.
+The `grid-*` cases pin equal-time event order: zero-length phases on
+several units at one instant, dependents released at the instant their
+dependency completes, and releases on phase boundaries and cloud
+completions.
 A change that moves a hash changes simulated behaviour; say why when you
 update one. Print the current hashes with
 
@@ -65,6 +69,43 @@ def fpga_profile():
     return load_profile(json.dumps(doc))
 
 
+def grid_profile(cloud_latency_us: int):
+    """CPU, mGPU and DSP with every cost on a 100 us grid and many zero
+    phases (one zero kernel), plus a fixed cloud latency."""
+    phases = {  # workload@unit -> setup, xfer_in, kernel, xfer_out
+        "alpha@CPU": (0, 0, 200, 0), "alpha@mGPU": (100, 0, 100, 0),
+        "alpha@DSP": (0, 0, 300, 100), "beta@CPU": (0, 100, 100, 0),
+        "beta@mGPU": (0, 0, 200, 0), "beta@DSP": (100, 100, 0, 0),
+        "gamma@CPU": (0, 0, 0, 0), "gamma@mGPU": (0, 0, 100, 100),
+        "gamma@DSP": (200, 0, 100, 0),
+    }
+    costs = {key: {"setup_us": s, "xfer_in_us": i, "kernel_us": k,
+                   "xfer_out_us": o, "energy_uj": 10 + s + k}
+             for key, (s, i, k, o) in phases.items()}
+    doc = {
+        "units": [{"kind": "CPU", "weight": 2}, {"kind": "mGPU", "weight": 2},
+                  {"kind": "DSP", "weight": 1}],
+        "workloads": [{"name": n} for n in ("alpha", "beta", "gamma")],
+        "costs": costs,
+        "cloud": {"latency_us": [cloud_latency_us, cloud_latency_us], "energy_uj": 7},
+    }
+    return load_profile(json.dumps(doc))
+
+
+def grid_dag(seed: int, n: int = 120) -> TaskGraph:
+    """Random DAG released on the same 100 us grid as `grid_profile`'s costs,
+    four tasks per instant on average."""
+    rng = random.Random(seed)
+    tasks = []
+    for tid in range(1, n + 1):
+        deps = frozenset(d for d in range(max(1, tid - 8), tid) if rng.random() < 0.2)
+        tasks.append(Task(id=tid, workload=rng.choice(("alpha", "beta", "gamma")),
+                          tags=TaskTags(real_time=rng.random() < 0.85,
+                                        image_input=rng.random() < 0.3),
+                          deps=deps, release_us=rng.randrange(0, n * 25, 100)))
+    return TaskGraph(tasks)
+
+
 def _cases() -> dict:
     """name -> (scenario, profile, policy, config), all built afresh."""
     b = builtin_profiles()
@@ -99,6 +140,15 @@ def _cases() -> dict:
             SimConfig(setup_mode=per_offload, seed=8, buffer_capacity=2,
                       cloud_slots=3, fpga_as_gpu=True,
                       weights={"g": 2, "d": 2, "c": 1})),
+        "grid-throughput-zero-phases": (
+            grid_dag(1), grid_profile(200), Policy.parse("throughput"), SimConfig()),
+        "grid-adv-latency-per-offload-cloud1": (
+            grid_dag(4), grid_profile(300), Policy.parse("advanced:latency"),
+            SimConfig(setup_mode=per_offload, seed=1, buffer_capacity=4,
+                      cloud_slots=1)),
+        "grid-adv-throughput-cloud-zero-latency": (
+            grid_dag(3), grid_profile(0), Policy.parse("advanced:throughput"),
+            SimConfig(seed=2, cloud_slots=2)),
     }
 
 
@@ -108,6 +158,9 @@ GOLDEN = {
     "conv-throughput-per-offload": "abef00d28a60b213aa4991f4becd02300ef2c30b68a0f3b8871295dcb5b63b99",
     "dag-adv-energy-drops-cloud2": "144cf1bb2225ac4ae25e5f72f8d0a72fef14cbf049a6f15823f3658c166a997c",
     "fpga-as-gpu-adv-throughput": "203a62d3c44c3ded0d78497a360082cdeef413302e57d65da75d8c850d905994",
+    "grid-adv-latency-per-offload-cloud1": "0cff0c2242ecbd728f96b67fb8b969562f889b25e6322a7587f779cd23335364",
+    "grid-adv-throughput-cloud-zero-latency": "b57efee8a3421ec956b29c2ba17303eb1de1ebe68f35b984b6459e2b6440a4ab",
+    "grid-throughput-zero-phases": "e10bf22fb072c8bf773235706d7c3b35b8a24d708ba243140a92c32f96d0a521",
     "random-adv-latency-cloud1": "8ad9025df79397f989ffedc4b9abe6a5334479a81f806bb6da7ce98941a65c9d",
     "robot-adv-latency-per-offload": "01d0c49afb543f61e2eccdfc41f3e6b5c757cd247cdc189ebbba02bd33a76ca4",
     "robot-adv-throughput-buf4": "df1c71f4a0881b8cf861fa0c9d7bde14364f6bbdd582f4e8eaee27622433471d",
@@ -135,6 +188,30 @@ def test_cases_reach_drops_skips_and_cloud_slots():
     metrics, trace = simulate(scenario, profile, policy, config)
     assert metrics.drops > 0 and metrics.skipped > 0
     assert any(r.phase == "cloud_submit" for r in trace)
+
+
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN if n.startswith("grid-")))
+def test_grid_cases_reach_equal_time_orderings(name):
+    scenario, profile, policy, config = _cases()[name]
+    _, trace = simulate(scenario, profile, policy, config)
+    at: dict = {}  # (task, phase) -> time
+    for r in trace:
+        at[r.task_id, r.phase] = r.time_us
+    zero_length_units: dict = {}  # instant -> units that ran a zero-length phase
+    for r in trace:
+        if r.phase in ("xfer_in", "kernel", "xfer_out", "complete") and any(
+                at.get((r.task_id, p)) == r.time_us
+                for p in ("setup", "xfer_in", "kernel", "xfer_out") if p != r.phase):
+            zero_length_units.setdefault(r.time_us, set()).add(r.unit)
+    assert max(map(len, zero_length_units.values())) >= 2
+    done = {tid: t for (tid, phase), t in at.items()
+            if phase in ("complete", "cloud_complete")}
+    assert any(done.get(d) == t.release_us for t in scenario for d in t.deps)
+    releases = {t.release_us for t in scenario}
+    boundaries = {r.time_us for r in trace if r.phase in ("xfer_in", "kernel", "xfer_out")}
+    cloud_done = {r.time_us for r in trace if r.phase == "cloud_complete"}
+    assert releases & boundaries
+    assert bool(releases & cloud_done) == policy.advanced  # basic policies never offload
 
 
 if __name__ == "__main__":
