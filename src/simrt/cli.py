@@ -26,13 +26,21 @@ EXIT_INPUT_ERROR = 2
 
 _INPUT_ERRORS = (ParseError, GraphError, MissingCost, NegativeValue,
                  BadInterval, InvalidScenario, UnresolvableCost, InvalidRate,
-                 InvalidConfig, FileNotFoundError)
+                 InvalidConfig, OSError)
+
+
+def _read_text(path: str) -> str:
+    """A scenario or profile file's text; bytes that are not UTF-8 are a ParseError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from None
 
 
 def _load_profile_arg(name_or_path: str) -> PlatformProfile:
     if os.path.exists(name_or_path):
-        with open(name_or_path, encoding="utf-8") as fh:
-            return load_profile(fh.read(), name=os.path.basename(name_or_path))
+        return load_profile(_read_text(name_or_path), name=os.path.basename(name_or_path))
     builtins = builtin_profiles()
     if name_or_path in builtins:
         return builtins[name_or_path]
@@ -40,16 +48,14 @@ def _load_profile_arg(name_or_path: str) -> PlatformProfile:
     if search_dir:
         candidate = os.path.join(search_dir, name_or_path + ".json")
         if os.path.exists(candidate):
-            with open(candidate, encoding="utf-8") as fh:
-                return load_profile(fh.read(), name=name_or_path)
+            return load_profile(_read_text(candidate), name=name_or_path)
     raise FileNotFoundError(
         f"profile {name_or_path!r} is neither a file, a builtin "
         f"({', '.join(sorted(builtins))}), nor in SIMRT_PROFILE_DIR")
 
 
 def _load_scenario_arg(path: str) -> TaskGraph:
-    with open(path, encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+    return load_scenario(_read_text(path))
 
 
 def _parse_weights(text: str | None) -> dict | None:

@@ -299,15 +299,14 @@ class _Engine:
         self.due_now: deque = deque()  # (kind, task id), due at the current instant
         self._seq = itertools.count()
 
-        self.tasks = {t.id: t for t in scenario}
-        self.status = {t.id: _PENDING for t in scenario}
-        self.deps_left = {t.id: len(t.deps) for t in scenario}
-        self.dependents = {t.id: [] for t in scenario}
+        self.tasks = scenario._by_id
+        self.status = dict.fromkeys(self.tasks, _PENDING)
+        # validate_graph's shared sparse index: dependents are only read, counts copied
+        self.dependents, dep_counts = scenario._index
+        self.deps_left = dep_counts.copy()
         self.image_consumers: dict = {}  # producer id -> image-input dependents
         self.image_producers: dict = {}  # image-input task id -> sorted deps
         for t in scenario:
-            for dep in t.deps:
-                self.dependents[dep].append(t.id)
             if t.tags.image_input:
                 self.image_producers[t.id] = sorted(t.deps)
                 for dep in t.deps:
@@ -348,7 +347,7 @@ class _Engine:
             elif release_tid is not None:
                 now, tid = release_at, release_tid
                 release_at, release_tid = next(releases, _NO_RELEASE)
-                if status[tid] == _PENDING and deps_left[tid] == 0:
+                if status[tid] == _PENDING and not deps_left.get(tid):
                     self._dispatch(tid, now)
                 continue
             else:
@@ -445,7 +444,7 @@ class _Engine:
     def _after_completion(self, tid: int, unit_label: str, now: int) -> None:
         self._acquire_buffer(tid, unit_label, now)
         status, deps_left = self.status, self.deps_left
-        for dep in self.dependents[tid]:
+        for dep in self.dependents.get(tid, ()):
             deps_left[dep] -= 1
             if (status[dep] == _PENDING and deps_left[dep] == 0
                     and self.tasks[dep].release_us <= now):
@@ -473,7 +472,7 @@ class _Engine:
                 raise EngineError(f"cannot skip task {cur}: already dispatched")
             self.status[cur] = _SKIPPED
             self._release_buffers_for(cur)
-            for dep in self.dependents[cur]:
+            for dep in self.dependents.get(cur, ()):
                 if self.status[dep] == _PENDING:
                     stack.append(dep)
 

@@ -34,7 +34,7 @@ class UnitKind(Enum):
     @classmethod
     def parse(cls, text: str) -> "UnitKind":
         for kind in cls:
-            if kind.value.upper() == text.upper():
+            if isinstance(text, str) and kind.value.upper() == text.upper():
                 return kind
         raise ParseError(f"unknown unit kind {text!r}")
 
@@ -253,6 +253,10 @@ def _check_non_negative(value, fieldname: str, loc: str):
     return value
 
 
+def _reject_constant(name: str):
+    raise ParseError(f"invalid JSON: {name} is not a number", "profile")
+
+
 def load_profile(text: str, name: str = "") -> PlatformProfile:
     """Parse and validate a platform profile JSON document.
 
@@ -261,15 +265,21 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
     Unknown keys are rejected.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)  # NaN, Infinity, -Infinity
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "profile") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "profile") from None
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object", "profile")
     extra = set(doc) - {"name", "units", "workloads", "costs", "cloud"}
     if extra:
         raise ParseError(f"unknown keys: {sorted(extra)}", "profile")
     name = doc.get("name", name)
+    for key, kind, what in (("units", list, "an array"), ("workloads", list, "an array"),
+                            ("costs", dict, "an object")):
+        if not isinstance(doc.get(key, kind()), kind):
+            raise ParseError(f"'{key}' must be {what}", "profile")
 
     units = []
     for i, obj in enumerate(doc.get("units", [])):

@@ -39,6 +39,7 @@ class TaskGraph:
         for t in self._tasks:
             by_id.setdefault(t.id, t)
         self._by_id = by_id
+        self._index = None  # set by the first validate_graph that passes
 
     @property
     def tasks(self) -> tuple:
@@ -58,39 +59,51 @@ class TaskGraph:
 
 
 def validate_graph(graph: TaskGraph) -> None:
-    """Check graph invariants; raises DuplicateId, UnknownDependency or CycleDetected."""
-    dependents: dict = {}  # task id -> ids of the tasks that depend on it
+    """Raise DuplicateId, UnknownDependency or CycleDetected; a passed graph is not rechecked."""
+    if graph._index is None:
+        graph._index = _dependency_index(graph)
+
+
+def _dependency_index(graph: TaskGraph) -> tuple:
+    """Check a graph; returns its dependent ids and dep counts by task id, for tasks with any."""
+    ids = graph._by_id
+    if len(ids) < len(graph.tasks):
+        seen: set = set()  # set.add returns None, so this finds the first repeat
+        raise DuplicateId(next(t.id for t in graph.tasks if t.id in seen or seen.add(t.id)))
+    dependents, dep_counts = {}, {}
     for t in graph.tasks:
-        if t.id in dependents:
-            raise DuplicateId(t.id)
-        dependents[t.id] = []
-    for t in graph.tasks:
-        try:
+        if t.deps:
+            if not t.deps <= ids.keys():
+                raise UnknownDependency(t.id, min(t.deps - ids.keys()))
+            dep_counts[t.id] = len(t.deps)
             for dep in t.deps:
-                dependents[dep].append(t.id)
-        except KeyError:
-            raise UnknownDependency(t.id, min(t.deps - dependents.keys())) from None
+                dependents.setdefault(dep, []).append(t.id)
 
     # Kahn: count down each task's unfinished deps; what never reaches zero
     # lies on or behind a cycle
-    deps_left = {t.id: len(t.deps) for t in graph.tasks}
-    order = [tid for tid, n in deps_left.items() if n == 0]
+    deps_left = dep_counts.copy()
+    order = [tid for tid in ids if tid not in deps_left]
     for tid in order:  # grows while iterating
-        for dependent in dependents[tid]:
+        for dependent in dependents.get(tid, ()):
             deps_left[dependent] -= 1
             if deps_left[dependent] == 0:
                 order.append(dependent)
-    if len(order) < len(deps_left):
+    if len(order) < len(ids):
         # every leftover task has a leftover dep: walk them until a task repeats
         node = next(tid for tid, n in deps_left.items() if n)
         path: dict = {}  # task id -> position on the walk
         while node not in path:
             path[node] = len(path)
-            node = min(dep for dep in graph.task(node).deps if deps_left[dep])
+            node = min(dep for dep in graph.task(node).deps if deps_left.get(dep))
         raise CycleDetected(list(path)[path[node]:])
+    return dependents, dep_counts
 
 
 _TASK_KEYS = {"id", "workload", "real_time", "image_input", "deps", "release_us"}
+_INT = frozenset({int})
+# the four tag combinations, shared by every loaded task; looked up only after
+# both values are checked to be bools, since {(1, 0): ...} matches (True, False)
+_TAGS = {(rt, img): TaskTags(rt, img) for rt in (True, False) for img in (True, False)}
 
 
 def _expect(cond: bool, message: str, location: str) -> None:
@@ -108,6 +121,8 @@ def load_scenario(text: str) -> TaskGraph:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", "scenario") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", "scenario") from None
     _expect(isinstance(doc, dict), "top level must be an object", "scenario")
     extra = set(doc) - {"tasks"}
     _expect(not extra, f"unknown keys: {sorted(extra)}", "scenario")
@@ -115,39 +130,42 @@ def load_scenario(text: str) -> TaskGraph:
     _expect(isinstance(doc["tasks"], list), "'tasks' must be an array", "scenario")
 
     tasks = []
-    for i, obj in enumerate(doc["tasks"]):
-        loc = f"tasks[{i}]"
-        _expect(isinstance(obj, dict), "task must be an object", loc)
-        extra = set(obj) - _TASK_KEYS
-        _expect(not extra, f"unknown keys: {sorted(extra)}", loc)
-        _expect("id" in obj, "missing 'id'", loc)
-        _expect("workload" in obj, "missing 'workload'", loc)
-        tid = obj["id"]
-        _expect(isinstance(tid, int) and not isinstance(tid, bool) and tid >= 0,
-                "'id' must be a non-negative integer", loc)
-        workload = obj["workload"]
-        _expect(isinstance(workload, str) and workload, "'workload' must be a non-empty string", loc)
-        real_time = obj.get("real_time", True)
-        image_input = obj.get("image_input", False)
-        _expect(isinstance(real_time, bool), "'real_time' must be a boolean", loc)
-        _expect(isinstance(image_input, bool), "'image_input' must be a boolean", loc)
-        deps = obj.get("deps", [])
-        _expect(isinstance(deps, list) and all(
-            isinstance(d, int) and not isinstance(d, bool) for d in deps),
-            "'deps' must be an array of integers", loc)
-        release = obj.get("release_us", 0)
-        _expect(isinstance(release, int) and not isinstance(release, bool) and release >= 0,
-                "'release_us' must be a non-negative integer", loc)
-        tasks.append(Task(
-            id=tid,
-            workload=workload,
-            tags=TaskTags(real_time=real_time, image_input=image_input),
-            deps=frozenset(deps),
-            release_us=release,
-        ))
+    for obj in doc["tasks"]:
+        if type(obj) is dict and obj.keys() <= _TASK_KEYS:
+            tid, workload = obj.get("id"), obj.get("workload")
+            real_time, image_input = obj.get("real_time", True), obj.get("image_input", False)
+            deps, release = obj.get("deps", []), obj.get("release_us", 0)
+            if (type(tid) is int and tid >= 0 and type(workload) is str and workload
+                    and type(real_time) is bool and type(image_input) is bool
+                    and type(deps) is list and _INT.issuperset(map(type, deps))
+                    and type(release) is int and release >= 0):
+                tasks.append(Task(tid, workload, _TAGS[real_time, image_input],
+                                  frozenset(deps), release))
+                continue
+        _reject_task(obj, f"tasks[{len(tasks)}]")
     graph = TaskGraph(tasks)
     validate_graph(graph)
     return graph
+
+
+def _reject_task(obj, loc: str) -> None:
+    """Raise the ParseError for a task entry that load_scenario did not
+    accept: the first rule it breaks, in the order checked here."""
+    _expect(type(obj) is dict, "task must be an object", loc)
+    _expect(obj.keys() <= _TASK_KEYS, f"unknown keys: {sorted(obj.keys() - _TASK_KEYS)}", loc)
+    _expect("id" in obj, "missing 'id'", loc)
+    _expect("workload" in obj, "missing 'workload'", loc)
+    tid, workload = obj["id"], obj["workload"]
+    _expect(type(tid) is int and tid >= 0, "'id' must be a non-negative integer", loc)
+    _expect(type(workload) is str and workload, "'workload' must be a non-empty string", loc)
+    _expect(type(obj.get("real_time", True)) is bool, "'real_time' must be a boolean", loc)
+    _expect(type(obj.get("image_input", False)) is bool, "'image_input' must be a boolean", loc)
+    deps, release = obj.get("deps", []), obj.get("release_us", 0)
+    _expect(type(deps) is list and _INT.issuperset(map(type, deps)),
+            "'deps' must be an array of integers", loc)
+    _expect(type(release) is int and release >= 0,
+            "'release_us' must be a non-negative integer", loc)
+    raise AssertionError(f"{loc}: not accepted, but breaks no rule")
 
 
 def dump_scenario(graph: TaskGraph) -> str:

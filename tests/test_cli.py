@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -189,3 +190,133 @@ class TestGen:
         code, _, _ = run_cli(capsys, "gen", "--scenario", "robot",
                              "--duration", "0", "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+
+def assert_input_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+
+
+class TestUnreadableInputs:
+    """A scenario or profile file that cannot be read or parsed is an input
+    error: one `error:` line and exit 2, never a traceback."""
+
+    def test_non_utf8_scenario(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'{"tasks": [{"id": 1, "workload": "caf\xe9"}]}')
+        code, out, err = run_cli(capsys, "run", "-p", "sd820", "-s", str(path))
+        assert_input_error(code, out, err)
+        assert str(path) in err and "UTF-8" in err
+
+    def test_non_utf8_profile(self, capsys, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff\xfe{"name": "x"}')
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert_input_error(code, out, err)
+        assert str(path) in err
+
+    def test_deeply_nested_scenario(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "run", "-p", "sd820", "-s", str(path))
+        assert_input_error(code, out, err)
+        assert "scenario: invalid JSON" in err
+
+    def test_deeply_nested_profile(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        code, out, err = run_cli(capsys, "validate", str(path))
+        assert_input_error(code, out, err)
+        assert "profile: invalid JSON" in err
+
+    def test_scenario_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", "-p", "sd820", "-s", str(tmp_path))
+        assert_input_error(code, out, err)
+        assert str(tmp_path) in err
+
+    def test_profile_path_is_a_directory(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate", str(tmp_path))
+        assert_input_error(code, out, err)
+        assert str(tmp_path) in err
+
+
+class _Obj(list):
+    """A JSON object as its (key, value) pairs, so a key may repeat."""
+
+
+def _dump(node) -> str:
+    if isinstance(node, _Obj):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_dump(v)}" for k, v in node) + "}"
+    if isinstance(node, list):
+        return "[" + ", ".join(_dump(v) for v in node) + "]"
+    return json.dumps(node)
+
+
+_VALUES = (None, True, False, 0, 1, -1, 2.5, float("nan"), "", "x", "CPU", [], [1, True],
+           _Obj(), _Obj([("kernel_us", 5)]))
+
+
+def _mutate(text: str, rng) -> str:
+    """One seeded mutation: a byte flip, a truncation, or on the parsed
+    document a swapped value, a dropped key or a duplicated key."""
+    how = rng.randrange(5)
+    if how == 0:
+        data = bytearray(text.encode())
+        data[rng.randrange(len(data))] = rng.randrange(256)
+        return data.decode("utf-8", errors="surrogateescape")
+    if how == 1:
+        return text[:rng.randrange(len(text))]
+    doc = json.loads(text, object_pairs_hook=_Obj)
+    containers = []  # every object and array in the document
+    stack = [doc]
+    while stack:
+        node = stack.pop()
+        containers.append(node)
+        values = [v for _, v in node] if isinstance(node, _Obj) else node
+        stack.extend(v for v in values if isinstance(v, list))
+    objects = [c for c in containers if isinstance(c, _Obj) and c]
+    if how == 2:
+        node = rng.choice([c for c in containers if c])
+        i = rng.randrange(len(node))
+        value = rng.choice(_VALUES)
+        node[i] = (node[i][0], value) if isinstance(node, _Obj) else value
+    elif how == 3:
+        node = rng.choice(objects)
+        del node[rng.randrange(len(node))]
+    else:
+        node = rng.choice(objects)
+        node.append((rng.choice(node)[0], rng.choice(_VALUES)))
+    return _dump(doc)
+
+
+class TestFuzzedInputs:
+    def test_mutated_files_exit_0_or_one_error_line(self, capsys, tmp_path):
+        from simrt.builtins import BUILTIN_PROFILE_TEXTS
+        scenario_text = json.dumps({"tasks": [
+            {"id": 1, "workload": "alexnet", "image_input": True, "release_us": 10},
+            {"id": 2, "workload": "alexnet", "deps": [1]},
+            {"id": 3, "workload": "alexnet", "real_time": False, "deps": [1, 2]},
+            {"id": 4, "workload": "alexnet", "image_input": True, "deps": [2]},
+        ]})
+        profile_text = BUILTIN_PROFILE_TEXTS["tx1-cloud"]
+        rng = random.Random(20240)
+        scenario, profile = tmp_path / "s.json", tmp_path / "p.json"
+        outcomes = {0: 0, 2: 0}
+        for case in range(300):
+            mutate_scenario = case % 2 == 0
+            scenario.write_text(_mutate(scenario_text, rng) if mutate_scenario
+                                else scenario_text, errors="surrogateescape")
+            profile.write_text(profile_text if mutate_scenario
+                               else _mutate(profile_text, rng), errors="surrogateescape")
+            code, out, err = run_cli(capsys, "run", "-p", str(profile), "-s", str(scenario),
+                                     "--policy", "advanced:throughput,latency",
+                                     "--buffer-capacity", "1", "--audit")
+            if code == 0:
+                assert err == "", (case, err)
+            else:
+                assert_input_error(code, out, err)
+            outcomes[code] += 1
+        # the mutations reach both outcomes, so neither check above is vacuous
+        assert outcomes[0] >= 5 and outcomes[2] >= 100, outcomes

@@ -1,17 +1,24 @@
 import heapq
 import json
 import random
+import sys
+import threading
 
 import pytest
 
 import simrt.engine
-from simrt import (BasicPolicy, BufferPool, InvalidConfig, PlatformProfile,
-                   Policy, SimConfig, Task, TaskGraph, TaskTags, Trace,
-                   TraceRecord, UnderflowRelease, UnitKind, UnresolvableCost,
-                   audit, builtin_profiles, compute_metrics, convolution_batch,
-                   energy_of, load_profile, restrict, robot_pipeline, simulate)
+import simrt.tasks
+from simrt import (BasicPolicy, BufferPool, CycleDetected, DuplicateId,
+                   InvalidConfig, PlatformProfile, Policy, SetupMode, SimConfig,
+                   Task, TaskGraph, TaskTags, Trace, TraceRecord,
+                   UnderflowRelease, UnitKind, UnknownDependency,
+                   UnresolvableCost, audit, builtin_profiles, compute_metrics,
+                   convolution_batch, dump_scenario, energy_of, load_profile,
+                   load_scenario, restrict, robot_pipeline, simulate,
+                   validate_graph)
 
 from .helpers import ALL_POLICIES, random_profile, random_scenario
+from .test_golden import _cases as golden_cases
 
 
 def single_unit_profile(kind="CPU", kernel=100, setup=0, xin=0, xout=0,
@@ -504,3 +511,79 @@ class TestHeapTraffic:
         monkeypatch.undo()
         assert metrics.completed == len(scenario)
         assert 0 < pushes <= 2 * len(scenario)
+
+
+class TestDependencyIndex:
+    """A graph is checked once: its first validate_graph keeps the dependency
+    index that every later run on the graph reads and never changes."""
+
+    def test_one_full_check_per_graph(self, monkeypatch):
+        text = dump_scenario(convolution_batch(200))
+        passes = 0
+        original = simrt.tasks._dependency_index
+
+        def counting(graph):
+            nonlocal passes
+            passes += 1
+            return original(graph)
+
+        monkeypatch.setattr(simrt.tasks, "_dependency_index", counting)
+        graph = load_scenario(text)
+        profile = builtin_profiles()["sd820"]
+        for policy in ("throughput", "latency", "energy"):
+            metrics, _ = simulate(graph, profile, Policy.parse(policy))
+            assert metrics.completed == len(graph)
+        assert passes == 1
+
+    def test_runs_share_the_index_without_changing_it(self):
+        scenario, profile, policy, drops = golden_cases()["dag-adv-energy-drops-cloud2"]
+        plain = SimConfig(setup_mode=SetupMode.PER_OFFLOAD, seed=5)
+
+        def run(config):
+            metrics, trace = simulate(scenario, profile, policy, config)
+            return trace.to_csv(), metrics
+
+        before = run(plain)
+        dropped = run(drops)
+        assert dropped[1].drops > 0 and dropped[1].skipped > 0
+        assert run(plain) == before
+        assert run(drops) == dropped
+        fresh = TaskGraph(scenario.tasks)
+        validate_graph(fresh)
+        assert scenario._index == fresh._index
+
+    @pytest.mark.parametrize("tasks, error", [
+        ([rt(1, deps=[2]), rt(2, deps=[1])], CycleDetected),
+        ([rt(1), rt(2), rt(1)], DuplicateId),
+        ([rt(1), rt(2, deps=[1, 9])], UnknownDependency),
+    ])
+    def test_hand_built_invalid_graph_is_rejected(self, tasks, error):
+        graph = TaskGraph(tasks)
+        for _ in range(2):  # a failed check keeps nothing, so it fails again
+            with pytest.raises(error):
+                simulate(graph, single_unit_profile(), Policy.throughput())
+        assert graph._index is None
+
+    def test_threads_checking_and_running_one_graph_agree(self):
+        scenario, profile, policy, config = golden_cases()["dag-adv-energy-drops-cloud2"]
+        metrics, trace = simulate(TaskGraph(scenario.tasks), profile, policy, config)
+        expected = (trace.to_csv(), metrics)
+        results = []
+
+        def work():
+            for _ in range(2):
+                metrics, trace = simulate(scenario, profile, policy, config)
+                results.append((trace.to_csv(), metrics))
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8 and all(result == expected for result in results)

@@ -60,6 +60,22 @@ class TestLoadProfile:
         with pytest.raises(ParseError):
             load_profile('{"units": [], "bogus": 1}')
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"units": 3}, "profile: 'units' must be an array"),
+        ({"workloads": True}, "profile: 'workloads' must be an array"),
+        ({"costs": []}, "profile: 'costs' must be an object"),
+        ({"units": [{"kind": 7}]}, "unknown unit kind 7"),
+        ({"units": [{"kind": None}]}, "unknown unit kind None"),
+        ({"units": [{"kind": "CPU", "idle_watts": float("nan")}]},
+         "profile: invalid JSON: NaN is not a number"),
+        ({"units": [{"kind": "CPU", "gops": float("inf")}]},
+         "profile: invalid JSON: Infinity is not a number"),
+    ])
+    def test_wrong_container_or_kind_type_rejected(self, overrides, message):
+        with pytest.raises(ParseError) as exc:
+            make_profile(**overrides)
+        assert str(exc.value) == message
+
     def test_gpu_and_mgpu_exclusive(self):
         with pytest.raises(ParseError):
             make_profile(units=[{"kind": "GPU"}, {"kind": "mGPU"}])

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -109,3 +110,90 @@ class TestScenarioFiles:
     def test_negative_release_rejected(self):
         with pytest.raises(ParseError):
             load_scenario('{"tasks":[{"id":1,"workload":"w","release_us":-5}]}')
+
+
+def _scenario(*tasks) -> str:
+    return json.dumps({"tasks": list(tasks)})
+
+
+_OK = {"id": 1, "workload": "w"}
+
+# (scenario text, exact ParseError message, location); recorded on the
+# loader before its fast path existed, so every rule keeps its wording and
+# the order in which rules are checked
+_REJECTIONS = [
+    ("[]", "top level must be an object", "scenario"),
+    ('{"tasks": [], "extra": 1, "another": 2}', "unknown keys: ['another', 'extra']", "scenario"),
+    ("{}", "missing 'tasks' array", "scenario"),
+    ('{"tasks": {}}', "'tasks' must be an array", "scenario"),
+    (_scenario([1]), "task must be an object", "tasks[0]"),
+    (_scenario("t"), "task must be an object", "tasks[0]"),
+    (_scenario({**_OK, "priority": 3, "color": 1}), "unknown keys: ['color', 'priority']",
+     "tasks[0]"),
+    (_scenario({"workload": "w"}), "missing 'id'", "tasks[0]"),
+    (_scenario({"id": 1}), "missing 'workload'", "tasks[0]"),
+    (_scenario({"id": 1, "workload": ""}), "'workload' must be a non-empty string", "tasks[0]"),
+    (_scenario({"id": 1, "workload": 7}), "'workload' must be a non-empty string", "tasks[0]"),
+    (_scenario({"id": True, "workload": "w"}), "'id' must be a non-negative integer", "tasks[0]"),
+    (_scenario({"id": -1, "workload": "w"}), "'id' must be a non-negative integer", "tasks[0]"),
+    (_scenario({"id": 1.0, "workload": "w"}), "'id' must be a non-negative integer", "tasks[0]"),
+    (_scenario({"id": None, "workload": "w"}), "'id' must be a non-negative integer", "tasks[0]"),
+    (_scenario({**_OK, "real_time": 1}), "'real_time' must be a boolean", "tasks[0]"),
+    (_scenario({**_OK, "image_input": 0}), "'image_input' must be a boolean", "tasks[0]"),
+    (_scenario({**_OK, "real_time": None}), "'real_time' must be a boolean", "tasks[0]"),
+    (_scenario({**_OK, "deps": None}), "'deps' must be an array of integers", "tasks[0]"),
+    (_scenario({**_OK, "deps": {}}), "'deps' must be an array of integers", "tasks[0]"),
+    (_scenario({**_OK, "deps": "12"}), "'deps' must be an array of integers", "tasks[0]"),
+    (_scenario({**_OK, "deps": [True]}), "'deps' must be an array of integers", "tasks[0]"),
+    (_scenario({**_OK, "deps": [2, 1.0]}), "'deps' must be an array of integers", "tasks[0]"),
+    (_scenario({**_OK, "release_us": False}), "'release_us' must be a non-negative integer",
+     "tasks[0]"),
+    (_scenario({**_OK, "release_us": -5}), "'release_us' must be a non-negative integer",
+     "tasks[0]"),
+    (_scenario({**_OK, "release_us": 2.5}), "'release_us' must be a non-negative integer",
+     "tasks[0]"),
+    # the first broken rule wins when an entry breaks several
+    (_scenario({"id": -1, "workload": "", "real_time": 1}),
+     "'id' must be a non-negative integer", "tasks[0]"),
+    (_scenario({"id": 1, "workload": "", "deps": None}),
+     "'workload' must be a non-empty string", "tasks[0]"),
+    (_scenario({"id": 1, "real_time": 1}), "missing 'workload'", "tasks[0]"),
+    (_scenario({"workload": 3, "x": 1}), "unknown keys: ['x']", "tasks[0]"),
+    (_scenario({**_OK, "image_input": 1, "deps": "x", "release_us": -1}),
+     "'image_input' must be a boolean", "tasks[0]"),
+    (_scenario({**_OK, "deps": [True], "release_us": -1}),
+     "'deps' must be an array of integers", "tasks[0]"),
+    # a bad entry after good ones is named by its own index
+    (_scenario({"id": 1, "workload": "w"}, {"id": 2, "workload": "w"},
+               {"id": 3, "workload": "w", "deps": [1, 2]}, {"id": 4, "workload": "w",
+                                                           "real_time": 0}),
+     "'real_time' must be a boolean", "tasks[3]"),
+    (_scenario(_OK, _OK, _OK, None), "task must be an object", "tasks[3]"),
+]
+
+
+class TestLoaderErrors:
+    @pytest.mark.parametrize("text, message, location", _REJECTIONS)
+    def test_exact_message_and_location(self, text, message, location):
+        with pytest.raises(ParseError) as exc:
+            load_scenario(text)
+        assert exc.value.location == location
+        assert str(exc.value) == f"{location}: {message}"
+
+    def test_int_tags_are_not_booleans_and_bool_ids_not_integers(self):
+        # True == 1 and hash(True) == hash(1), so neither may slip through a
+        # lookup keyed by value
+        for bad in ({"real_time": 1}, {"image_input": 1}, {"real_time": 0},
+                    {"id": False}, {"deps": [False]}, {"release_us": True}):
+            with pytest.raises(ParseError):
+                load_scenario(_scenario({**_OK, **bad}))
+
+    def test_tags_keep_their_values(self):
+        g = load_scenario(_scenario(*(
+            {"id": i, "workload": "w", "real_time": rt, "image_input": img}
+            for i, (rt, img) in enumerate([(True, True), (True, False),
+                                           (False, True), (False, False)]))))
+        assert [(t.tags.real_time, t.tags.image_input) for t in g] == [
+            (True, True), (True, False), (False, True), (False, False)]
+        assert all(type(t.tags.real_time) is bool and type(t.tags.image_input) is bool
+                   for t in g)
