@@ -26,16 +26,19 @@ EXIT_INPUT_ERROR = 2
 
 _INPUT_ERRORS = (ParseError, GraphError, MissingCost, NegativeValue,
                  BadInterval, InvalidScenario, UnresolvableCost, InvalidRate,
-                 InvalidConfig, OSError)
+                 InvalidConfig, FileNotFoundError)
 
 
 def _read_text(path: str) -> str:
-    """A scenario or profile file's text; bytes that are not UTF-8 are a ParseError."""
+    """A scenario or profile file's text; a file that cannot be read, or
+    bytes that are not UTF-8, are a ParseError."""
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except UnicodeDecodeError as exc:
         raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from None
+    except OSError as exc:
+        raise ParseError(f"cannot read: {exc.strerror or exc}", path) from None
 
 
 def _load_profile_arg(name_or_path: str) -> PlatformProfile:

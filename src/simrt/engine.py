@@ -281,7 +281,7 @@ _NEXT_PHASE = {PHASE_XFER_IN: (0, PHASE_KERNEL), PHASE_KERNEL: (1, PHASE_XFER_OU
 
 
 class _Engine:
-    def __init__(self, scenario: TaskGraph, profile: PlatformProfile,
+    def __init__(self, scenario: TaskGraph, index: tuple, profile: PlatformProfile,
                  policy: Policy, config: SimConfig):
         self.scenario = scenario
         self.profile = profile
@@ -299,10 +299,9 @@ class _Engine:
         self.due_now: deque = deque()  # (kind, task id), due at the current instant
         self._seq = itertools.count()
 
-        self.tasks = scenario._by_id
+        # validate_graph's shared index: the tables are only read, counts copied
+        self.tasks, self.dependents, dep_counts = index
         self.status = dict.fromkeys(self.tasks, _PENDING)
-        # validate_graph's shared sparse index: dependents are only read, counts copied
-        self.dependents, dep_counts = scenario._index
         self.deps_left = dep_counts.copy()
         self.image_consumers: dict = {}  # producer id -> image-input dependents
         self.image_producers: dict = {}  # image-input task id -> sorted deps
@@ -495,7 +494,7 @@ def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
     The result is a pure function of the arguments: identical inputs and
     seed produce identical metrics and a byte-identical trace.
     """
-    validate_graph(scenario)
-    engine = _Engine(scenario, profile, policy, config)
+    index = validate_graph(scenario)
+    engine = _Engine(scenario, index, profile, policy, config)
     _check_scenario(scenario, profile, policy, engine.state, engine.table)
     return engine.run()

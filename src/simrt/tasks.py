@@ -58,14 +58,18 @@ class TaskGraph:
         return task_id in self._by_id
 
 
-def validate_graph(graph: TaskGraph) -> None:
-    """Raise DuplicateId, UnknownDependency or CycleDetected; a passed graph is not rechecked."""
+def validate_graph(graph: TaskGraph) -> tuple:
+    """Raise DuplicateId, UnknownDependency or CycleDetected, or return the
+    graph's read-only index: (task by id, dependent ids by id, dep count by
+    id), the last two only for tasks that have any. The first check that
+    passes keeps the index on the graph; later calls return it at once."""
     if graph._index is None:
         graph._index = _dependency_index(graph)
+    return graph._index
 
 
 def _dependency_index(graph: TaskGraph) -> tuple:
-    """Check a graph; returns its dependent ids and dep counts by task id, for tasks with any."""
+    """Check a graph and build the index validate_graph returns."""
     ids = graph._by_id
     if len(ids) < len(graph.tasks):
         seen: set = set()  # set.add returns None, so this finds the first repeat
@@ -96,7 +100,7 @@ def _dependency_index(graph: TaskGraph) -> tuple:
             path[node] = len(path)
             node = min(dep for dep in graph.task(node).deps if deps_left.get(dep))
         raise CycleDetected(list(path)[path[node]:])
-    return dependents, dep_counts
+    return ids, dependents, dep_counts
 
 
 _TASK_KEYS = {"id", "workload", "real_time", "image_input", "deps", "release_us"}
@@ -104,11 +108,6 @@ _INT = frozenset({int})
 # the four tag combinations, shared by every loaded task; looked up only after
 # both values are checked to be bools, since {(1, 0): ...} matches (True, False)
 _TAGS = {(rt, img): TaskTags(rt, img) for rt in (True, False) for img in (True, False)}
-
-
-def _expect(cond: bool, message: str, location: str) -> None:
-    if not cond:
-        raise ParseError(message, location)
 
 
 def load_scenario(text: str) -> TaskGraph:
@@ -123,49 +122,47 @@ def load_scenario(text: str) -> TaskGraph:
         raise ParseError(f"invalid JSON: {exc}", "scenario") from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", "scenario") from None
-    _expect(isinstance(doc, dict), "top level must be an object", "scenario")
-    extra = set(doc) - {"tasks"}
-    _expect(not extra, f"unknown keys: {sorted(extra)}", "scenario")
-    _expect("tasks" in doc, "missing 'tasks' array", "scenario")
-    _expect(isinstance(doc["tasks"], list), "'tasks' must be an array", "scenario")
+    if not isinstance(doc, dict):
+        raise ParseError("top level must be an object", "scenario")
+    extra = doc.keys() - {"tasks"}
+    if extra:
+        raise ParseError(f"unknown keys: {sorted(extra)}", "scenario")
+    if "tasks" not in doc:
+        raise ParseError("missing 'tasks' array", "scenario")
+    if not isinstance(doc["tasks"], list):
+        raise ParseError("'tasks' must be an array", "scenario")
 
+    # each rule is checked in this order and names the first one an entry
+    # breaks; the location and message are built only when one is broken
     tasks = []
-    for obj in doc["tasks"]:
-        if type(obj) is dict and obj.keys() <= _TASK_KEYS:
-            tid, workload = obj.get("id"), obj.get("workload")
-            real_time, image_input = obj.get("real_time", True), obj.get("image_input", False)
-            deps, release = obj.get("deps", []), obj.get("release_us", 0)
-            if (type(tid) is int and tid >= 0 and type(workload) is str and workload
-                    and type(real_time) is bool and type(image_input) is bool
-                    and type(deps) is list and _INT.issuperset(map(type, deps))
-                    and type(release) is int and release >= 0):
-                tasks.append(Task(tid, workload, _TAGS[real_time, image_input],
-                                  frozenset(deps), release))
-                continue
-        _reject_task(obj, f"tasks[{len(tasks)}]")
+    for i, obj in enumerate(doc["tasks"]):
+        if type(obj) is not dict:
+            raise ParseError("task must be an object", f"tasks[{i}]")
+        if not obj.keys() <= _TASK_KEYS:
+            raise ParseError(f"unknown keys: {sorted(obj.keys() - _TASK_KEYS)}", f"tasks[{i}]")
+        if "id" not in obj:
+            raise ParseError("missing 'id'", f"tasks[{i}]")
+        if "workload" not in obj:
+            raise ParseError("missing 'workload'", f"tasks[{i}]")
+        tid, workload = obj["id"], obj["workload"]
+        if type(tid) is not int or tid < 0:
+            raise ParseError("'id' must be a non-negative integer", f"tasks[{i}]")
+        if type(workload) is not str or not workload:
+            raise ParseError("'workload' must be a non-empty string", f"tasks[{i}]")
+        real_time, image_input = obj.get("real_time", True), obj.get("image_input", False)
+        if type(real_time) is not bool:
+            raise ParseError("'real_time' must be a boolean", f"tasks[{i}]")
+        if type(image_input) is not bool:
+            raise ParseError("'image_input' must be a boolean", f"tasks[{i}]")
+        deps, release = obj.get("deps", []), obj.get("release_us", 0)
+        if type(deps) is not list or not _INT.issuperset(map(type, deps)):
+            raise ParseError("'deps' must be an array of integers", f"tasks[{i}]")
+        if type(release) is not int or release < 0:
+            raise ParseError("'release_us' must be a non-negative integer", f"tasks[{i}]")
+        tasks.append(Task(tid, workload, _TAGS[real_time, image_input], frozenset(deps), release))
     graph = TaskGraph(tasks)
     validate_graph(graph)
     return graph
-
-
-def _reject_task(obj, loc: str) -> None:
-    """Raise the ParseError for a task entry that load_scenario did not
-    accept: the first rule it breaks, in the order checked here."""
-    _expect(type(obj) is dict, "task must be an object", loc)
-    _expect(obj.keys() <= _TASK_KEYS, f"unknown keys: {sorted(obj.keys() - _TASK_KEYS)}", loc)
-    _expect("id" in obj, "missing 'id'", loc)
-    _expect("workload" in obj, "missing 'workload'", loc)
-    tid, workload = obj["id"], obj["workload"]
-    _expect(type(tid) is int and tid >= 0, "'id' must be a non-negative integer", loc)
-    _expect(type(workload) is str and workload, "'workload' must be a non-empty string", loc)
-    _expect(type(obj.get("real_time", True)) is bool, "'real_time' must be a boolean", loc)
-    _expect(type(obj.get("image_input", False)) is bool, "'image_input' must be a boolean", loc)
-    deps, release = obj.get("deps", []), obj.get("release_us", 0)
-    _expect(type(deps) is list and _INT.issuperset(map(type, deps)),
-            "'deps' must be an array of integers", loc)
-    _expect(type(release) is int and release >= 0,
-            "'release_us' must be a non-negative integer", loc)
-    raise AssertionError(f"{loc}: not accepted, but breaks no rule")
 
 
 def dump_scenario(graph: TaskGraph) -> str:

@@ -241,6 +241,21 @@ class TestUnreadableInputs:
         assert_input_error(code, out, err)
         assert str(tmp_path) in err
 
+    def test_missing_scenario_file(self, capsys, tmp_path):
+        path = tmp_path / "absent.json"
+        code, out, err = run_cli(capsys, "run", "-p", "sd820", "-s", str(path))
+        assert_input_error(code, out, err)
+        assert str(path) in err
+
+    @pytest.mark.parametrize("command", ["trace", "gen"])
+    def test_unwritable_out_is_not_an_input_error(self, tmp_path, conv_scenario, command):
+        """Only the input files are input errors: a run that cannot write its
+        output raises the OSError rather than exiting 2."""
+        args = {"trace": ["-p", "sd820", "-s", conv_scenario],
+                "gen": ["--scenario", "conv", "--n", "5"]}[command]
+        with pytest.raises(IsADirectoryError):
+            main([command, *args, "--out", str(tmp_path)])
+
 
 class _Obj(list):
     """A JSON object as its (key, value) pairs, so a key may repeat."""
