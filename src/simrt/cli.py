@@ -10,12 +10,13 @@ import os
 import sys
 
 from .audit import audit_all
-from .engine import PHASE_COMPLETE, SimConfig, simulate
+from .engine import (PHASE_COMPLETE, PHASE_KERNEL, PHASE_XFER_IN, PHASE_XFER_OUT,
+                     SimConfig, simulate)
 from .errors import (AuditError, BadInterval, GraphError, InvalidConfig,
                      InvalidRate, InvalidScenario, MissingCost, NegativeValue,
                      ParseError, SimrtError, UnresolvableCost)
-from .profiles import (PlatformProfile, SetupMode, UnitKind, builtin_profiles,
-                       load_profile, offload_time, preference_matrix)
+from .profiles import (PlatformProfile, SetupMode, builtin_profiles, load_profile,
+                       preference_matrix)
 from .scenarios import convolution_batch, inference_comparison, robot_pipeline
 from .scheduler import Policy
 from .tasks import TaskGraph, dump_scenario, load_scenario
@@ -68,7 +69,7 @@ def _parse_weights(text: str | None) -> dict | None:
     for item in text.split(","):
         key, _, value = item.partition("=")
         key = key.strip()
-        if key not in ("g", "d", "c") or not value.strip().isdigit():
+        if key not in ("g", "d", "c") or not value.strip().isdecimal():
             raise ParseError(f"bad --weights item {item!r}; expected g=4,d=2,c=2")
         weights[key] = int(value)
     return weights
@@ -160,6 +161,11 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# a local task's phase record -> breakdown column of the phase it ends, which
+# began at the task's previous record: setup, xfer_in, kernel, xfer_out
+_ENDED_PHASE_COLUMN = {PHASE_XFER_IN: 0, PHASE_KERNEL: 1, PHASE_XFER_OUT: 2, PHASE_COMPLETE: 3}
+
+
 def cmd_trace(args) -> int:
     profile = _load_profile_arg(args.profile)
     scenario = _load_scenario_arg(args.scenario)
@@ -168,22 +174,17 @@ def cmd_trace(args) -> int:
     metrics, trace = simulate(scenario, profile, policy, config)
 
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(trace.to_csv())
+        trace.write_csv(fh)
     print(f"wrote {len(trace)} records to {args.out} (seed: {config.seed})")
 
     if args.breakdown:
         totals: dict = {}
-        initialized = config.setup_mode is SetupMode.AMORTIZED
-        for r in trace:
-            if r.phase != PHASE_COMPLETE:
-                continue
-            unit = UnitKind.parse(r.unit)
-            bd = offload_time(profile, r.workload, unit, config.setup_mode, initialized)
-            agg = totals.setdefault(r.unit, [0, 0, 0, 0])
-            agg[0] += bd.setup_us
-            agg[1] += bd.xfer_in_us
-            agg[2] += bd.kernel_us
-            agg[3] += bd.xfer_out_us
+        previous: dict = {}  # task id -> time of its latest record
+        for time_us, tid, _, unit, phase in trace.records:
+            column = _ENDED_PHASE_COLUMN.get(phase)
+            if column is not None:
+                totals.setdefault(unit, [0, 0, 0, 0])[column] += time_us - previous[tid]
+            previous[tid] = time_us
         rows = [[unit, *vals, sum(vals)] for unit, vals in sorted(totals.items())]
         print(_format_table(
             rows, ["unit", "setup_us", "xfer_in_us", "kernel_us",

@@ -63,6 +63,7 @@ class TraceRecord(NamedTuple):
 
 
 CSV_HEADER = "time_us,task_id,workload,unit,phase"
+_CSV_CHUNK_RECORDS = 1024  # bounds the line strings alive at once while writing CSV
 
 
 class Trace:
@@ -74,10 +75,19 @@ class Trace:
         self.records = list(records or [])
 
     def to_csv(self) -> str:
-        lines = [CSV_HEADER]
-        lines += [f"{t},{tid},{workload},{unit},{phase}"
-                  for t, tid, workload, unit, phase in self.records]
-        return "\n".join(lines) + "\n"
+        return "".join(self._csv_chunks())
+
+    def write_csv(self, fh) -> None:
+        """Write the CSV that to_csv returns to a text file, chunk by chunk."""
+        fh.writelines(self._csv_chunks())
+
+    def _csv_chunks(self):
+        yield CSV_HEADER + "\n"
+        records = self.records
+        for start in range(0, len(records), _CSV_CHUNK_RECORDS):
+            yield "".join([f"{t},{tid},{workload},{unit},{phase}\n"
+                           for t, tid, workload, unit, phase
+                           in records[start:start + _CSV_CHUNK_RECORDS]])
 
     def __iter__(self):
         return map(TraceRecord._make, self.records)

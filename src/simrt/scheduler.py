@@ -64,10 +64,9 @@ class Policy:
     @classmethod
     def parse(cls, text: str) -> "Policy":
         text = text.strip().lower()
-        if text.startswith("advanced:"):
-            return cls(BasicPolicy(text.split(":", 1)[1]), advanced=True)
+        basic = text.removeprefix("advanced:")
         try:
-            return cls(BasicPolicy(text))
+            return cls(BasicPolicy(basic), advanced=basic != text)
         except ValueError:
             raise ParseError(
                 f"unknown policy {text!r}; expected latency|throughput|energy|advanced:<basic>"

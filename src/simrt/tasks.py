@@ -5,7 +5,7 @@ no floating-point time.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import CycleDetected, DuplicateId, ParseError, UnknownDependency
@@ -21,12 +21,12 @@ class TaskTags:
     image_input: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     id: TaskId
     workload: str
     tags: TaskTags = TaskTags()
-    deps: frozenset = field(default_factory=frozenset)
+    deps: frozenset = frozenset()
     release_us: int = 0
 
 
@@ -108,6 +108,7 @@ _INT = frozenset({int})
 # the four tag combinations, shared by every loaded task; looked up only after
 # both values are checked to be bools, since {(1, 0): ...} matches (True, False)
 _TAGS = {(rt, img): TaskTags(rt, img) for rt in (True, False) for img in (True, False)}
+_NO_DEPS = frozenset()  # shared by every loaded task without deps
 
 
 def load_scenario(text: str) -> TaskGraph:
@@ -135,6 +136,7 @@ def load_scenario(text: str) -> TaskGraph:
     # each rule is checked in this order and names the first one an entry
     # breaks; the location and message are built only when one is broken
     tasks = []
+    names: dict = {}  # one str object per distinct workload name
     for i, obj in enumerate(doc["tasks"]):
         if type(obj) is not dict:
             raise ParseError("task must be an object", f"tasks[{i}]")
@@ -159,7 +161,8 @@ def load_scenario(text: str) -> TaskGraph:
             raise ParseError("'deps' must be an array of integers", f"tasks[{i}]")
         if type(release) is not int or release < 0:
             raise ParseError("'release_us' must be a non-negative integer", f"tasks[{i}]")
-        tasks.append(Task(tid, workload, _TAGS[real_time, image_input], frozenset(deps), release))
+        tasks.append(Task(tid, names.setdefault(workload, workload), _TAGS[real_time, image_input],
+                          frozenset(deps) if deps else _NO_DEPS, release))
     graph = TaskGraph(tasks)
     validate_graph(graph)
     return graph

@@ -8,6 +8,8 @@ from simrt import (EngineError, Policy, SimConfig, builtin_profiles,
                    robot_pipeline, simulate)
 from simrt.cli import main
 
+from .test_golden import robot_dag
+
 
 def run_cli(capsys, *argv):
     capsys.readouterr()  # discard anything printed during setup
@@ -40,8 +42,9 @@ class TestRun:
         assert code == 0
         doc = json.loads(out)
         assert doc["seed"] == 0
-        metrics, _ = simulate(load_scenario(open(conv_scenario).read()),
-                              builtin_profiles()["sd820"], Policy.latency(),
+        with open(conv_scenario) as fh:
+            scenario = load_scenario(fh.read())
+        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.latency(),
                               SimConfig())
         assert doc["results"][0]["metrics"] == metrics.to_dict()
 
@@ -124,7 +127,8 @@ class TestTrace:
         code, _, _ = run_cli(capsys, "trace", "-p", "sd820", "-s", conv_scenario,
                              "--policy", "latency", "--out", str(out_path))
         assert code == 0
-        scenario = load_scenario(open(conv_scenario).read())
+        with open(conv_scenario) as fh:
+            scenario = load_scenario(fh.read())
         _, trace = simulate(scenario, builtin_profiles()["sd820"],
                             Policy.latency(), SimConfig())
         assert out_path.read_text() == trace.to_csv()
@@ -165,6 +169,57 @@ class TestTrace:
                              "--out", str(out_path))
         assert code == 0
         assert out_path.read_text() == "time_us,task_id,workload,unit,phase\n"
+
+
+# `trace --breakdown` stdout for three runs, recorded from an independent
+# computation: each local completion's phase costs looked up through
+# offload_time. The breakdown sums phase durations from the trace instead.
+_BREAKDOWN_CASES = {
+    "robot-amortized": (
+        lambda: robot_pipeline(1, 25, 200, 3),
+        ["-p", "sd820-robot", "--policy", "advanced:throughput", "--buffer-capacity", "4"],
+        """\
+wrote 2310 records to {out} (seed: 0)
+unit  setup_us  xfer_in_us  kernel_us  xfer_out_us  total_us
+----  --------  ----------  ---------  -----------  --------
+ DSP         0        7000     107500         3500    118000
+mGPU         0        3650     101650         1950    107250
+"""),
+    "conv-per-offload": (
+        lambda: convolution_batch(40),
+        ["-p", "sd820", "--policy", "throughput", "--setup-mode", "per_offload"],
+        """\
+wrote 240 records to {out} (seed: 0)
+unit  setup_us  xfer_in_us  kernel_us  xfer_out_us  total_us
+----  --------  ----------  ---------  -----------  --------
+ CPU         0           0      43200            0     43200
+ DSP      3000         180      18300          120     21600
+mGPU     40000         600       1100          300     42000
+"""),
+    "dag-drops-cloud": (  # 51 drops and 44 cloud completions
+        lambda: robot_dag(5),
+        ["-p", "sd820-robot", "--policy", "advanced:energy", "--setup-mode", "per_offload",
+         "--seed", "5", "--buffer-capacity", "1", "--cloud-slots", "2"],
+        """\
+wrote 1311 records to {out} (seed: 5)
+unit  setup_us  xfer_in_us  kernel_us  xfer_out_us  total_us
+----  --------  ----------  ---------  -----------  --------
+ CPU         0           0      95900            0     95900
+ DSP     61600        3360     160000         1680    226640
+mGPU    174000        2250      44440         1160    221850
+"""),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BREAKDOWN_CASES))
+def test_breakdown_from_trace_matches_recorded_output(capsys, tmp_path, name):
+    build, flags, expected = _BREAKDOWN_CASES[name]
+    scenario, out_path = tmp_path / "s.json", tmp_path / "trace.csv"
+    scenario.write_text(dump_scenario(build()))
+    code, out, err = run_cli(capsys, "trace", "-s", str(scenario), *flags,
+                             "--out", str(out_path), "--breakdown")
+    assert (code, err) == (0, "")
+    assert out == expected.format(out=out_path)
 
 
 class TestGen:
@@ -335,3 +390,50 @@ class TestFuzzedInputs:
             outcomes[code] += 1
         # the mutations reach both outcomes, so neither check above is vacuous
         assert outcomes[0] >= 5 and outcomes[2] >= 100, outcomes
+
+
+# per flag of `run`/`trace`: values that are malformed, out of range or odd
+# but valid (unicode digits, spacing, case, huge numbers)
+_FLAG_VALUES = {
+    "--policy": ["advanced:bogus", "advanced:", "advanced", "fastest", "", ",",
+                 "throughput,", " Latency ", "ADVANCED:ENERGY", "advanced:advanced:energy",
+                 "advanced:throughput,energy", "latency\x00", "advanced:throughput"],
+    "--weights": ["g=\u00b2", "g=\u0663", "g=0,d=0,c=0", "g=-1", "g=1_000", "x=1", "g", "=",
+                  ",", "g=99999999999999999999", "g=1,g=2", "g= 3 ,c=1", "d=0"],
+    "--seed": ["-1", "x", "1e3", "", "9" * 5000, "99999999999999999999", "0x10", " 7 "],
+    "--setup-mode": ["per-offload", "PER_OFFLOAD", "bogus", "", "amortized"],
+    "--buffer-capacity": ["-1", "0", "x", "1.5", "99999999999999999999", "9" * 5000],
+    "--cloud-slots": ["0", "-3", "1", "x", "99999999999999999999", ""],
+    "--format": ["xml", "", "JSON", "json", "csv"],
+}
+
+
+class TestFuzzedFlags:
+    def test_bad_flag_values_exit_0_or_2_without_traceback(self, capsys, tmp_path):
+        """Seeded combinations of odd flag values on a 20-task scenario; argparse
+        rejects some (SystemExit 2), simrt the rest, and none escapes `main`."""
+        scenario = tmp_path / "s.json"
+        scenario.write_text(dump_scenario(robot_dag(7, n=20)))
+        rng = random.Random(5150)
+        outcomes = {0: 0, 2: 0}
+        for case in range(200):
+            command = rng.choice(("run", "trace"))
+            flags = [f for f in _FLAG_VALUES if command == "run" or f != "--format"]
+            argv = [command, "-p", "sd820-robot", "-s", str(scenario),
+                    "--policy", "advanced:throughput"]
+            for flag in rng.sample(flags, rng.randint(1, 3)):
+                argv += [flag, rng.choice(_FLAG_VALUES[flag])]
+            if command == "trace":
+                argv += ["--out", str(tmp_path / "trace.csv")]
+            capsys.readouterr()
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage error
+                code = exc.code
+            except Exception as exc:
+                pytest.fail(f"{argv[7:]} raised {exc!r}")
+            err = capsys.readouterr().err
+            assert code in (0, 2), (argv[7:], code, err)
+            assert "Traceback" not in err, argv[7:]
+            outcomes[code] += 1
+        assert outcomes[0] >= 20 and outcomes[2] >= 100, outcomes

@@ -1,8 +1,10 @@
 import heapq
+import io
 import json
 import random
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
@@ -585,3 +587,41 @@ class TestDependencyIndex:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 8 and all(result == expected for result in results)
+
+
+def one_string_csv(trace: Trace) -> str:
+    """The trace CSV built as one list of lines joined at once."""
+    lines = [simrt.engine.CSV_HEADER]
+    lines += [f"{t},{tid},{workload},{unit},{phase}"
+              for t, tid, workload, unit, phase in trace.records]
+    return "\n".join(lines) + "\n"
+
+
+class TestChunkedCsv:
+    """The CSV is built a bounded number of records at a time."""
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+    def test_chunks_join_to_the_one_string_csv(self, n):
+        rng = random.Random(n)
+        trace = Trace([(rng.randrange(10 ** 9), i, rng.choice(("alpha", "fc6")),
+                        rng.choice(("CPU", "HP", "CLOUD")), rng.choice(("kernel", "drop")))
+                       for i in range(n)])
+        csv = trace.to_csv()
+        assert csv == one_string_csv(trace)
+        buffer = io.StringIO()
+        trace.write_csv(buffer)
+        assert buffer.getvalue() == csv
+
+    def test_to_csv_peak_memory_is_bounded(self):
+        """Line strings take ~2.5x their CSV text; one chunk of them at a
+        time leaves the chunks and their join as the peak, ~2x the CSV."""
+        _, trace = simulate(robot_pipeline(2, 25, 200, 3), builtin_profiles()["sd820-robot"],
+                            Policy.parse("advanced:throughput"), SimConfig(buffer_capacity=4))
+        tracemalloc.start()
+        try:
+            csv = trace.to_csv()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert csv == one_string_csv(trace)
+        assert peak <= 2.5 * len(csv), (peak, len(csv))

@@ -271,5 +271,6 @@ class TestPolicyParsing:
 
     def test_parse_rejects_unknown(self):
         from simrt import ParseError
-        with pytest.raises(ParseError):
-            Policy.parse("fastest")
+        for text in ("fastest", "advanced:bogus", "advanced:", "advanced:advanced:energy"):
+            with pytest.raises(ParseError, match="unknown policy"):
+                Policy.parse(text)

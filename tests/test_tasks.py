@@ -1,11 +1,14 @@
+import copy
+import dataclasses
 import json
+import pickle
 import random
 
 import pytest
 
 from simrt import (CycleDetected, DuplicateId, ParseError, Task, TaskGraph,
                    TaskTags, UnknownDependency, dump_scenario, load_scenario,
-                   validate_graph)
+                   robot_pipeline, validate_graph)
 
 from .oracle import kahn_has_topological_order
 
@@ -110,6 +113,34 @@ class TestScenarioFiles:
     def test_negative_release_rejected(self):
         with pytest.raises(ParseError):
             load_scenario('{"tasks":[{"id":1,"workload":"w","release_us":-5}]}')
+
+
+class TestLeanTasks:
+    """Tasks are slotted, and a loaded graph shares its empty deps and its
+    workload names."""
+
+    def test_loaded_graph_shares_empty_deps_and_names(self):
+        g = load_scenario(dump_scenario(robot_pipeline(2, 25, 200, 3)))
+        empty = {id(t.deps) for t in g if not t.deps}
+        assert len(empty) == 1
+        names = {t.workload for t in g}
+        assert len({id(t.workload) for t in g}) == len(names) > 1
+
+    def test_task_is_slotted_and_stays_a_frozen_value(self):
+        t = Task(id=7, workload="".join(["fc", "6"]), tags=TaskTags(False, True),
+                 deps=frozenset({3, 5}), release_us=40)
+        twin = Task(7, "fc6", TaskTags(False, True), frozenset([5, 3]), 40)
+        assert not hasattr(t, "__dict__")
+        assert t == twin and hash(t) == hash(twin)
+        assert repr(t) == ("Task(id=7, workload='fc6', tags=TaskTags(real_time=False, "
+                           "image_input=True), deps=frozenset({3, 5}), release_us=40)")
+        assert pickle.loads(pickle.dumps(t)) == t
+        assert copy.deepcopy(t) == t
+        moved = dataclasses.replace(t, release_us=90)
+        assert moved.release_us == 90 and moved.deps == t.deps and t.release_us == 40
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.release_us = 1
+        assert Task(1, "w").deps == frozenset()
 
 
 def _scenario(*tasks) -> str:
