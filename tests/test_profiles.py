@@ -4,19 +4,13 @@ import random
 import pytest
 
 from simrt import (BadInterval, MissingCost, NegativeValue, ParseError,
-                   SetupMode, UnitKind, builtin_profiles, cloud_latency,
+                   SetupMode, SimrtError, UnitKind, builtin_profiles, cloud_latency,
                    energy_of, kernel_time, load_profile, offload_time,
                    preference_matrix, restrict)
 
 
 def make_profile(**overrides):
-    doc = {
-        "units": [{"kind": "CPU", "weight": 2}],
-        "workloads": [{"name": "w"}],
-        "costs": {"w@CPU": {"kernel_us": 100, "energy_uj": 10}},
-    }
-    doc.update(overrides)
-    return load_profile(json.dumps(doc))
+    return load_profile(_p(**overrides))
 
 
 def ceil_div_us(ops: int, ops_per_sec: int) -> int:
@@ -99,6 +93,202 @@ class TestLoadProfile:
         assert p.unit(UnitKind.CPU).weight == 2
         assert p.unit(UnitKind.MGPU).weight == 4
         assert p.unit(UnitKind.DSP).weight == 2
+
+
+def _p(**overrides) -> str:
+    """A valid one-unit profile's JSON text with top-level keys replaced."""
+    doc = {
+        "units": [{"kind": "CPU", "weight": 2}],
+        "workloads": [{"name": "w"}],
+        "costs": {"w@CPU": {"kernel_us": 100, "energy_uj": 10}},
+    }
+    doc.update(overrides)
+    return json.dumps(doc)
+
+
+def _units(*units) -> str:
+    return _p(units=list(units))
+
+
+def _workloads(*workloads) -> str:
+    return _p(workloads=list(workloads))
+
+
+def _costs(**entries) -> str:
+    return _p(costs=entries)
+
+
+def _entry(**fields) -> str:
+    return _p(costs={"w@CPU": fields})
+
+
+def _cloud(section) -> str:
+    return _p(cloud=section)
+
+
+# (profile text, exact error type, exact str(exc)): every rejection rule of
+# load_profile, in the order the rules are checked, so an entry that breaks
+# several is named by the first
+_PROFILE_REJECTIONS = [
+    # top level: JSON, object, keys, then the three container types
+    ('{"units": [}', ParseError,
+     'profile: invalid JSON: Expecting value: line 1 column 12 (char 11)'),
+    ('[]', ParseError, 'profile: top level must be an object'),
+    ('{"units": [{"kind": "CPU", "gops": NaN}]}', ParseError,
+     'profile: invalid JSON: NaN is not a number'),
+    (_p(bogus=1, extra=2), ParseError, "profile: unknown keys: ['bogus', 'extra']"),
+    (_p(units=3), ParseError, "profile: 'units' must be an array"),
+    (_p(workloads={}), ParseError, "profile: 'workloads' must be an array"),
+    (_p(costs=[]), ParseError, "profile: 'costs' must be an object"),
+    (_p(units=[1], costs=[]), ParseError, "profile: 'costs' must be an object"),
+    # units, each rule in order
+    (_units(1), ParseError, 'units[0]: unit must be an object'),
+    (_units("CPU"), ParseError, 'units[0]: unit must be an object'),
+    (_units({"kind": "CPU", "speed": 3, "color": 1}), ParseError,
+     "units[0]: unknown keys: ['color', 'speed']"),
+    (_units({}), ParseError, "units[0]: missing 'kind'"),
+    (_units({"weight": 1, "speed": 3}), ParseError, "units[0]: unknown keys: ['speed']"),
+    (_units({"kind": 7}), ParseError, 'unknown unit kind 7'),
+    (_units({"kind": "TPU"}), ParseError, "unknown unit kind 'TPU'"),
+    (_units({"kind": None}), ParseError, 'unknown unit kind None'),
+    (_units({"kind": "CPU", "weight": -1}), NegativeValue,
+     'field units[0].weight must be >= 0, got -1'),
+    (_units({"kind": "CPU", "weight": 1.5}), ParseError, 'units[0]: weight must be an integer'),
+    (_units({"kind": "CPU", "weight": True}), ParseError, 'units[0]: weight must be an integer'),
+    (_units({"kind": "CPU", "weight": None}), ParseError, 'units[0]: weight must be an integer'),
+    (_units({"kind": "CPU", "gops": "x"}), ParseError, "units[0]: 'gops' must be a number"),
+    (_units({"kind": "CPU", "gops": True}), ParseError, "units[0]: 'gops' must be a number"),
+    (_units({"kind": "CPU", "gops": 0}), NegativeValue, 'field units[0].gops must be >= 0, got 0'),
+    (_units({"kind": "CPU", "gops": -2.5}), NegativeValue,
+     'field units[0].gops must be >= 0, got -2.5'),
+    (_units({"kind": "CPU", "idle_watts": -1}), NegativeValue,
+     'field units[0].idle_watts must be >= 0, got -1'),
+    (_units({"kind": "CPU", "idle_watts": "x"}), NegativeValue,
+     'field units[0].idle_watts must be >= 0, got x'),
+    (_units({"kind": "CPU", "idle_watts": True}), NegativeValue,
+     'field units[0].idle_watts must be >= 0, got True'),
+    (_units({"kind": "CPU", "idle_watts": None}), NegativeValue,
+     'field units[0].idle_watts must be >= 0, got None'),
+    (_units({"kind": "CPU", "weight": -1, "gops": "x", "idle_watts": -1}), NegativeValue,
+     'field units[0].weight must be >= 0, got -1'),
+    (_units({"kind": "CPU", "gops": 0, "idle_watts": "x"}), NegativeValue,
+     'field units[0].gops must be >= 0, got 0'),
+    (_units({"kind": "CPU"}, {"kind": "cpu"}), ParseError,
+     'units[1]: unit kind CPU declared twice'),
+    (_units({"kind": "CPU"}, {"kind": "CPU", "weight": -1}), NegativeValue,
+     'field units[1].weight must be >= 0, got -1'),
+    (_units({"kind": "CPU"}, {"kind": "GPU"}, {"kind": "mGPU"}), ParseError,
+     'units: profile may declare at most one of GPU and mGPU'),
+    (_units({"kind": "CPU"}, 5), ParseError, 'units[1]: unit must be an object'),
+    # workloads
+    (_workloads(3), ParseError, 'workloads[0]: workload must be an object'),
+    (_workloads({"name": "w", "x": 1}), ParseError, "workloads[0]: unknown keys: ['x']"),
+    (_workloads({}), ParseError, "workloads[0]: 'name' must be a non-empty string"),
+    (_workloads({"name": ""}), ParseError, "workloads[0]: 'name' must be a non-empty string"),
+    (_workloads({"name": 3}), ParseError, "workloads[0]: 'name' must be a non-empty string"),
+    (_workloads({"name": "w"}, {"name": "w"}), ParseError,
+     "workloads[1]: workload 'w' declared twice"),
+    (_workloads({"name": "w", "ops": -1}), NegativeValue,
+     'field workloads[0].ops must be >= 0, got -1'),
+    (_workloads({"name": "w", "ops": 1.5}), ParseError, 'workloads[0]: ops must be an integer'),
+    (_workloads({"name": "w", "ops": True}), ParseError, 'workloads[0]: ops must be an integer'),
+    (_workloads({"name": "w"}, {"name": "v", "ops": "x"}), ParseError,
+     'workloads[1]: ops must be an integer'),
+    (_p(units=[1], workloads=[1]), ParseError, 'units[0]: unit must be an object'),
+    # cost keys, in order: '@', workload, unit kind, unit declared
+    (_costs(wCPU={"kernel_us": 1}), ParseError, "costs['wCPU']: cost key must be 'workload@UNIT'"),
+    (_costs(**{"other@CPU": {"kernel_us": 1}}), ParseError,
+     "costs['other@CPU']: cost references undeclared workload 'other'"),
+    (_costs(**{"@CPU": {"kernel_us": 1}}), ParseError,
+     "costs['@CPU']: cost references undeclared workload ''"),
+    (_costs(**{"w@TPU": {"kernel_us": 1}}), ParseError, "unknown unit kind 'TPU'"),
+    (_costs(**{"w@": {"kernel_us": 1}}), ParseError, "unknown unit kind ''"),
+    (_costs(**{"w@DSP": {"kernel_us": 1}}), ParseError,
+     "costs['w@DSP']: cost references undeclared unit DSP"),
+    (_costs(**{"other@TPU": 3}), ParseError,
+     "costs['other@TPU']: cost references undeclared workload 'other'"),
+    (_costs(**{"w@DSP": 3}), ParseError, "costs['w@DSP']: cost references undeclared unit DSP"),
+    # cost entries
+    (_costs(**{"w@CPU": 3}), ParseError, "costs['w@CPU']: cost entry must be an object"),
+    (_costs(**{"w@CPU": []}), ParseError, "costs['w@CPU']: cost entry must be an object"),
+    (_entry(kernel_us=1, speed=2), ParseError, "costs['w@CPU']: unknown keys: ['speed']"),
+    (_entry(setup_us=-1, kernel_us=1), NegativeValue,
+     "field costs['w@CPU'].setup_us must be >= 0, got -1"),
+    (_entry(setup_us="x", kernel_us=1), ParseError, "costs['w@CPU']: setup_us must be an integer"),
+    (_entry(xfer_in_us=-1, kernel_us=1), NegativeValue,
+     "field costs['w@CPU'].xfer_in_us must be >= 0, got -1"),
+    (_entry(xfer_in_us=1.0, kernel_us=1), ParseError,
+     "costs['w@CPU']: xfer_in_us must be an integer"),
+    (_entry(kernel_us=-1), NegativeValue, "field costs['w@CPU'].kernel_us must be >= 0, got -1"),
+    (_entry(kernel_us=True), ParseError, "costs['w@CPU']: kernel_us must be an integer"),
+    (_entry(xfer_out_us=-3, kernel_us=1), NegativeValue,
+     "field costs['w@CPU'].xfer_out_us must be >= 0, got -3"),
+    (_entry(xfer_out_us=None, kernel_us=1), ParseError,
+     "costs['w@CPU']: xfer_out_us must be an integer"),
+    (_entry(energy_uj=-10, kernel_us=1), NegativeValue,
+     "field costs['w@CPU'].energy_uj must be >= 0, got -10"),
+    (_entry(energy_uj="10", kernel_us=1), ParseError,
+     "costs['w@CPU']: energy_uj must be an integer"),
+    (_entry(setup_us=-1, xfer_in_us=-1, kernel_us="x", xfer_out_us=-1, energy_uj=-1), ParseError,
+     "costs['w@CPU']: kernel_us must be an integer"),
+    (_entry(setup_us="x", xfer_in_us=-1, kernel_us=1, energy_uj=-1), ParseError,
+     "costs['w@CPU']: setup_us must be an integer"),
+    (_entry(xfer_in_us=-1, xfer_out_us="x", energy_uj=-1, kernel_us=1), NegativeValue,
+     "field costs['w@CPU'].xfer_in_us must be >= 0, got -1"),
+    (_entry(xfer_out_us=-1, energy_uj="x", kernel_us=1), NegativeValue,
+     "field costs['w@CPU'].xfer_out_us must be >= 0, got -1"),
+    (_costs(**{"w@CPU": {"kernel_us": 1}, "w@cpu": {"kernel_us": 2}}), ParseError,
+     "costs['w@cpu']: duplicate cost entry 'w@cpu'"),
+    (_costs(**{"w@CPU": {"kernel_us": 1}, "w@cpu": {"kernel_us": -2}}), NegativeValue,
+     "field costs['w@cpu'].kernel_us must be >= 0, got -2"),
+    # cloud
+    (_cloud(3), ParseError, "cloud: 'cloud' must be an object"),
+    (_cloud({"latency_us": [1, 2], "energy_uj": 1, "region": "eu"}), ParseError,
+     "cloud: unknown keys: ['region']"),
+    (_cloud({"energy_uj": 1}), BadInterval, 'cloud.latency_us must be [lo, hi] integers'),
+    (_cloud({"latency_us": [5]}), BadInterval, 'cloud.latency_us must be [lo, hi] integers'),
+    (_cloud({"latency_us": "x"}), BadInterval, 'cloud.latency_us must be [lo, hi] integers'),
+    (_cloud({"latency_us": [1, 2.0]}), BadInterval, 'cloud.latency_us must be [lo, hi] integers'),
+    (_cloud({"latency_us": [True, 2]}), BadInterval, 'cloud.latency_us must be [lo, hi] integers'),
+    (_cloud({"latency_us": [-1, 5]}), NegativeValue,
+     'field cloud.latency_us must be >= 0, got [-1, 5]'),
+    (_cloud({"latency_us": [5, 2]}), BadInterval, 'cloud latency interval has lo > hi: [5, 2]'),
+    (_cloud({"latency_us": [1, 2], "energy_uj": -1}), NegativeValue,
+     'field cloud.energy_uj must be >= 0, got -1'),
+    (_cloud({"latency_us": [1, 2], "energy_uj": 1.5}), ParseError,
+     'cloud: energy_uj must be an integer'),
+    (_cloud({"latency_us": [5, 2], "energy_uj": -1, "x": 1}), ParseError,
+     "cloud: unknown keys: ['x']"),
+    (_cloud({"latency_us": [-5, -2], "energy_uj": "x"}), NegativeValue,
+     'field cloud.latency_us must be >= 0, got [-5, -2]'),
+    # every declared entry must resolve; checked after the cloud section
+    (_entry(energy_uj=5), MissingCost, "no resolvable cost for workload 'w' on unit CPU"),
+    (_p(units=[{"kind": "CPU", "gops": 2}], costs={"w@CPU": {}}), MissingCost,
+     "no resolvable cost for workload 'w' on unit CPU"),
+    (_p(workloads=[{"name": "w", "ops": 100}], costs={"w@CPU": {}}), MissingCost,
+     "no resolvable cost for workload 'w' on unit CPU"),
+    (_p(workloads=[{"name": "w", "ops": 100}], units=[{"kind": "CPU", "gops": 1e-12}],
+        costs={"w@CPU": {}}),
+     MissingCost, "no resolvable cost for workload 'w' on unit CPU"),
+    (_p(costs={"w@CPU": {}}, cloud={"latency_us": [2, 1]}), BadInterval,
+     'cloud latency interval has lo > hi: [2, 1]'),
+    # first broken section wins: units, workloads, costs, cloud
+    (_p(units=[{}], workloads=[3], costs={"x": 1}, cloud=3), ParseError,
+     "units[0]: missing 'kind'"),
+    (_p(workloads=[3], costs={"x": 1}, cloud=3), ParseError,
+     'workloads[0]: workload must be an object'),
+    (_p(costs={"x": 1}, cloud=3), ParseError, "costs['x']: cost key must be 'workload@UNIT'"),
+    # numbers a profile may not carry
+]
+
+
+class TestProfileLoaderErrors:
+    @pytest.mark.parametrize("text, error, message", _PROFILE_REJECTIONS)
+    def test_exact_type_and_message(self, text, error, message):
+        with pytest.raises(SimrtError) as exc:
+            load_profile(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
 
 class TestKernelTime:
