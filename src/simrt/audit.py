@@ -13,7 +13,7 @@ from .engine import (LABEL_CLOUD, LABEL_HP, PHASE_CLOUD_COMPLETE,
                      PHASE_DROP, PHASE_KERNEL, PHASE_SETUP, PHASE_XFER_IN,
                      PHASE_XFER_OUT, Trace)
 from .errors import AuditError
-from .profiles import PlatformProfile, UnitKind
+from .profiles import PlatformProfile
 from .scheduler import SchedulerState
 from .tasks import TaskGraph
 
@@ -109,7 +109,7 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
     fifos: dict = {u.value: deque() for u in state.units}
     hp: deque = deque()  # (task id, workload)
     busy: dict = {label: False for label in fifos}
-    runnable: dict = {}  # (workload, unit label) -> profile.resolvable
+    runnable: dict = {u.value: state.runnable[u] for u in state.units}
 
     def check_idle(now: int) -> None:
         for unit, fifo in fifos.items():
@@ -118,15 +118,10 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
             if fifo:
                 raise AuditError(
                     f"unit {unit} idle at {now} with queued tasks {list(fifo)}")
-            if hp:
-                head, workload = hp[0]
-                key = (workload, unit)
-                if key not in runnable:
-                    runnable[key] = profile.resolvable(key[0], UnitKind.parse(unit))
-                if runnable[key]:
-                    raise AuditError(
-                        f"unit {unit} idle at {now} while high-priority head "
-                        f"{head} is runnable on it")
+            if hp and hp[0][1] in runnable[unit]:
+                raise AuditError(
+                    f"unit {unit} idle at {now} while high-priority head "
+                    f"{hp[0][0]} is runnable on it")
 
     prev_time = None
     for time_us, tid, workload, unit, phase in trace.records:

@@ -133,13 +133,11 @@ class BufferPool:
     def __init__(self, capacity: int | None):
         self.capacity = capacity
         self.in_use = 0
-        self.dropped = 0
 
     def acquire(self) -> bool:
         if self.capacity is None or self.in_use < self.capacity:
             self.in_use += 1
             return True
-        self.dropped += 1
         return False
 
     def release(self) -> None:
@@ -248,14 +246,13 @@ def _phase_table(scenario: TaskGraph, profile: PlatformProfile,
                  state: SchedulerState, setup_mode: SetupMode) -> dict:
     """unit -> {workload: ends of setup, xfer_in, kernel and xfer_out as offsets
     from the start} per runnable scenario workload; AMORTIZED pays no setup."""
-    initialized = setup_mode is SetupMode.AMORTIZED
     workloads = dict.fromkeys(t.workload for t in scenario)
     table = {}
     for unit in state.units:
         plans = table[unit] = {}
         for workload in workloads:
             if workload in state.runnable[unit]:
-                bd = offload_time(profile, workload, unit, setup_mode, initialized)
+                bd = offload_time(profile, workload, unit, setup_mode)
                 plans[workload] = tuple(itertools.accumulate(
                     (bd.setup_us, bd.xfer_in_us, bd.kernel_us, bd.xfer_out_us)))
     return table
@@ -314,10 +311,8 @@ class _Engine:
         self.status = dict.fromkeys(self.tasks, _PENDING)
         self.deps_left = dep_counts.copy()
         self.image_consumers: dict = {}  # producer id -> image-input dependents
-        self.image_producers: dict = {}  # image-input task id -> sorted deps
         for t in scenario:
             if t.tags.image_input:
-                self.image_producers[t.id] = sorted(t.deps)
                 for dep in t.deps:
                     self.image_consumers.setdefault(dep, []).append(t.id)
         self.buffer_refs: dict = {}  # producer id -> live consumer count
@@ -399,7 +394,7 @@ class _Engine:
             return
         hp = self.state.hp_queue
         hp_head = hp[0] if hp else None
-        tid = sched.on_unit_free(self.state, unit)
+        tid = sched.on_unit_free(self.state, unit, self.tasks)
         if tid is None:
             return
         self._start(tid, unit, now)
@@ -428,7 +423,8 @@ class _Engine:
         self._push(start + plan[index + 1], now, next_phase, tid)
 
     def _release_buffers_for(self, tid: int) -> None:
-        for producer in self.image_producers.get(tid, ()):
+        task = self.tasks[tid]
+        for producer in task.deps if task.tags.image_input else ():
             if producer in self.buffer_refs:
                 self.buffer_refs[producer] -= 1
                 if self.buffer_refs[producer] == 0:

@@ -51,8 +51,7 @@ class NegativeValue(SimrtError):
 
 
 class BadInterval(SimrtError):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A cloud latency interval that is not [lo, hi] with lo <= hi."""
 
 
 class InvalidScenario(SimrtError):

@@ -8,13 +8,13 @@ when no measured value is given. Cloud execution is modeled with a fixed
 per-inference energy and a latency drawn uniformly from a closed interval.
 """
 
-import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable
 
 from .errors import BadInterval, MissingCost, NegativeValue, ParseError
+from .tasks import check_object, parse_document
 
 
 class UnitKind(Enum):
@@ -116,9 +116,6 @@ class PlatformProfile:
     def has_cloud(self) -> bool:
         return self.cloud_latency_us is not None
 
-    def cost(self, workload: str, unit: UnitKind) -> CostEntry | None:
-        return self.costs.get((workload, unit))
-
     def resolvable(self, workload: str, unit: UnitKind) -> bool:
         """True when a full offload breakdown can be produced for the pair."""
         try:
@@ -135,7 +132,7 @@ def kernel_time(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
     workload's operation count and the unit's theoretical throughput, rounded
     up to the next microsecond.
     """
-    entry = profile.cost(workload, unit)
+    entry = profile.costs.get((workload, unit))
     if entry is None:
         raise MissingCost(workload, unit)
     if entry.kernel_us is not None:
@@ -153,23 +150,18 @@ def offload_time(
     workload: str,
     unit: UnitKind,
     setup_mode: SetupMode,
-    unit_initialized: bool,
 ) -> OffloadBreakdown:
     """Full offload cost breakdown for one dispatch.
 
-    PER_OFFLOAD charges setup on every call; AMORTIZED charges it only when
-    the unit has not been initialized yet.
+    PER_OFFLOAD charges setup on every call; AMORTIZED never does, since
+    every unit is initialized before the clock starts.
     """
-    entry = profile.cost(workload, unit)
-    if entry is None:
-        raise MissingCost(workload, unit)
-    setup = entry.setup_us
-    if setup_mode is SetupMode.AMORTIZED and unit_initialized:
-        setup = 0
+    kernel_us = kernel_time(profile, workload, unit)  # raises MissingCost
+    entry = profile.costs[workload, unit]
     return OffloadBreakdown(
-        setup_us=setup,
+        setup_us=entry.setup_us if setup_mode is SetupMode.PER_OFFLOAD else 0,
         xfer_in_us=entry.xfer_in_us,
-        kernel_us=kernel_time(profile, workload, unit),
+        kernel_us=kernel_us,
         xfer_out_us=entry.xfer_out_us,
     )
 
@@ -180,7 +172,7 @@ def energy_of(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
         if profile.cloud_energy_uj is None:
             raise MissingCost(workload, unit)
         return profile.cloud_energy_uj
-    entry = profile.cost(workload, unit)
+    entry = profile.costs.get((workload, unit))
     if entry is None:
         raise MissingCost(workload, unit)
     return entry.energy_uj
@@ -215,21 +207,28 @@ def preference_matrix(profile: PlatformProfile) -> dict:
 
     Performance is argmin of kernel time, energy argmin of per-run energy,
     over the local units with a resolvable cost. Ties break on unit
-    declaration order.
+    declaration order, the order `min` sees them in.
     """
-    order = {u.kind: i for i, u in enumerate(profile.units)}
     matrix = {}
     for name in profile.workloads:
         units = [u.kind for u in profile.local_units() if profile.resolvable(name, u.kind)]
         if not units:
             continue
-        perf = min(units, key=lambda u: (kernel_time(profile, name, u), order[u]))
-        energy = min(units, key=lambda u: (energy_of(profile, name, u), order[u]))
+        perf = min(units, key=lambda u: kernel_time(profile, name, u))
+        energy = min(units, key=lambda u: energy_of(profile, name, u))
         matrix[name] = (perf, energy)
     return matrix
 
 
+_PROFILE_KEYS = {"name", "units", "workloads", "costs", "cloud"}
 _UNIT_KEYS = {"kind", "weight", "gops", "idle_watts"}
+_WORKLOAD_KEYS = {"name", "ops"}
+# cost entry fields, in the order they are checked
+_COST_FIELDS = ("kernel_us", "setup_us", "xfer_in_us", "xfer_out_us", "energy_uj")
+_CLOUD_KEYS = {"latency_us", "energy_uj"}
+# ceiling on a unit's gops and idle_watts; larger values overflow the
+# integer conversions of derived kernel times and idle energy
+MAX_UNIT_NUMBER = 1e12
 
 # ad-hoc queue weights applied when a profile omits the field
 _DEFAULT_WEIGHTS = {
@@ -240,9 +239,6 @@ _DEFAULT_WEIGHTS = {
     UnitKind.FPGA: 1,
     UnitKind.CLOUD: 0,
 }
-_WORKLOAD_KEYS = {"name", "ops"}
-_COST_KEYS = {"setup_us", "xfer_in_us", "kernel_us", "xfer_out_us", "energy_uj"}
-_CLOUD_KEYS = {"latency_us", "energy_uj"}
 
 
 def _check_non_negative(value, fieldname: str, loc: str):
@@ -253,7 +249,17 @@ def _check_non_negative(value, fieldname: str, loc: str):
     return value
 
 
-def _reject_constant(name: str):
+def _check_number(value, fieldname: str, loc: str, positive: bool = False):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"'{fieldname}' must be a number", loc)
+    if value < 0 or positive and value == 0:
+        raise NegativeValue(f"{loc}.{fieldname}", value)
+    if value > MAX_UNIT_NUMBER:
+        raise ParseError(f"'{fieldname}' must be at most {MAX_UNIT_NUMBER:g}", loc)
+    return value
+
+
+def _reject_constant(name: str):  # NaN, Infinity, -Infinity
     raise ParseError(f"invalid JSON: {name} is not a number", "profile")
 
 
@@ -262,62 +268,37 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
 
     Every declared cost entry must be resolvable: an explicit kernel time,
     or an operation count paired with the unit's theoretical throughput.
-    Unknown keys are rejected.
+    Unknown keys are rejected, and a unit's gops and idle_watts may not
+    exceed MAX_UNIT_NUMBER.
     """
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)  # NaN, Infinity, -Infinity
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", "profile") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", "profile") from None
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", "profile")
-    extra = set(doc) - {"name", "units", "workloads", "costs", "cloud"}
-    if extra:
-        raise ParseError(f"unknown keys: {sorted(extra)}", "profile")
-    name = doc.get("name", name)
-    for key, kind, what in (("units", list, "an array"), ("workloads", list, "an array"),
-                            ("costs", dict, "an object")):
+    doc = parse_document(text, "profile", _PROFILE_KEYS, parse_constant=_reject_constant)
+    for key, kind, what in (("name", str, "a string"), ("units", list, "an array"),
+                            ("workloads", list, "an array"), ("costs", dict, "an object")):
         if not isinstance(doc.get(key, kind()), kind):
             raise ParseError(f"'{key}' must be {what}", "profile")
 
-    units = []
+    units = {}  # kind -> UnitSpec, in declaration order
     for i, obj in enumerate(doc.get("units", [])):
         loc = f"units[{i}]"
-        if not isinstance(obj, dict):
-            raise ParseError("unit must be an object", loc)
-        extra = set(obj) - _UNIT_KEYS
-        if extra:
-            raise ParseError(f"unknown keys: {sorted(extra)}", loc)
+        check_object(obj, _UNIT_KEYS, loc, "unit")
         if "kind" not in obj:
             raise ParseError("missing 'kind'", loc)
         kind = UnitKind.parse(obj["kind"])
-        weight = obj.get("weight", _DEFAULT_WEIGHTS[kind])
-        _check_non_negative(weight, "weight", loc)
+        weight = _check_non_negative(obj.get("weight", _DEFAULT_WEIGHTS[kind]), "weight", loc)
         gops = obj.get("gops")
         if gops is not None:
-            if isinstance(gops, bool) or not isinstance(gops, (int, float)):
-                raise ParseError("'gops' must be a number", loc)
-            if gops <= 0:
-                raise NegativeValue(f"{loc}.gops", gops)
-        idle = obj.get("idle_watts", 0.0)
-        if isinstance(idle, bool) or not isinstance(idle, (int, float)) or idle < 0:
-            raise NegativeValue(f"{loc}.idle_watts", idle)
-        if any(u.kind == kind for u in units):
+            _check_number(gops, "gops", loc, positive=True)
+        idle = _check_number(obj.get("idle_watts", 0.0), "idle_watts", loc)
+        if kind in units:
             raise ParseError(f"unit kind {kind} declared twice", loc)
-        units.append(UnitSpec(kind=kind, weight=weight, gops=gops, idle_watts=float(idle)))
-    kinds = {u.kind for u in units}
-    if UnitKind.GPU in kinds and UnitKind.MGPU in kinds:
+        units[kind] = UnitSpec(kind=kind, weight=weight, gops=gops, idle_watts=float(idle))
+    if UnitKind.GPU in units and UnitKind.MGPU in units:
         raise ParseError("profile may declare at most one of GPU and mGPU", "units")
 
     workloads = {}
     for i, obj in enumerate(doc.get("workloads", [])):
         loc = f"workloads[{i}]"
-        if not isinstance(obj, dict):
-            raise ParseError("workload must be an object", loc)
-        extra = set(obj) - _WORKLOAD_KEYS
-        if extra:
-            raise ParseError(f"unknown keys: {sorted(extra)}", loc)
+        check_object(obj, _WORKLOAD_KEYS, loc, "workload")
         wname = obj.get("name")
         if not isinstance(wname, str) or not wname:
             raise ParseError("'name' must be a non-empty string", loc)
@@ -331,70 +312,47 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
     costs = {}
     for key, obj in doc.get("costs", {}).items():
         loc = f"costs[{key!r}]"
-        if "@" not in key:
+        wname, at, kindname = key.rpartition("@")
+        if not at:
             raise ParseError("cost key must be 'workload@UNIT'", loc)
-        wname, _, kindname = key.rpartition("@")
         if wname not in workloads:
             raise ParseError(f"cost references undeclared workload {wname!r}", loc)
         kind = UnitKind.parse(kindname)
-        if kind not in kinds:
+        if kind not in units:
             raise ParseError(f"cost references undeclared unit {kind}", loc)
-        if not isinstance(obj, dict):
-            raise ParseError("cost entry must be an object", loc)
-        extra = set(obj) - _COST_KEYS
-        if extra:
-            raise ParseError(f"unknown keys: {sorted(extra)}", loc)
-        kernel = obj.get("kernel_us")
-        if kernel is not None:
-            kernel = _check_non_negative(kernel, "kernel_us", loc)
-        entry = CostEntry(
-            setup_us=_check_non_negative(obj.get("setup_us", 0), "setup_us", loc),
-            xfer_in_us=_check_non_negative(obj.get("xfer_in_us", 0), "xfer_in_us", loc),
-            kernel_us=kernel,
-            xfer_out_us=_check_non_negative(obj.get("xfer_out_us", 0), "xfer_out_us", loc),
-            energy_uj=_check_non_negative(obj.get("energy_uj", 0), "energy_uj", loc),
-        )
+        check_object(obj, _COST_FIELDS, loc, "cost entry")
+        # a null kernel_us is derived from the workload's ops and the unit's gops
+        entry = CostEntry(**{f: _check_non_negative(obj[f], f, loc) for f in _COST_FIELDS
+                             if f in obj and (obj[f] is not None or f != "kernel_us")})
         if (wname, kind) in costs:
             raise ParseError(f"duplicate cost entry {key!r}", loc)
         costs[(wname, kind)] = entry
 
-    cloud_latency_us = None
-    cloud_energy_uj = None
+    cloud_latency_us = cloud_energy_uj = None
     if "cloud" in doc:
-        obj = doc["cloud"]
-        loc = "cloud"
-        if not isinstance(obj, dict):
-            raise ParseError("'cloud' must be an object", loc)
-        extra = set(obj) - _CLOUD_KEYS
-        if extra:
-            raise ParseError(f"unknown keys: {sorted(extra)}", loc)
+        obj = check_object(doc["cloud"], _CLOUD_KEYS, "cloud", "'cloud'")
         interval = obj.get("latency_us")
         if (not isinstance(interval, list) or len(interval) != 2
                 or any(isinstance(v, bool) or not isinstance(v, int) for v in interval)):
             raise BadInterval("cloud.latency_us must be [lo, hi] integers")
-        lo, hi = interval
+        lo, hi = cloud_latency_us = tuple(interval)
         if lo < 0 or hi < 0:
             raise NegativeValue("cloud.latency_us", interval)
         if lo > hi:
             raise BadInterval(f"cloud latency interval has lo > hi: [{lo}, {hi}]")
-        cloud_latency_us = (lo, hi)
-        cloud_energy_uj = _check_non_negative(obj.get("energy_uj", 0), "energy_uj", loc)
-        if UnitKind.CLOUD not in kinds:
-            units.append(UnitSpec(kind=UnitKind.CLOUD, weight=0))
-            kinds.add(UnitKind.CLOUD)
+        cloud_energy_uj = _check_non_negative(obj.get("energy_uj", 0), "energy_uj", "cloud")
+        units.setdefault(UnitKind.CLOUD, UnitSpec(kind=UnitKind.CLOUD, weight=0))
 
     profile = PlatformProfile(
-        name=name,
-        units=tuple(units),
+        name=doc.get("name", name),
+        units=tuple(units.values()),
         workloads=workloads,
         costs=costs,
         cloud_latency_us=cloud_latency_us,
         cloud_energy_uj=cloud_energy_uj,
     )
-    # Every declared cost entry must be usable as-is.
-    for (wname, kind) in costs:
-        if not profile.resolvable(wname, kind):
-            raise MissingCost(wname, kind)
+    for wname, kind in costs:  # every declared entry must be usable as-is
+        kernel_time(profile, wname, kind)  # raises MissingCost
     return profile
 
 

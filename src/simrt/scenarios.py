@@ -30,10 +30,9 @@ _DL_CHAIN = ("conv1", "conv2", "conv3", "conv4", "conv5", "fc6", "fc7", "fc8")
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """A named generated scenario with the parameters that produced it."""
+    """A named generated scenario."""
 
     name: str
-    params: dict
     graph: TaskGraph
     pinned_units: frozenset | None = None  # restrict the profile to these units
 
@@ -113,6 +112,5 @@ def inference_comparison() -> list:
     ):
         graph = TaskGraph([Task(id=1, workload="alexnet", tags=tags)])
         validate_graph(graph)
-        specs.append(ScenarioSpec(name=name, params={}, graph=graph,
-                                  pinned_units=units))
+        specs.append(ScenarioSpec(name=name, graph=graph, pinned_units=units))
     return specs

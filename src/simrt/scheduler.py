@@ -118,7 +118,6 @@ class SchedulerState:
         weights: dict | None = None,
         fpga_as_gpu: bool = False,
     ):
-        self.profile = profile
         gpu_slot = None
         for u in profile.units:
             if u.kind in (UnitKind.MGPU, UnitKind.GPU):
@@ -129,9 +128,7 @@ class SchedulerState:
 
         self.weights: dict = {}
         for slot, kind in self._slot_kind.items():
-            if kind is None:
-                continue
-            spec = profile.unit(kind)
+            spec = profile.unit(kind)  # None for an empty gpu slot
             if spec is None:
                 continue
             w = spec.weight
@@ -142,11 +139,9 @@ class SchedulerState:
         # participating units, in profile declaration order
         self.units: list = [u.kind for u in profile.units if u.kind in self.weights]
         self.queues: dict = {u: deque() for u in self.units}
-        self._loads: dict = {u: 0 for u in self.units}
         self.hp_queue: deque = deque()
         self.cloud_queue: deque = deque()
         self.counter_n = 0
-        self._workloads: dict = {}  # task id -> workload name, recorded on dispatch
         # workloads each unit has a resolvable cost for: the HP head check
         self.runnable: dict = {u: frozenset(w for (w, k) in profile.costs
                                             if k is u and profile.resolvable(w, u))
@@ -158,9 +153,6 @@ class SchedulerState:
                                   latency_units))
         self._throughput_units = self._slot_units(_THROUGHPUT_ORDER)
         self._energy_units = self._slot_units(_ENERGY_ORDER)
-
-    def load(self, unit: UnitKind) -> int:
-        return self._loads[unit]
 
     def _slot_units(self, order: tuple) -> list:
         return [kind for slot in order if (kind := self._slot_kind[slot]) in self.weights]
@@ -185,7 +177,7 @@ def _fill_first(state: SchedulerState, units: list, overflow_slot: str) -> UnitK
     if not units:
         raise InvalidScenario("no participating units for the selected policy")
     for unit in units:
-        if state._loads[unit] < state.weights[unit]:
+        if len(state.queues[unit]) < state.weights[unit]:
             return unit
     overflow = state._slot_kind[overflow_slot]
     if overflow in state.weights:
@@ -214,7 +206,6 @@ _HP_ROUTE = Route(RouteClass.HIGH_PRIORITY)
 
 def dispatch(state: SchedulerState, task: Task, policy: Policy) -> Route:
     """Route one ready task and append it to the matching queue."""
-    state._workloads[task.id] = task.workload
     if policy.advanced:
         route_class = classify(task)
         if route_class is RouteClass.CLOUD:
@@ -225,22 +216,21 @@ def dispatch(state: SchedulerState, task: Task, policy: Policy) -> Route:
             return _HP_ROUTE
     unit = _BASIC_DISPATCH[policy.basic](state)
     state.queues[unit].append(task.id)
-    state._loads[unit] += 1
     return state._routes[unit]
 
 
-def on_unit_free(state: SchedulerState, unit: UnitKind):
-    """Next task for a unit that just went idle.
+def on_unit_free(state: SchedulerState, unit: UnitKind, tasks: dict):
+    """Next task for a unit that just went idle; `tasks` maps each
+    dispatched task id to its Task.
 
     The high-priority queue head is taken first whenever this unit has a
     resolvable cost for it (head-only check, FIFO order preserved);
     otherwise the unit's own FIFO head; otherwise None.
     """
     hp = state.hp_queue
-    if hp and state._workloads[hp[0]] in state.runnable[unit]:
+    if hp and tasks[hp[0]].workload in state.runnable[unit]:
         return hp.popleft()
     queue = state.queues[unit]
     if queue:
-        state._loads[unit] -= 1
         return queue.popleft()
     return None

@@ -54,9 +54,6 @@ class TaskGraph:
     def __len__(self) -> int:
         return len(self._tasks)
 
-    def __contains__(self, task_id: TaskId) -> bool:
-        return task_id in self._by_id
-
 
 def validate_graph(graph: TaskGraph) -> tuple:
     """Raise DuplicateId, UnknownDependency or CycleDetected, or return the
@@ -103,6 +100,27 @@ def _dependency_index(graph: TaskGraph) -> tuple:
     return ids, dependents, dep_counts
 
 
+def parse_document(text: str, location: str, keys, **json_options) -> dict:
+    """The top-level object of a JSON document, holding only the given keys."""
+    try:
+        doc = json.loads(text, **json_options)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", location) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply", location) from None
+    return check_object(doc, keys, location, "top level")
+
+
+def check_object(obj, keys, location: str, what: str) -> dict:
+    """obj, checked to be a JSON object that holds only the given keys."""
+    if not isinstance(obj, dict):
+        raise ParseError(f"{what} must be an object", location)
+    extra = obj.keys() - keys
+    if extra:
+        raise ParseError(f"unknown keys: {sorted(extra)}", location)
+    return obj
+
+
 _TASK_KEYS = {"id", "workload", "real_time", "image_input", "deps", "release_us"}
 _INT = frozenset({int})
 # the four tag combinations, shared by every loaded task; looked up only after
@@ -117,17 +135,7 @@ def load_scenario(text: str) -> TaskGraph:
     Unknown keys are rejected. Missing tags default to real_time=true,
     image_input=false; release_us defaults to 0.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", "scenario") from None
-    except RecursionError:
-        raise ParseError("invalid JSON: nested too deeply", "scenario") from None
-    if not isinstance(doc, dict):
-        raise ParseError("top level must be an object", "scenario")
-    extra = doc.keys() - {"tasks"}
-    if extra:
-        raise ParseError(f"unknown keys: {sorted(extra)}", "scenario")
+    doc = parse_document(text, "scenario", {"tasks"})
     if "tasks" not in doc:
         raise ParseError("missing 'tasks' array", "scenario")
     if not isinstance(doc["tasks"], list):
@@ -181,4 +189,4 @@ def dump_scenario(graph: TaskGraph) -> str:
         }
         for t in graph.tasks
     ]}
-    return json.dumps(doc, indent=2)
+    return json.dumps(doc, separators=(",", ":"))

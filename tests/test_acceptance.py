@@ -167,15 +167,15 @@ def test_05_setup_overhead_crossover():
     with gate("05 setup-overhead crossover", 1.0):
         profile = builtin_profiles()["sd820"]
         gpu_cold = offload_time(profile, "convolution", UnitKind.MGPU,
-                                SetupMode.PER_OFFLOAD, False)
+                                SetupMode.PER_OFFLOAD)
         dsp_cold = offload_time(profile, "convolution", UnitKind.DSP,
-                                SetupMode.PER_OFFLOAD, False)
+                                SetupMode.PER_OFFLOAD)
         assert gpu_cold.kernel_us < dsp_cold.kernel_us
         assert gpu_cold.total_us > dsp_cold.total_us
         gpu_warm = offload_time(profile, "convolution", UnitKind.MGPU,
-                                SetupMode.AMORTIZED, True)
+                                SetupMode.AMORTIZED)
         dsp_warm = offload_time(profile, "convolution", UnitKind.DSP,
-                                SetupMode.AMORTIZED, True)
+                                SetupMode.AMORTIZED)
         assert gpu_warm.total_us < dsp_warm.total_us
 
 

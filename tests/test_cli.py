@@ -52,7 +52,8 @@ class TestRun:
         code, _, err = run_cli(capsys, "run", "-p", "no-such-profile",
                                "-s", conv_scenario)
         assert code == 2
-        assert "no-such-profile" in err
+        assert err == ("error: profile 'no-such-profile' is neither a file, a builtin "
+                       "(sd820, sd820-robot, tx1-cloud), nor in SIMRT_PROFILE_DIR\n")
 
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -305,11 +306,54 @@ class TestUnreadableInputs:
     @pytest.mark.parametrize("command", ["trace", "gen"])
     def test_unwritable_out_is_not_an_input_error(self, tmp_path, conv_scenario, command):
         """Only the input files are input errors: a run that cannot write its
-        output raises the OSError rather than exiting 2."""
+        output (a directory, or a file in a directory that does not exist)
+        raises the OSError rather than exiting 2."""
         args = {"trace": ["-p", "sd820", "-s", conv_scenario],
                 "gen": ["--scenario", "conv", "--n", "5"]}[command]
         with pytest.raises(IsADirectoryError):
             main([command, *args, "--out", str(tmp_path)])
+        with pytest.raises(FileNotFoundError):
+            main([command, *args, "--out", str(tmp_path / "missing" / "x.csv")])
+
+
+def _profile_file(tmp_path, **unit_fields) -> str:
+    """A one-CPU profile file whose unit carries the given extra fields."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "units": [{"kind": "CPU", "weight": 2, **unit_fields}],
+        "workloads": [{"name": "convolution", "ops": 1000}],
+        "costs": {"convolution@CPU": {"energy_uj": 1}},
+    }))
+    return str(path)
+
+
+class TestProfileRules:
+    """Profile values that are out of range are input errors, never a
+    traceback from the arithmetic that would use them."""
+
+    def test_huge_gops_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "validate", _profile_file(tmp_path, gops=1e308))
+        assert_input_error(code, out, err)
+        assert "units[0]: 'gops' must be at most 1e+12" in err
+
+    def test_huge_idle_watts_is_an_input_error(self, capsys, tmp_path, conv_scenario):
+        profile = _profile_file(tmp_path, gops=1, idle_watts=1e308)
+        code, out, err = run_cli(capsys, "run", "-p", profile, "-s", conv_scenario)
+        assert_input_error(code, out, err)
+        assert "units[0]: 'idle_watts' must be at most 1e+12" in err
+
+    def test_numbers_at_the_ceiling_run(self, capsys, tmp_path, conv_scenario):
+        profile = _profile_file(tmp_path, gops=1e12, idle_watts=1e12)
+        code, _, err = run_cli(capsys, "run", "-p", profile, "-s", conv_scenario)
+        assert code == 0 and err == ""
+
+    def test_non_string_name_is_an_input_error(self, capsys, tmp_path, conv_scenario):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"name": 7, "units": [{"kind": "CPU"}]}))
+        code, out, err = run_cli(capsys, "run", "-p", str(path), "-s", conv_scenario,
+                                 "--format", "json")
+        assert_input_error(code, out, err)
+        assert "profile: 'name' must be a string" in err
 
 
 class _Obj(list):

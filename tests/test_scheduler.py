@@ -85,7 +85,6 @@ def drive_basic(policy_fn, profile, n, weights=None):
     for i in range(n):
         unit = policy_fn(state)
         state.queues[unit].append(i)
-        state._loads[unit] += 1
         out.append(unit.value)
     return out
 
@@ -178,15 +177,21 @@ class TestDispatch:
             assert non_rt == set(state.cloud_queue)
 
 
+def dispatch_all(state, policy, *tasks) -> dict:
+    """Dispatch tasks in order; returns the run's task table by id."""
+    for t in tasks:
+        dispatch(state, t, policy)
+    return {t.id: t for t in tasks}
+
+
 class TestOnUnitFree:
     def test_hp_head_takes_precedence(self):
         profile = three_unit_profile()
         state = SchedulerState(profile)
-        dispatch(state, mk_task(1, image_input=True),
-                 Policy.advanced_over(BasicPolicy.THROUGHPUT))
-        dispatch(state, mk_task(2), Policy.advanced_over(BasicPolicy.THROUGHPUT))
-        assert on_unit_free(state, UnitKind.MGPU) == 1
-        assert on_unit_free(state, UnitKind.MGPU) == 2
+        tasks = dispatch_all(state, Policy.advanced_over(BasicPolicy.THROUGHPUT),
+                             mk_task(1, image_input=True), mk_task(2))
+        assert on_unit_free(state, UnitKind.MGPU, tasks) == 1
+        assert on_unit_free(state, UnitKind.MGPU, tasks) == 2
 
     def test_unresolvable_hp_head_skipped_for_own_queue(self):
         doc = {
@@ -199,44 +204,24 @@ class TestOnUnitFree:
             },
         }
         state = SchedulerState(load_profile(json.dumps(doc)))
-        dispatch(state, mk_task(1, image_input=True, workload="cv"),
-                 Policy.advanced_over(BasicPolicy.ENERGY))
-        dispatch(state, mk_task(2, workload="plain"),
-                 Policy.advanced_over(BasicPolicy.ENERGY))  # dsp-first -> DSP queue
+        # energy is dsp-first, so task 2 goes to the DSP queue
+        tasks = dispatch_all(state, Policy.advanced_over(BasicPolicy.ENERGY),
+                             mk_task(1, image_input=True, workload="cv"),
+                             mk_task(2, workload="plain"))
         # cv has no CPU entry: CPU must skip the head and take its own queue
-        assert on_unit_free(state, UnitKind.CPU) is None
-        assert on_unit_free(state, UnitKind.DSP) == 1
-        assert on_unit_free(state, UnitKind.DSP) == 2
+        assert on_unit_free(state, UnitKind.CPU, tasks) is None
+        assert on_unit_free(state, UnitKind.DSP, tasks) == 1
+        assert on_unit_free(state, UnitKind.DSP, tasks) == 2
 
     def test_fifo_order_on_own_queue(self):
         state = SchedulerState(three_unit_profile())
-        dispatch(state, mk_task(1), Policy.throughput())
-        dispatch(state, mk_task(2), Policy.throughput())
-        assert on_unit_free(state, UnitKind.MGPU) == 1
-        assert on_unit_free(state, UnitKind.MGPU) == 2
+        tasks = dispatch_all(state, Policy.throughput(), mk_task(1), mk_task(2))
+        assert on_unit_free(state, UnitKind.MGPU, tasks) == 1
+        assert on_unit_free(state, UnitKind.MGPU, tasks) == 2
 
     def test_all_queues_empty_returns_none(self):
         state = SchedulerState(three_unit_profile())
-        assert on_unit_free(state, UnitKind.CPU) is None
-
-    def test_queue_loads_track_fifo_lengths(self):
-        rng = random.Random(404)
-        for _ in range(100):
-            profile = random_profile(rng)
-            state = SchedulerState(profile)
-            policy = Policy(rng.choice(list(BasicPolicy)), advanced=rng.random() < 0.5)
-            next_id = 1
-            for _ in range(60):
-                if rng.random() < 0.6:
-                    t = Task(id=next_id, workload=rng.choice(("alpha", "gamma")),
-                             tags=TaskTags(real_time=rng.random() < 0.8,
-                                           image_input=rng.random() < 0.3))
-                    next_id += 1
-                    dispatch(state, t, policy)
-                else:
-                    on_unit_free(state, rng.choice(state.units))
-                for unit in state.units:
-                    assert state.load(unit) == len(state.queues[unit])
+        assert on_unit_free(state, UnitKind.CPU, {}) is None
 
 
 class TestFpgaSlot:

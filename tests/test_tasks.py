@@ -82,6 +82,13 @@ class TestScenarioFiles:
         again = load_scenario(dump_scenario(g))
         assert [t for t in again] == list(g.tasks)
 
+    def test_dump_is_compact_and_round_trips_the_robot_pipeline(self):
+        g = robot_pipeline(2, 25, 200, 3)
+        text = dump_scenario(g)
+        assert "\n" not in text and ": " not in text and ", " not in text
+        assert text.startswith('{"tasks":[{"id":1,"workload":"capture",')
+        assert load_scenario(text).tasks == g.tasks
+
     def test_documented_example(self):
         g = load_scenario('{"tasks":[{"id":1,"workload":"convolution",'
                           '"real_time":true,"image_input":true,"deps":[],"release_us":0}]}')
