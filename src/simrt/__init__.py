@@ -1,13 +1,12 @@
 """simrt: profile-driven heterogeneous task-scheduling runtime simulator."""
 
 from . import audit
-from .engine import (BufferPool, Metrics, SimConfig, SimResult, Trace,
-                     TraceRecord, compute_metrics, simulate)
+from .engine import (Metrics, SimConfig, SimResult, Trace, TraceRecord,
+                     compute_metrics, simulate)
 from .errors import (AuditError, BadInterval, CycleDetected, DuplicateId,
                      EngineError, GraphError, InvalidConfig, InvalidRate,
                      InvalidScenario, MissingCost, NegativeValue, ParseError,
-                     SimrtError, UnderflowRelease, UnknownDependency,
-                     UnresolvableCost)
+                     SimrtError, UnknownDependency, UnresolvableCost)
 from .profiles import (CostEntry, OffloadBreakdown, PlatformProfile, SetupMode,
                        UnitKind, UnitSpec, WorkloadSpec, builtin_profiles,
                        cloud_latency, energy_of, kernel_time, load_profile,

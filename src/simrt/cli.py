@@ -10,13 +10,13 @@ import os
 import sys
 
 from .audit import audit_all
+from .builtins import BUILTIN_PROFILE_TEXTS
 from .engine import (PHASE_COMPLETE, PHASE_KERNEL, PHASE_XFER_IN, PHASE_XFER_OUT,
                      SimConfig, simulate)
-from .errors import (AuditError, BadInterval, GraphError, InvalidConfig,
-                     InvalidRate, InvalidScenario, MissingCost, NegativeValue,
-                     ParseError, SimrtError, UnresolvableCost)
-from .profiles import (PlatformProfile, SetupMode, builtin_profiles, load_profile,
-                       preference_matrix)
+from .errors import (BadInterval, GraphError, InvalidConfig, InvalidRate,
+                     InvalidScenario, MissingCost, NegativeValue, ParseError,
+                     SimrtError, UnresolvableCost)
+from .profiles import PlatformProfile, SetupMode, load_profile, preference_matrix
 from .scenarios import convolution_batch, inference_comparison, robot_pipeline
 from .scheduler import Policy
 from .tasks import dump_scenario, load_scenario
@@ -45,9 +45,8 @@ def _read_text(path: str) -> str:
 def _load_profile_arg(name_or_path: str) -> PlatformProfile:
     if os.path.exists(name_or_path):
         return load_profile(_read_text(name_or_path), name=os.path.basename(name_or_path))
-    builtins = builtin_profiles()
-    if name_or_path in builtins:
-        return builtins[name_or_path]
+    if name_or_path in BUILTIN_PROFILE_TEXTS:
+        return load_profile(BUILTIN_PROFILE_TEXTS[name_or_path], name=name_or_path)
     search_dir = os.environ.get("SIMRT_PROFILE_DIR")
     if search_dir:
         candidate = os.path.join(search_dir, name_or_path + ".json")
@@ -55,7 +54,7 @@ def _load_profile_arg(name_or_path: str) -> PlatformProfile:
             return load_profile(_read_text(candidate), name=name_or_path)
     raise ParseError(
         f"profile {name_or_path!r} is neither a file, a builtin "
-        f"({', '.join(sorted(builtins))}), nor in SIMRT_PROFILE_DIR")
+        f"({', '.join(sorted(BUILTIN_PROFILE_TEXTS))}), nor in SIMRT_PROFILE_DIR")
 
 
 def _parse_weights(text: str | None) -> dict | None:
@@ -116,7 +115,7 @@ def cmd_run(args) -> int:
         print(json.dumps(doc, indent=2))
         return EXIT_OK
 
-    unit_labels = [u.kind.value for u in profile.local_units()]
+    unit_labels = [u.kind.value for u in profile.units]
     if profile.has_cloud:
         unit_labels.append("CLOUD")
     headers = (["policy", "throughput/ms"]
@@ -150,6 +149,9 @@ def cmd_validate(args) -> int:
         for u in profile.units)
     print(f"profile: {profile.name}")
     print(f"units: {units}")
+    if profile.has_cloud:
+        lo, hi = profile.cloud_latency_us
+        print(f"cloud: latency_us=[{lo}, {hi}], energy_uj={profile.cloud_energy_uj}")
     rows = [[name, perf.value, energy.value]
             for name, (perf, energy) in sorted(matrix.items())]
     print(_format_table(rows, ["workload", "perf_preferable", "energy_preferable"]))
@@ -195,8 +197,9 @@ def cmd_gen(args) -> int:
     elif args.scenario == "conv":
         graph = convolution_batch(args.n)
     else:  # inference; argparse allows only these three kinds
-        spec = {s.name.removeprefix("inference-"): s for s in inference_comparison()}
-        graph = spec[args.variant].graph
+        # the pinned local variants share one graph: a scenario file holds no pinning
+        name = "inference-cloud" if args.variant == "cloud" else "inference-cpu"
+        graph = next(s.graph for s in inference_comparison() if s.name == name)
     text = dump_scenario(graph)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
@@ -253,8 +256,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--dl-fps", type=int, default=3)
     p_gen.add_argument("--planning-hz", type=int, default=10)
     p_gen.add_argument("--n", type=int, default=1000, help="conv: task count")
-    p_gen.add_argument("--variant", default="cpu", choices=["cpu", "gpu", "cloud"],
-                       help="inference: which single-task variant")
+    p_gen.add_argument("--variant", default="local", choices=["local", "cloud"],
+                       help="inference: a real-time task, or a non-real-time one "
+                            "the tag-aware policy offloads")
     p_gen.add_argument("--out", required=True)
     p_gen.set_defaults(func=cmd_gen)
     return parser
@@ -268,7 +272,7 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except (SimrtError, AuditError) as exc:
+    except SimrtError as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM_ERROR
 

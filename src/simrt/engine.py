@@ -28,8 +28,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import scheduler as sched
-from .errors import (EngineError, InvalidConfig, InvalidScenario,
-                     UnderflowRelease, UnresolvableCost)
+from .errors import EngineError, InvalidConfig, InvalidScenario, UnresolvableCost
 from .profiles import (PlatformProfile, SetupMode, UnitKind, cloud_latency,
                        energy_of, offload_time)
 from .scheduler import Policy, RouteClass, SchedulerState
@@ -127,25 +126,6 @@ def _is_int_at_least(value, low: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
-class BufferPool:
-    """Bounded pool of image buffers; acquiring from a full pool is a drop."""
-
-    def __init__(self, capacity: int | None):
-        self.capacity = capacity
-        self.in_use = 0
-
-    def acquire(self) -> bool:
-        if self.capacity is None or self.in_use < self.capacity:
-            self.in_use += 1
-            return True
-        return False
-
-    def release(self) -> None:
-        if self.in_use == 0:
-            raise UnderflowRelease("image buffer released while none in use")
-        self.in_use -= 1
-
-
 @dataclass(frozen=True)
 class Metrics:
     """Run summary: throughput, per-unit mean latency, energy, drops."""
@@ -217,11 +197,11 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
             energy_memo[workload, unit] = energy_of(profile, workload, kind)
         energy_uj += energy_memo[workload, unit]
 
-    idle_watts = sum(u.idle_watts for u in profile.local_units())
+    idle_watts = sum(u.idle_watts for u in profile.units)
     if idle_watts:
         energy_uj += round(idle_watts * makespan)
 
-    unit_order = [u.kind.value for u in profile.local_units()] + [LABEL_CLOUD]
+    unit_order = [u.kind.value for u in profile.units] + [LABEL_CLOUD]
     avg_latency = {
         label: sum(vals) / len(vals) / 1000
         for label in unit_order
@@ -242,26 +222,13 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     )
 
 
-def _phase_table(scenario: TaskGraph, profile: PlatformProfile,
+def _phase_table(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
                  state: SchedulerState, setup_mode: SetupMode) -> dict:
     """unit -> {workload: ends of setup, xfer_in, kernel and xfer_out as offsets
-    from the start} per runnable scenario workload; AMORTIZED pays no setup."""
-    workloads = dict.fromkeys(t.workload for t in scenario)
-    table = {}
-    for unit in state.units:
-        plans = table[unit] = {}
-        for workload in workloads:
-            if workload in state.runnable[unit]:
-                bd = offload_time(profile, workload, unit, setup_mode)
-                plans[workload] = tuple(itertools.accumulate(
-                    (bd.setup_us, bd.xfer_in_us, bd.kernel_us, bd.xfer_out_us)))
-    return table
-
-
-def _check_scenario(scenario: TaskGraph, profile: PlatformProfile,
-                    policy: Policy, state: SchedulerState, table: dict) -> None:
-    """Reject scenarios that could route a task somewhere it cannot run;
-    each distinct (workload, route class) is checked once."""
+    from the start} per workload the policy can route to the unit; AMORTIZED
+    pays no setup. Rejects a scenario that could route a task somewhere it
+    cannot run; each distinct (workload, route class) is checked once."""
+    table = {unit: {} for unit in state.units}
     needs_basic = False
     for workload, route in dict.fromkeys(
             (t.workload, sched.classify(t) if policy.advanced else RouteClass.BASIC)
@@ -269,16 +236,23 @@ def _check_scenario(scenario: TaskGraph, profile: PlatformProfile,
         if route is RouteClass.CLOUD:
             if not profile.has_cloud:
                 raise UnresolvableCost(workload, UnitKind.CLOUD)
-        elif route is RouteClass.HIGH_PRIORITY:
-            if not any(workload in table[u] for u in state.units):
+            continue
+        units = [u for u in state.units if workload in state.runnable[u]]
+        if route is RouteClass.HIGH_PRIORITY:
+            if not units:
                 raise UnresolvableCost(workload, "any participating unit")
         else:
             needs_basic = True
             for unit in state.units:
-                if workload not in table[unit]:
+                if workload not in state.runnable[unit]:
                     raise UnresolvableCost(workload, unit)
+        for unit in units:
+            bd = offload_time(profile, workload, unit, setup_mode)
+            table[unit][workload] = tuple(itertools.accumulate(
+                (bd.setup_us, bd.xfer_in_us, bd.kernel_us, bd.xfer_out_us)))
     if needs_basic and not state.units:
         raise InvalidScenario("no participating local units with positive weight")
+    return table
 
 
 # a phase event's kind is the phase the task enters at that boundary;
@@ -297,13 +271,13 @@ class _Engine:
         self.rng = random.Random(config.seed)
         self.state = SchedulerState(profile, weights=config.weights,
                                     fpga_as_gpu=config.fpga_as_gpu)
-        self.table = _phase_table(scenario, profile, self.state, config.setup_mode)
+        self.table = _phase_table(scenario, profile, policy, self.state, config.setup_mode)
         self.labels = {u: u.value for u in self.state.units}
-        self.pool = BufferPool(config.buffer_capacity)
         self.trace = Trace()
         self._append = self.trace.records.append
-        self.heap = []  # (time, sequence, kind, task id), due after the current instant
-        self.due_now: deque = deque()  # (kind, task id), due at the current instant
+        # a local phase event names its unit, a cloud completion its task id
+        self.heap = []  # (time, sequence, kind, unit or task id), due after the current instant
+        self.due_now: deque = deque()  # (kind, unit or task id), due at the current instant
         self._seq = itertools.count()
 
         # validate_graph's shared index: the tables are only read, counts copied
@@ -315,19 +289,20 @@ class _Engine:
             if t.tags.image_input:
                 for dep in t.deps:
                     self.image_consumers.setdefault(dep, []).append(t.id)
-        self.buffer_refs: dict = {}  # producer id -> live consumer count
+        # producer id -> live consumer count; one entry per image buffer in use
+        self.buffer_refs: dict = {}
 
-        self.busy = {u: False for u in self.state.units}
         self.cloud_active = 0
-        self.running: dict = {}  # task id -> (unit, label, workload, start, phase plan)
+        # unit -> (task id, label, workload, start, phase plan), or None when idle
+        self.running: dict = dict.fromkeys(self.state.units)
 
     # -- plumbing ---------------------------------------------------------
 
-    def _push(self, time_us: int, now: int, kind: str, task_id: int) -> None:
+    def _push(self, time_us: int, now: int, kind: str, key) -> None:
         if time_us == now:
-            self.due_now.append((kind, task_id))
+            self.due_now.append((kind, key))
         else:
-            heapq.heappush(self.heap, (time_us, next(self._seq), kind, task_id))
+            heapq.heappush(self.heap, (time_us, next(self._seq), kind, key))
 
     def _rec(self, time_us: int, task_id: int, unit: str, phase: str) -> None:
         self._append((time_us, task_id, self.tasks[task_id].workload, unit, phase))
@@ -343,11 +318,11 @@ class _Engine:
         now = 0
         while True:
             if heap and heap[0][0] == now:
-                _, _, kind, tid = pop(heap)
+                _, _, kind, key = pop(heap)
             elif due_now:
-                kind, tid = due_now.popleft()
+                kind, key = due_now.popleft()
             elif heap and heap[0][0] <= release_at:
-                now, _, kind, tid = pop(heap)
+                now, _, kind, key = pop(heap)
             elif release_tid is not None:
                 now, tid = release_at, release_tid
                 release_at, release_tid = next(releases, _NO_RELEASE)
@@ -357,17 +332,17 @@ class _Engine:
             else:
                 break
             if kind == PHASE_COMPLETE:
-                self._complete_local(tid, now)
+                self._complete_local(key, now)
             elif kind == PHASE_CLOUD_COMPLETE:
-                self._on_cloud_complete(tid, now)
+                self._on_cloud_complete(key, now)
             else:
-                self._on_phase(tid, kind, now)
+                self._on_phase(key, kind, now)
 
         leftover = [tid for tid, s in self.status.items() if s not in (_DONE, _SKIPPED)]
-        if leftover or self.pool.in_use:
+        if leftover or self.buffer_refs:
             raise EngineError(
                 f"simulation did not quiesce: pending={leftover} "
-                f"buffers_in_use={self.pool.in_use}")
+                f"buffers_in_use={len(self.buffer_refs)}")
         metrics = compute_metrics(self.trace, self.profile, self.config,
                                   scenario=self.scenario)
         return SimResult(metrics, self.trace)
@@ -390,7 +365,7 @@ class _Engine:
             self._try_start(unit, now)
 
     def _try_start(self, unit: UnitKind, now: int) -> None:
-        if self.busy[unit]:
+        if self.running[unit] is not None:
             return
         hp = self.state.hp_queue
         hp_head = hp[0] if hp else None
@@ -406,13 +381,12 @@ class _Engine:
         workload = self.tasks[tid].workload
         plan = self.table[unit][workload]
         label = self.labels[unit]
-        self.busy[unit] = True
         self._append((now, tid, workload, label, PHASE_SETUP))
-        self.running[tid] = (unit, label, workload, now, plan)
-        self._push(now + plan[0], now, PHASE_XFER_IN, tid)
+        self.running[unit] = (tid, label, workload, now, plan)
+        self._push(now + plan[0], now, PHASE_XFER_IN, unit)
 
-    def _on_phase(self, tid: int, phase: str, now: int) -> None:
-        _, label, workload, start, plan = self.running[tid]
+    def _on_phase(self, unit: UnitKind, phase: str, now: int) -> None:
+        tid, label, workload, start, plan = self.running[unit]
         index, next_phase = _NEXT_PHASE[phase]
         if start + plan[index] != now:
             raise EngineError(f"task {tid} entered {phase} at {now}, "
@@ -420,22 +394,21 @@ class _Engine:
         self._append((now, tid, workload, label, phase))
         if phase == PHASE_KERNEL:
             self._release_buffers_for(tid)
-        self._push(start + plan[index + 1], now, next_phase, tid)
+        self._push(start + plan[index + 1], now, next_phase, unit)
 
     def _release_buffers_for(self, tid: int) -> None:
-        task = self.tasks[tid]
+        task, refs = self.tasks[tid], self.buffer_refs
         for producer in task.deps if task.tags.image_input else ():
-            if producer in self.buffer_refs:
-                self.buffer_refs[producer] -= 1
-                if self.buffer_refs[producer] == 0:
-                    self.pool.release()
-                    del self.buffer_refs[producer]
+            if producer in refs:
+                refs[producer] -= 1
+                if refs[producer] == 0:
+                    del refs[producer]
 
-    def _complete_local(self, tid: int, now: int) -> None:
-        unit, label, workload, _, _ = self.running.pop(tid)
+    def _complete_local(self, unit: UnitKind, now: int) -> None:
+        tid, label, workload, _, _ = self.running[unit]
+        self.running[unit] = None
         self._append((now, tid, workload, label, PHASE_COMPLETE))
         self.status[tid] = _DONE
-        self.busy[unit] = False
         self._after_completion(tid, label, now)
         self._try_start(unit, now)
 
@@ -460,7 +433,8 @@ class _Engine:
                      if self.status[c] != _SKIPPED]
         if not consumers:
             return
-        if self.pool.acquire():
+        capacity = self.config.buffer_capacity
+        if capacity is None or len(self.buffer_refs) < capacity:
             self.buffer_refs[tid] = len(consumers)
         else:
             self._rec(now, tid, unit_label, PHASE_DROP)
@@ -500,7 +474,4 @@ def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
     The result is a pure function of the arguments: identical inputs and
     seed produce identical metrics and a byte-identical trace.
     """
-    index = validate_graph(scenario)
-    engine = _Engine(scenario, index, profile, policy, config)
-    _check_scenario(scenario, profile, policy, engine.state, engine.table)
-    return engine.run()
+    return _Engine(scenario, validate_graph(scenario), profile, policy, config).run()

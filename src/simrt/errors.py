@@ -70,10 +70,6 @@ class UnresolvableCost(SimrtError):
         self.unit = unit
 
 
-class UnderflowRelease(SimrtError):
-    """Image buffer released more times than acquired (engine bug)."""
-
-
 class InvalidConfig(SimrtError):
     """A SimConfig field is out of its documented range."""
 

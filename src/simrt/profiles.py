@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import BadInterval, MissingCost, NegativeValue, ParseError
-from .tasks import check_object, parse_document
+from .tasks import MAX_UNIT_NUMBER, check_object, parse_document
 
 
 class UnitKind(Enum):
@@ -109,9 +109,6 @@ class PlatformProfile:
                 return u
         return None
 
-    def local_units(self) -> tuple:
-        return tuple(u for u in self.units if u.kind != UnitKind.CLOUD)
-
     @property
     def has_cloud(self) -> bool:
         return self.cloud_latency_us is not None
@@ -192,8 +189,9 @@ def restrict(profile: PlatformProfile, kinds: Iterable[UnitKind]) -> PlatformPro
     units = tuple(u for u in profile.units if u.kind in keep)
     costs = {k: v for k, v in profile.costs.items() if k[1] in keep}
     has_cloud = UnitKind.CLOUD in keep and profile.has_cloud
+    labels = [str(u.kind) for u in units] + (["CLOUD"] if has_cloud else [])
     return PlatformProfile(
-        name=f"{profile.name}[{'+'.join(str(u.kind) for u in units)}]",
+        name=f"{profile.name}[{'+'.join(labels)}]",
         units=units,
         workloads=dict(profile.workloads),
         costs=costs,
@@ -211,7 +209,7 @@ def preference_matrix(profile: PlatformProfile) -> dict:
     """
     matrix = {}
     for name in profile.workloads:
-        units = [u.kind for u in profile.local_units() if profile.resolvable(name, u.kind)]
+        units = [u.kind for u in profile.units if profile.resolvable(name, u.kind)]
         if not units:
             continue
         perf = min(units, key=lambda u: kernel_time(profile, name, u))
@@ -226,9 +224,6 @@ _WORKLOAD_KEYS = {"name", "ops"}
 # cost entry fields, in the order they are checked
 _COST_FIELDS = ("kernel_us", "setup_us", "xfer_in_us", "xfer_out_us", "energy_uj")
 _CLOUD_KEYS = {"latency_us", "energy_uj"}
-# ceiling on a unit's gops and idle_watts; larger values overflow the
-# integer conversions of derived kernel times and idle energy
-MAX_UNIT_NUMBER = 1e12
 
 # ad-hoc queue weights applied when a profile omits the field
 _DEFAULT_WEIGHTS = {
@@ -237,16 +232,13 @@ _DEFAULT_WEIGHTS = {
     UnitKind.GPU: 4,
     UnitKind.DSP: 2,
     UnitKind.FPGA: 1,
-    UnitKind.CLOUD: 0,
 }
 
 
 def _check_non_negative(value, fieldname: str, loc: str):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{fieldname} must be an integer", loc)
-    if value < 0:
-        raise NegativeValue(f"{loc}.{fieldname}", value)
-    return value
+    return _check_number(value, fieldname, loc)
 
 
 def _check_number(value, fieldname: str, loc: str, positive: bool = False):
@@ -268,8 +260,8 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
 
     Every declared cost entry must be resolvable: an explicit kernel time,
     or an operation count paired with the unit's theoretical throughput.
-    Unknown keys are rejected, and a unit's gops and idle_watts may not
-    exceed MAX_UNIT_NUMBER.
+    Unknown keys are rejected, and no number may exceed MAX_UNIT_NUMBER.
+    The cloud is configured only by the 'cloud' section, never as a unit.
     """
     doc = parse_document(text, "profile", _PROFILE_KEYS, parse_constant=_reject_constant)
     for key, kind, what in (("name", str, "a string"), ("units", list, "an array"),
@@ -284,6 +276,8 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
         if "kind" not in obj:
             raise ParseError("missing 'kind'", loc)
         kind = UnitKind.parse(obj["kind"])
+        if kind is UnitKind.CLOUD:
+            raise ParseError("CLOUD is configured by the 'cloud' section, not as a unit", loc)
         weight = _check_non_negative(obj.get("weight", _DEFAULT_WEIGHTS[kind]), "weight", loc)
         gops = obj.get("gops")
         if gops is not None:
@@ -340,8 +334,8 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
             raise NegativeValue("cloud.latency_us", interval)
         if lo > hi:
             raise BadInterval(f"cloud latency interval has lo > hi: [{lo}, {hi}]")
+        _check_number(hi, "latency_us", "cloud")  # only its ceiling is left to check
         cloud_energy_uj = _check_non_negative(obj.get("energy_uj", 0), "energy_uj", "cloud")
-        units.setdefault(UnitKind.CLOUD, UnitSpec(kind=UnitKind.CLOUD, weight=0))
 
     profile = PlatformProfile(
         name=doc.get("name", name),

@@ -11,6 +11,9 @@ from typing import Iterable, Iterator
 from .errors import CycleDetected, DuplicateId, ParseError, UnknownDependency
 
 TaskId = int
+# ceiling on every time, energy, count, weight and rate a profile or scenario
+# holds; larger values overflow the float arithmetic of kernel times and metrics
+MAX_UNIT_NUMBER = 1e12
 
 
 @dataclass(frozen=True)
@@ -169,6 +172,8 @@ def load_scenario(text: str) -> TaskGraph:
             raise ParseError("'deps' must be an array of integers", f"tasks[{i}]")
         if type(release) is not int or release < 0:
             raise ParseError("'release_us' must be a non-negative integer", f"tasks[{i}]")
+        if release > MAX_UNIT_NUMBER:
+            raise ParseError(f"'release_us' must be at most {MAX_UNIT_NUMBER:g}", f"tasks[{i}]")
         tasks.append(Task(tid, names.setdefault(workload, workload), _TAGS[real_time, image_input],
                           frozenset(deps) if deps else _NO_DEPS, release))
     graph = TaskGraph(tasks)

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import simrt.cli
+import simrt.profiles
 from simrt import (EngineError, Policy, SimConfig, builtin_profiles,
-                   convolution_batch, dump_scenario, load_scenario,
+                   convolution_batch, dump_scenario, load_profile, load_scenario,
                    robot_pipeline, simulate)
 from simrt.cli import main
 
@@ -69,6 +71,19 @@ class TestRun:
         assert code == 2
         assert "unknown_thing" in err
 
+    def test_loads_only_the_named_builtin(self, capsys, monkeypatch, conv_scenario):
+        names = []
+
+        def counting(text, name=""):
+            names.append(name)
+            return load_profile(text, name=name)
+
+        monkeypatch.setattr(simrt.cli, "load_profile", counting)
+        monkeypatch.setattr(simrt.profiles, "load_profile", counting)
+        code, _, _ = run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario)
+        assert code == 0
+        assert names == ["sd820"]
+
     def test_profile_dir_search_path(self, capsys, tmp_path, monkeypatch, conv_scenario):
         from simrt.builtins import BUILTIN_PROFILE_TEXTS
         (tmp_path / "mine.json").write_text(BUILTIN_PROFILE_TEXTS["sd820"])
@@ -113,6 +128,13 @@ class TestValidate:
         assert rows["undistort"] == ["mGPU", "mGPU"]
         assert rows["feature_detect"] == ["DSP", "DSP"]
         assert out.strip().endswith("ok")
+
+    def test_cloud_has_its_own_line(self, capsys):
+        code, out, _ = run_cli(capsys, "validate", "tx1-cloud")
+        assert code == 0
+        assert "units: CPU(w=2), GPU(w=4, 256 GOPS)" in out.splitlines()
+        assert "cloud: latency_us=[2000000, 5000000], energy_uj=10000" in out.splitlines()
+        assert "CLOUD(" not in out
 
     def test_malformed_profile_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"
@@ -242,6 +264,24 @@ class TestGen:
         g = load_scenario(path.read_text())
         assert not g.task(1).tags.real_time
 
+    @pytest.mark.parametrize("flags", [[], ["--variant", "local"]])
+    def test_gen_inference_local_is_real_time(self, capsys, tmp_path, flags):
+        path = tmp_path / "inf.json"
+        code, _, _ = run_cli(capsys, "gen", "--scenario", "inference", *flags,
+                             "--out", str(path))
+        assert code == 0
+        g = load_scenario(path.read_text())
+        assert len(g) == 1 and g.task(1).tags.real_time
+
+    @pytest.mark.parametrize("variant", ["cpu", "gpu"])
+    def test_gen_pinned_variants_are_rejected(self, capsys, tmp_path, variant):
+        # a scenario file cannot carry a pinned unit, so these wrote the same file
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", "--scenario", "inference", "--variant", variant,
+                  "--out", str(tmp_path / "inf.json")])
+        assert exc.value.code == 2
+        assert not (tmp_path / "inf.json").exists()
+
     def test_gen_bad_rate_exits_2(self, capsys, tmp_path):
         code, _, _ = run_cli(capsys, "gen", "--scenario", "robot",
                              "--duration", "0", "--out", str(tmp_path / "x.json"))
@@ -327,6 +367,29 @@ def _profile_file(tmp_path, **unit_fields) -> str:
     return str(path)
 
 
+def _cloud_profile_file(tmp_path, entry=(), workload=(), cloud=()) -> str:
+    """A one-CPU profile file with a cloud section for the convolution
+    workload, its cost entry, workload and cloud fields updated."""
+    path = tmp_path / "cloud.json"
+    path.write_text(json.dumps({
+        "units": [{"kind": "CPU", "gops": 1}],
+        "workloads": [{"name": "convolution", **dict(workload)}],
+        "costs": {"convolution@CPU": {"kernel_us": 10, "energy_uj": 1, **dict(entry)}},
+        "cloud": {"latency_us": [0, 10], "energy_uj": 1, **dict(cloud)},
+    }))
+    return str(path)
+
+
+def _mixed_scenario_file(tmp_path, release_us: int) -> str:
+    """A real-time convolution at 0 and a non-real-time one at release_us."""
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps({"tasks": [
+        {"id": 1, "workload": "convolution"},
+        {"id": 2, "workload": "convolution", "real_time": False, "release_us": release_us},
+    ]}))
+    return str(path)
+
+
 class TestProfileRules:
     """Profile values that are out of range are input errors, never a
     traceback from the arithmetic that would use them."""
@@ -345,6 +408,40 @@ class TestProfileRules:
     def test_numbers_at_the_ceiling_run(self, capsys, tmp_path, conv_scenario):
         profile = _profile_file(tmp_path, gops=1e12, idle_watts=1e12)
         code, _, err = run_cli(capsys, "run", "-p", profile, "-s", conv_scenario)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("field, entry, workload, cloud", [
+        ("energy_uj", {"energy_uj": 10**400}, {}, {}),
+        ("kernel_us", {"kernel_us": 10**400}, {}, {}),
+        ("ops", {"kernel_us": None}, {"ops": 10**400}, {}),
+        ("latency_us", {}, {}, {"latency_us": [0, 10**400]}),
+        ("energy_uj", {}, {}, {"energy_uj": 10**400}),
+    ])
+    def test_huge_integers_are_input_errors(self, capsys, tmp_path, field, entry,
+                                            workload, cloud):
+        profile = _cloud_profile_file(tmp_path, entry=entry, workload=workload, cloud=cloud)
+        code, out, err = run_cli(capsys, "run", "-p", profile, "-s",
+                                 _mixed_scenario_file(tmp_path, 0),
+                                 "--policy", "advanced:throughput")
+        assert_input_error(code, out, err)
+        assert f"'{field}' must be at most 1e+12" in err
+
+    def test_huge_release_is_an_input_error(self, capsys, tmp_path):
+        code, out, err = run_cli(capsys, "run", "-p", _cloud_profile_file(tmp_path),
+                                 "-s", _mixed_scenario_file(tmp_path, 10**400))
+        assert_input_error(code, out, err)
+        assert "tasks[1]: 'release_us' must be at most 1e+12" in err
+
+    def test_integers_at_the_ceiling_run(self, capsys, tmp_path):
+        top = 10**12
+        profile = _cloud_profile_file(
+            tmp_path, entry={"kernel_us": None, "setup_us": top, "xfer_in_us": top,
+                             "xfer_out_us": top, "energy_uj": top},
+            workload={"ops": top}, cloud={"latency_us": [top, top], "energy_uj": top})
+        code, _, err = run_cli(capsys, "run", "-p", profile, "-s",
+                               _mixed_scenario_file(tmp_path, top),
+                               "--policy", "advanced:throughput", "--setup-mode", "per_offload",
+                               "--audit")
         assert code == 0 and err == ""
 
     def test_non_string_name_is_an_input_error(self, capsys, tmp_path, conv_scenario):

@@ -81,7 +81,7 @@ class TestLoadProfile:
     def test_cloud_section_adds_cloud_unit(self):
         p = make_profile(cloud={"latency_us": [10, 20], "energy_uj": 3})
         assert p.has_cloud
-        assert p.unit(UnitKind.CLOUD) is not None
+        assert p.unit(UnitKind.CLOUD) is None
 
     def test_omitted_weights_get_slot_defaults(self):
         doc = {
@@ -158,6 +158,12 @@ _PROFILE_REJECTIONS = [
     (_units({"kind": "CPU", "weight": 1.5}), ParseError, 'units[0]: weight must be an integer'),
     (_units({"kind": "CPU", "weight": True}), ParseError, 'units[0]: weight must be an integer'),
     (_units({"kind": "CPU", "weight": None}), ParseError, 'units[0]: weight must be an integer'),
+    (_units({"kind": "CPU", "weight": 10**12 + 1}), ParseError,
+     "units[0]: 'weight' must be at most 1e+12"),
+    (_units({"kind": "CLOUD", "gops": 1}), ParseError,
+     "units[0]: CLOUD is configured by the 'cloud' section, not as a unit"),
+    (_units({"kind": "cloud", "weight": -1}), ParseError,
+     "units[0]: CLOUD is configured by the 'cloud' section, not as a unit"),
     (_units({"kind": "CPU", "gops": "x"}), ParseError, "units[0]: 'gops' must be a number"),
     (_units({"kind": "CPU", "gops": True}), ParseError, "units[0]: 'gops' must be a number"),
     (_units({"kind": "CPU", "gops": 0}), NegativeValue, 'field units[0].gops must be >= 0, got 0'),
@@ -199,6 +205,8 @@ _PROFILE_REJECTIONS = [
     (_workloads({"name": "w", "ops": -1}), NegativeValue,
      'field workloads[0].ops must be >= 0, got -1'),
     (_workloads({"name": "w", "ops": 1.5}), ParseError, 'workloads[0]: ops must be an integer'),
+    (_workloads({"name": "w", "ops": 10**400}), ParseError,
+     "workloads[0]: 'ops' must be at most 1e+12"),
     (_workloads({"name": "w", "ops": True}), ParseError, 'workloads[0]: ops must be an integer'),
     (_workloads({"name": "w"}, {"name": "v", "ops": "x"}), ParseError,
      'workloads[1]: ops must be an integer'),
@@ -216,6 +224,8 @@ _PROFILE_REJECTIONS = [
     (_costs(**{"other@TPU": 3}), ParseError,
      "costs['other@TPU']: cost references undeclared workload 'other'"),
     (_costs(**{"w@DSP": 3}), ParseError, "costs['w@DSP']: cost references undeclared unit DSP"),
+    (_p(costs={"w@CLOUD": {"kernel_us": 1}}, cloud={"latency_us": [1, 2]}), ParseError,
+     "costs['w@CLOUD']: cost references undeclared unit CLOUD"),
     # cost entries
     (_costs(**{"w@CPU": 3}), ParseError, "costs['w@CPU']: cost entry must be an object"),
     (_costs(**{"w@CPU": []}), ParseError, "costs['w@CPU']: cost entry must be an object"),
@@ -237,6 +247,15 @@ _PROFILE_REJECTIONS = [
      "field costs['w@CPU'].energy_uj must be >= 0, got -10"),
     (_entry(energy_uj="10", kernel_us=1), ParseError,
      "costs['w@CPU']: energy_uj must be an integer"),
+    (_entry(kernel_us=10**400), ParseError, "costs['w@CPU']: 'kernel_us' must be at most 1e+12"),
+    (_entry(setup_us=10**12 + 1, kernel_us=1), ParseError,
+     "costs['w@CPU']: 'setup_us' must be at most 1e+12"),
+    (_entry(xfer_in_us=10**12 + 1, kernel_us=1), ParseError,
+     "costs['w@CPU']: 'xfer_in_us' must be at most 1e+12"),
+    (_entry(xfer_out_us=10**12 + 1, kernel_us=1), ParseError,
+     "costs['w@CPU']: 'xfer_out_us' must be at most 1e+12"),
+    (_entry(energy_uj=10**400, kernel_us=1), ParseError,
+     "costs['w@CPU']: 'energy_uj' must be at most 1e+12"),
     (_entry(setup_us=-1, xfer_in_us=-1, kernel_us="x", xfer_out_us=-1, energy_uj=-1), ParseError,
      "costs['w@CPU']: kernel_us must be an integer"),
     (_entry(setup_us="x", xfer_in_us=-1, kernel_us=1, energy_uj=-1), ParseError,
@@ -261,10 +280,15 @@ _PROFILE_REJECTIONS = [
     (_cloud({"latency_us": [-1, 5]}), NegativeValue,
      'field cloud.latency_us must be >= 0, got [-1, 5]'),
     (_cloud({"latency_us": [5, 2]}), BadInterval, 'cloud latency interval has lo > hi: [5, 2]'),
+    (_cloud({"latency_us": [0, 10**400]}), ParseError, "cloud: 'latency_us' must be at most 1e+12"),
+    (_cloud({"latency_us": [10**12 + 1] * 2, "energy_uj": -1}), ParseError,
+     "cloud: 'latency_us' must be at most 1e+12"),
     (_cloud({"latency_us": [1, 2], "energy_uj": -1}), NegativeValue,
      'field cloud.energy_uj must be >= 0, got -1'),
     (_cloud({"latency_us": [1, 2], "energy_uj": 1.5}), ParseError,
      'cloud: energy_uj must be an integer'),
+    (_cloud({"latency_us": [1, 2], "energy_uj": 10**400}), ParseError,
+     "cloud: 'energy_uj' must be at most 1e+12"),
     (_cloud({"latency_us": [5, 2], "energy_uj": -1, "x": 1}), ParseError,
      "cloud: unknown keys: ['x']"),
     (_cloud({"latency_us": [-5, -2], "energy_uj": "x"}), NegativeValue,

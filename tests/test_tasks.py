@@ -190,6 +190,9 @@ _REJECTIONS = [
      "tasks[0]"),
     (_scenario({**_OK, "release_us": 2.5}), "'release_us' must be a non-negative integer",
      "tasks[0]"),
+    (_scenario({**_OK, "release_us": 10**400}), "'release_us' must be at most 1e+12", "tasks[0]"),
+    (_scenario({**_OK, "release_us": 10**12 + 1}), "'release_us' must be at most 1e+12",
+     "tasks[0]"),
     # the first broken rule wins when an entry breaks several
     (_scenario({"id": -1, "workload": "", "real_time": 1}),
      "'id' must be a non-negative integer", "tasks[0]"),
