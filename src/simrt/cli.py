@@ -13,9 +13,7 @@ from .audit import audit_all
 from .builtins import BUILTIN_PROFILE_TEXTS
 from .engine import (PHASE_COMPLETE, PHASE_KERNEL, PHASE_XFER_IN, PHASE_XFER_OUT,
                      SimConfig, simulate)
-from .errors import (BadInterval, GraphError, InvalidConfig, InvalidRate,
-                     InvalidScenario, MissingCost, NegativeValue, ParseError,
-                     SimrtError, UnresolvableCost)
+from .errors import AuditError, EngineError, ParseError, SimrtError
 from .profiles import PlatformProfile, SetupMode, load_profile, preference_matrix
 from .scenarios import convolution_batch, inference_comparison, robot_pipeline
 from .scheduler import Policy
@@ -24,10 +22,6 @@ from .tasks import dump_scenario, load_scenario
 EXIT_OK = 0
 EXIT_SIM_ERROR = 1
 EXIT_INPUT_ERROR = 2
-
-_INPUT_ERRORS = (ParseError, GraphError, MissingCost, NegativeValue,
-                 BadInterval, InvalidScenario, UnresolvableCost, InvalidRate,
-                 InvalidConfig)
 
 
 def _read_text(path: str) -> str:
@@ -269,12 +263,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except SimrtError as exc:
+    except (EngineError, AuditError) as exc:
         print(f"simulation error: {exc}", file=sys.stderr)
         return EXIT_SIM_ERROR
+    except SimrtError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
 
 if __name__ == "__main__":

@@ -161,13 +161,13 @@ class SimResult(NamedTuple):
 
 
 def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
-                    scenario: TaskGraph | None = None) -> Metrics:
+                    scenario: TaskGraph) -> Metrics:
     """Derive run metrics from a trace.
 
     Throughput is completed tasks per millisecond of makespan; latency is
     dispatch-to-completion, averaged per completing unit; energy sums each
     completed task's per-run energy plus any configured idle power over the
-    makespan.
+    makespan; skipped counts the scenario's tasks that never completed.
     """
     dispatch_t = {}
     completes = []
@@ -210,7 +210,7 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
 
     completed = len(completes)
     throughput = completed / (makespan / 1000) if makespan else 0.0
-    skipped = len(scenario) - completed if scenario is not None else 0
+    skipped = len(scenario) - completed
     return Metrics(
         throughput_tasks_per_ms=throughput,
         avg_latency_ms=avg_latency,
@@ -343,8 +343,7 @@ class _Engine:
             raise EngineError(
                 f"simulation did not quiesce: pending={leftover} "
                 f"buffers_in_use={len(self.buffer_refs)}")
-        metrics = compute_metrics(self.trace, self.profile, self.config,
-                                  scenario=self.scenario)
+        metrics = compute_metrics(self.trace, self.profile, self.config, self.scenario)
         return SimResult(metrics, self.trace)
 
     def _dispatch(self, tid: int, now: int) -> None:

@@ -2,14 +2,15 @@
 
 A profile holds the units available on a platform, the workloads it knows
 how to run, and a cost entry per (workload, unit) pair: setup time, input
-transfer, kernel execution, output copy-back, and energy. Kernel time can
-be derived from an operation count and a unit's theoretical throughput
-when no measured value is given. Cloud execution is modeled with a fixed
-per-inference energy and a latency drawn uniformly from a closed interval.
+transfer, kernel execution, output copy-back, and energy. When no measured
+kernel time is given, load_profile derives it from an operation count and
+a unit's theoretical throughput, so a loaded profile is a complete cost
+table. Cloud execution is modeled with a fixed per-inference energy and a
+latency drawn uniformly from a closed interval.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
@@ -60,12 +61,6 @@ class UnitSpec:
     gops: float | None = None  # theoretical throughput, giga-ops per second
     idle_watts: float = 0.0
 
-    @property
-    def ops_per_sec(self) -> int | None:
-        if self.gops is None:
-            return None
-        return int(round(self.gops * 1_000_000_000))
-
 
 @dataclass(frozen=True)
 class WorkloadSpec:
@@ -77,7 +72,7 @@ class WorkloadSpec:
 class CostEntry:
     setup_us: int = 0
     xfer_in_us: int = 0
-    kernel_us: int | None = None  # derivable from ops/throughput when absent
+    kernel_us: int | None = None  # None only until load_profile derives it
     xfer_out_us: int = 0
     energy_uj: int = 0
 
@@ -114,32 +109,20 @@ class PlatformProfile:
         return self.cloud_latency_us is not None
 
     def resolvable(self, workload: str, unit: UnitKind) -> bool:
-        """True when a full offload breakdown can be produced for the pair."""
-        try:
-            kernel_time(self, workload, unit)
-        except MissingCost:
-            return False
-        return True
+        """True when the profile declares a cost entry for the pair."""
+        return (workload, unit) in self.costs
 
 
 def kernel_time(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
-    """Kernel execution time in microseconds.
+    """Kernel execution time in microseconds, measured or derived at load."""
+    return _cost(profile, workload, unit).kernel_us
 
-    An explicit measured value wins; otherwise the time is derived from the
-    workload's operation count and the unit's theoretical throughput, rounded
-    up to the next microsecond.
-    """
+
+def _cost(profile: PlatformProfile, workload: str, unit: UnitKind) -> CostEntry:
     entry = profile.costs.get((workload, unit))
     if entry is None:
         raise MissingCost(workload, unit)
-    if entry.kernel_us is not None:
-        return entry.kernel_us
-    spec = profile.workloads.get(workload)
-    uspec = profile.unit(unit)
-    if spec is None or spec.ops is None or uspec is None or not uspec.ops_per_sec:
-        raise MissingCost(workload, unit)
-    scaled = spec.ops * 1_000_000
-    return -(-scaled // uspec.ops_per_sec)
+    return entry
 
 
 def offload_time(
@@ -153,12 +136,11 @@ def offload_time(
     PER_OFFLOAD charges setup on every call; AMORTIZED never does, since
     every unit is initialized before the clock starts.
     """
-    kernel_us = kernel_time(profile, workload, unit)  # raises MissingCost
-    entry = profile.costs[workload, unit]
+    entry = _cost(profile, workload, unit)
     return OffloadBreakdown(
         setup_us=entry.setup_us if setup_mode is SetupMode.PER_OFFLOAD else 0,
         xfer_in_us=entry.xfer_in_us,
-        kernel_us=kernel_us,
+        kernel_us=entry.kernel_us,
         xfer_out_us=entry.xfer_out_us,
     )
 
@@ -169,10 +151,7 @@ def energy_of(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
         if profile.cloud_energy_uj is None:
             raise MissingCost(workload, unit)
         return profile.cloud_energy_uj
-    entry = profile.costs.get((workload, unit))
-    if entry is None:
-        raise MissingCost(workload, unit)
-    return entry.energy_uj
+    return _cost(profile, workload, unit).energy_uj
 
 
 def cloud_latency(profile: PlatformProfile, rng: random.Random) -> int:
@@ -204,16 +183,17 @@ def preference_matrix(profile: PlatformProfile) -> dict:
     """Per-workload (performance-preferable, energy-preferable) local units.
 
     Performance is argmin of kernel time, energy argmin of per-run energy,
-    over the local units with a resolvable cost. Ties break on unit
+    over the local units with a declared cost. Ties break on unit
     declaration order, the order `min` sees them in.
     """
+    costs = profile.costs
     matrix = {}
     for name in profile.workloads:
-        units = [u.kind for u in profile.units if profile.resolvable(name, u.kind)]
+        units = [u.kind for u in profile.units if (name, u.kind) in costs]
         if not units:
             continue
-        perf = min(units, key=lambda u: kernel_time(profile, name, u))
-        energy = min(units, key=lambda u: energy_of(profile, name, u))
+        perf = min(units, key=lambda u: costs[name, u].kernel_us)
+        energy = min(units, key=lambda u: costs[name, u].energy_uj)
         matrix[name] = (perf, energy)
     return matrix
 
@@ -259,8 +239,10 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
     """Parse and validate a platform profile JSON document.
 
     Every declared cost entry must be resolvable: an explicit kernel time,
-    or an operation count paired with the unit's theoretical throughput.
-    Unknown keys are rejected, and no number may exceed MAX_UNIT_NUMBER.
+    or an operation count paired with the unit's theoretical throughput,
+    from which the kernel time is derived here, rounded up to the next
+    microsecond. Unknown keys are rejected, and no number may exceed
+    MAX_UNIT_NUMBER.
     The cloud is configured only by the 'cloud' section, never as a unit.
     """
     doc = parse_document(text, "profile", _PROFILE_KEYS, parse_constant=_reject_constant)
@@ -337,7 +319,14 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
         _check_number(hi, "latency_us", "cloud")  # only its ceiling is left to check
         cloud_energy_uj = _check_non_negative(obj.get("energy_uj", 0), "energy_uj", "cloud")
 
-    profile = PlatformProfile(
+    for (wname, kind), entry in costs.items():  # after the cloud, in cost-key order
+        if entry.kernel_us is None:
+            ops, gops = workloads[wname].ops, units[kind].gops
+            rate = 0 if gops is None else round(gops * 1_000_000_000)  # ops/s
+            if ops is None or not rate:
+                raise MissingCost(wname, kind)
+            costs[wname, kind] = replace(entry, kernel_us=-(-ops * 1_000_000 // rate))
+    return PlatformProfile(
         name=doc.get("name", name),
         units=tuple(units.values()),
         workloads=workloads,
@@ -345,9 +334,6 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
         cloud_latency_us=cloud_latency_us,
         cloud_energy_uj=cloud_energy_uj,
     )
-    for wname, kind in costs:  # every declared entry must be usable as-is
-        kernel_time(profile, wname, kind)  # raises MissingCost
-    return profile
 
 
 def builtin_profiles() -> dict:

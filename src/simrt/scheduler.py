@@ -142,9 +142,8 @@ class SchedulerState:
         self.hp_queue: deque = deque()
         self.cloud_queue: deque = deque()
         self.counter_n = 0
-        # workloads each unit has a resolvable cost for: the HP head check
-        self.runnable: dict = {u: frozenset(w for (w, k) in profile.costs
-                                            if k is u and profile.resolvable(w, u))
+        # workloads each unit declares a cost for: the HP head check
+        self.runnable: dict = {u: frozenset(w for (w, k) in profile.costs if k is u)
                                for u in self.units}
         self._routes: dict = {u: Route(RouteClass.BASIC, u) for u in self.units}
         # latency rotation as (cumulative weight, unit), walked by counter_n
@@ -223,8 +222,8 @@ def on_unit_free(state: SchedulerState, unit: UnitKind, tasks: dict):
     """Next task for a unit that just went idle; `tasks` maps each
     dispatched task id to its Task.
 
-    The high-priority queue head is taken first whenever this unit has a
-    resolvable cost for it (head-only check, FIFO order preserved);
+    The high-priority queue head is taken first whenever this unit declares
+    a cost for it (head-only check, FIFO order preserved);
     otherwise the unit's own FIFO head; otherwise None.
     """
     hp = state.hp_queue

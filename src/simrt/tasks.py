@@ -141,14 +141,15 @@ def load_scenario(text: str) -> TaskGraph:
     doc = parse_document(text, "scenario", {"tasks"})
     if "tasks" not in doc:
         raise ParseError("missing 'tasks' array", "scenario")
-    if not isinstance(doc["tasks"], list):
+    entries = doc.pop("tasks")
+    if not isinstance(entries, list):
         raise ParseError("'tasks' must be an array", "scenario")
 
     # each rule is checked in this order and names the first one an entry
     # breaks; the location and message are built only when one is broken
     tasks = []
     names: dict = {}  # one str object per distinct workload name
-    for i, obj in enumerate(doc["tasks"]):
+    for i, obj in enumerate(entries):
         if type(obj) is not dict:
             raise ParseError("task must be an object", f"tasks[{i}]")
         if not obj.keys() <= _TASK_KEYS:
@@ -176,6 +177,7 @@ def load_scenario(text: str) -> TaskGraph:
             raise ParseError(f"'release_us' must be at most {MAX_UNIT_NUMBER:g}", f"tasks[{i}]")
         tasks.append(Task(tid, names.setdefault(workload, workload), _TAGS[real_time, image_input],
                           frozenset(deps) if deps else _NO_DEPS, release))
+        entries[i] = None  # the parsed dict is garbage once its Task exists
     graph = TaskGraph(tasks)
     validate_graph(graph)
     return graph

@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+import simrt
 import simrt.cli
 import simrt.profiles
-from simrt import (EngineError, Policy, SimConfig, builtin_profiles,
-                   convolution_batch, dump_scenario, load_profile, load_scenario,
-                   robot_pipeline, simulate)
+from simrt import (AuditError, EngineError, Policy, SimConfig, SimrtError,
+                   builtin_profiles, convolution_batch, dump_scenario, load_profile,
+                   load_scenario, robot_pipeline, simulate)
 from simrt.cli import main
 
 from .test_golden import robot_dag
@@ -104,13 +105,20 @@ class TestRun:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert flag[0].lstrip("-").replace("-", "_") in err
 
-    def test_engine_error_exits_1(self, capsys, monkeypatch, conv_scenario):
+    @pytest.mark.parametrize("error", sorted(
+        (c for c in vars(simrt).values() if isinstance(c, type) and issubclass(c, SimrtError)),
+        key=lambda c: c.__name__), ids=lambda c: c.__name__)
+    def test_simrt_error_exit_code_and_prefix(self, capsys, monkeypatch, conv_scenario, error):
         def broken(*args, **kwargs):
-            raise EngineError("simulation did not quiesce")
+            exc = error.__new__(error)  # constructors differ; the message is args[0]
+            Exception.__init__(exc, "simulation did not quiesce")
+            raise exc
         monkeypatch.setattr("simrt.cli.simulate", broken)
         code, _, err = run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario)
-        assert code == 1
-        assert err == "simulation error: simulation did not quiesce\n"
+        if error in (EngineError, AuditError):
+            assert (code, err) == (1, "simulation error: simulation did not quiesce\n")
+        else:  # every other SimrtError is an input or validation error
+            assert (code, err) == (2, "error: simulation did not quiesce\n")
 
 
 class TestValidate:

@@ -7,6 +7,9 @@ from simrt import (BadInterval, MissingCost, NegativeValue, ParseError,
                    SetupMode, SimrtError, UnitKind, builtin_profiles, cloud_latency,
                    energy_of, kernel_time, load_profile, offload_time,
                    preference_matrix, restrict)
+from simrt.builtins import BUILTIN_PROFILE_TEXTS
+
+from .helpers import WORKLOADS, random_profile
 
 
 def make_profile(**overrides):
@@ -33,10 +36,6 @@ class TestLoadProfile:
         }
         with pytest.raises(MissingCost):
             load_profile(json.dumps(doc))
-
-    def test_builtin_sd820_dsp_throughput(self):
-        p = builtin_profiles()["sd820"]
-        assert p.unit(UnitKind.DSP).ops_per_sec == 4_000_000_000
 
     def test_negative_value(self):
         with pytest.raises(NegativeValue):
@@ -471,3 +470,79 @@ class TestRestrict:
         assert [u.kind for u in cpu_only.units] == [UnitKind.CPU]
         assert not cpu_only.has_cloud
         assert all(kind is UnitKind.CPU for (_, kind) in cpu_only.costs)
+
+
+def _sparse_doc(rng: random.Random) -> dict:
+    """A profile document that declares a random subset of pairs, each with a
+    measured, null or omitted kernel time (the last two derived from ops)."""
+    kinds = rng.sample(["CPU", "mGPU", "DSP", "FPGA"], rng.randint(1, 4))
+    costs = {}
+    for w in ("a", "b", "c"):
+        for k in kinds:
+            if rng.random() < 0.7:
+                entry = {"energy_uj": rng.randint(0, 500)}
+                kernel = rng.choice(["measured", "null", "omitted"])
+                if kernel != "omitted":
+                    entry["kernel_us"] = rng.randint(0, 5000) if kernel == "measured" else None
+                costs[f"{w}@{k}"] = entry
+    return {
+        "units": [{"kind": k, "gops": rng.choice([rng.randint(1, 300), rng.uniform(0.5, 300)])}
+                  for k in kinds],
+        "workloads": [{"name": w, "ops": rng.randint(0, 10**9)} for w in ("a", "b", "c")],
+        "costs": costs,
+    }
+
+
+def _documents() -> list:
+    """(document, declared (workload, UnitKind) pairs, loaded profile) for the
+    builtins, random sparse documents and random_profile."""
+
+    def declared(doc):
+        return {(w, UnitKind.parse(k)) for w, _, k in (key.rpartition("@") for key in doc["costs"])}
+
+    cases = [(json.loads(text), load_profile(text, name))
+             for name, text in BUILTIN_PROFILE_TEXTS.items()]
+    rng = random.Random(8)
+    cases += [(doc, load_profile(json.dumps(doc))) for doc in (_sparse_doc(rng) for _ in range(50))]
+    cases = [(doc, declared(doc), p) for doc, p in cases]
+    for _ in range(50):  # every kernel measured, every pair declared
+        p = random_profile(rng)
+        cases.append((None, {(w, u.kind) for w in WORKLOADS for u in p.units}, p))
+    return cases
+
+
+class TestCompleteCostTable:
+    """load_profile resolves every entry, so a loaded profile is a complete
+    cost table: each kernel time is an int, and a unit runs a workload exactly
+    when the pair is declared."""
+
+    def test_every_kernel_is_an_int_and_derived_ones_match_the_oracle(self):
+        derived = 0
+        for doc, _, p in _documents():
+            assert all(type(e.kernel_us) is int for e in p.costs.values()), p.name
+            if doc is None:
+                continue
+            ops = {w["name"]: w.get("ops") for w in doc["workloads"]}
+            gops = {UnitKind.parse(u["kind"]): u.get("gops") for u in doc["units"]}
+            for key, obj in doc["costs"].items():
+                w, _, k = key.rpartition("@")
+                kind = UnitKind.parse(k)
+                got = p.costs[w, kind].kernel_us
+                if obj.get("kernel_us") is None:
+                    derived += 1
+                    assert got == ceil_div_us(ops[w], round(gops[kind] * 1e9)), key
+                else:
+                    assert got == obj["kernel_us"], key
+        assert derived > 50  # both builtins' and random derived entries are covered
+
+    def test_resolvable_exactly_when_declared_also_after_restrict(self):
+        rng = random.Random(9)
+        kinds = list(UnitKind)
+        for _, pairs, p in _documents():
+            keep = set(rng.sample(kinds, rng.randint(1, len(kinds))))
+            for profile, kept in ((p, set(kinds)), (restrict(p, keep), keep)):
+                assert all(type(e.kernel_us) is int for e in profile.costs.values())
+                for w in p.workloads:
+                    for kind in kinds:
+                        expected = (w, kind) in pairs and kind in kept
+                        assert profile.resolvable(w, kind) is expected, (profile.name, w, kind)
