@@ -12,7 +12,7 @@ import sys
 from .audit import audit_all
 from .builtins import BUILTIN_PROFILE_TEXTS
 from .engine import (PHASE_COMPLETE, PHASE_KERNEL, PHASE_XFER_IN, PHASE_XFER_OUT,
-                     SimConfig, simulate)
+                     SimConfig, compute_metrics, simulate)
 from .errors import AuditError, EngineError, ParseError, SimrtError
 from .profiles import PlatformProfile, SetupMode, load_profile, preference_matrix
 from .scenarios import convolution_batch, inference_comparison, robot_pipeline
@@ -64,7 +64,7 @@ def _parse_weights(text: str | None) -> dict | None:
     return weights
 
 
-def _config_from_args(args) -> SimConfig:
+def _config_from_args(args, record_trace: bool = True) -> SimConfig:
     return SimConfig(
         setup_mode=SetupMode.parse(args.setup_mode),
         seed=args.seed,
@@ -72,6 +72,7 @@ def _config_from_args(args) -> SimConfig:
         cloud_slots=args.cloud_slots,
         weights=_parse_weights(args.weights),
         cloud_in_makespan=not args.no_cloud_makespan,
+        record_trace=record_trace,
     )
 
 
@@ -88,7 +89,7 @@ def _format_table(rows: list, headers: list) -> str:
 def cmd_run(args) -> int:
     profile = _load_profile_arg(args.profile)
     scenario = load_scenario(_read_text(args.scenario))
-    config = _config_from_args(args)
+    config = _config_from_args(args, record_trace=args.audit)  # only the audit reads a trace
     policies = [Policy.parse(p) for p in args.policy.split(",")]
 
     results = []
@@ -96,6 +97,11 @@ def cmd_run(args) -> int:
         metrics, trace = simulate(scenario, profile, policy, config)
         if args.audit:
             audit_all(trace, scenario, profile, weights=config.weights)
+            ran = metrics.to_dict()
+            derived = compute_metrics(trace, profile, config, scenario).to_dict()
+            if wrong := [f"{key} {ran[key]!r} (trace: {derived[key]!r})"
+                         for key in ran if ran[key] != derived[key]]:
+                raise AuditError(f"{policy}: metrics differ from the trace's: {', '.join(wrong)}")
         results.append((policy, metrics))
 
     if args.format == "json":

@@ -104,8 +104,11 @@ class SimConfig:
     weights: dict | None = None  # slot overrides, e.g. {"g": 4, "d": 2, "c": 2}
     cloud_in_makespan: bool = True
     fpga_as_gpu: bool = False
+    record_trace: bool = True  # False: simulate keeps no records and returns trace=None
 
     def __post_init__(self):
+        if not isinstance(self.record_trace, bool):
+            raise InvalidConfig(f"record_trace must be True or False, got {self.record_trace!r}")
         if self.buffer_capacity is not None and not _is_int_at_least(self.buffer_capacity, 0):
             raise InvalidConfig(
                 f"buffer_capacity must be None or an integer >= 0, got {self.buffer_capacity!r}")
@@ -157,12 +160,13 @@ class Metrics:
 
 class SimResult(NamedTuple):
     metrics: Metrics
-    trace: Trace
+    trace: Trace | None  # None when the config sets record_trace=False
 
 
 def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
                     scenario: TaskGraph) -> Metrics:
-    """Derive run metrics from a trace.
+    """Derive run metrics from a trace, independently of the engine, which
+    accumulates the same metrics as it runs.
 
     Throughput is completed tasks per millisecond of makespan; latency is
     dispatch-to-completion, averaged per completing unit; energy sums each
@@ -225,9 +229,9 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
 def _phase_table(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
                  state: SchedulerState, setup_mode: SetupMode) -> dict:
     """unit -> {workload: ends of setup, xfer_in, kernel and xfer_out as offsets
-    from the start} per workload the policy can route to the unit; AMORTIZED
-    pays no setup. Rejects a scenario that could route a task somewhere it
-    cannot run; each distinct (workload, route class) is checked once."""
+    from the start, then the run's energy} per workload the policy can route to
+    the unit; AMORTIZED pays no setup. Rejects a scenario that could route a task
+    somewhere it cannot run; each distinct (workload, route class) is checked once."""
     table = {unit: {} for unit in state.units}
     needs_basic = False
     for workload, route in dict.fromkeys(
@@ -248,8 +252,9 @@ def _phase_table(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
                     raise UnresolvableCost(workload, unit)
         for unit in units:
             bd = offload_time(profile, workload, unit, setup_mode)
-            table[unit][workload] = tuple(itertools.accumulate(
-                (bd.setup_us, bd.xfer_in_us, bd.kernel_us, bd.xfer_out_us)))
+            table[unit][workload] = (*itertools.accumulate(
+                (bd.setup_us, bd.xfer_in_us, bd.kernel_us, bd.xfer_out_us)),
+                energy_of(profile, workload, unit))
     if needs_basic and not state.units:
         raise InvalidScenario("no participating local units with positive weight")
     return table
@@ -273,8 +278,9 @@ class _Engine:
                                     fpga_as_gpu=config.fpga_as_gpu)
         self.table = _phase_table(scenario, profile, policy, self.state, config.setup_mode)
         self.labels = {u: u.value for u in self.state.units}
-        self.trace = Trace()
-        self._append = self.trace.records.append
+        self.trace = Trace() if config.record_trace else None
+        # a zero-length deque discards what it is given: a no-op append that runs in C
+        self._append = (self.trace.records if config.record_trace else deque(maxlen=0)).append
         # a local phase event names its unit, a cloud completion its task id
         self.heap = []  # (time, sequence, kind, unit or task id), due after the current instant
         self.due_now: deque = deque()  # (kind, unit or task id), due at the current instant
@@ -295,6 +301,15 @@ class _Engine:
         self.cloud_active = 0
         # unit -> (task id, label, workload, start, phase plan), or None when idle
         self.running: dict = dict.fromkeys(self.state.units)
+
+        # run metrics, accumulated as events happen; compute_metrics re-derives them
+        self.dispatched_at: dict = {}  # task id -> dispatch time, until it completes
+        self.first_dispatch = self.last_end = None  # last_end: latest completion in the makespan
+        self.cloud_energy = None  # looked up at the first cloud completion: it is flat
+        # completing label -> [latency sum, completions], in the avg_latency_ms order
+        self.latency = {label: [0, 0] for label in
+                        [u.kind.value for u in profile.units] + [LABEL_CLOUD]}
+        self.energy_uj = self.drops = 0
 
     # -- plumbing ---------------------------------------------------------
 
@@ -343,12 +358,24 @@ class _Engine:
             raise EngineError(
                 f"simulation did not quiesce: pending={leftover} "
                 f"buffers_in_use={len(self.buffer_refs)}")
-        metrics = compute_metrics(self.trace, self.profile, self.config, self.scenario)
-        return SimResult(metrics, self.trace)
+        end = self.last_end
+        makespan = end - self.first_dispatch if end is not None else 0
+        idle_watts = sum(u.idle_watts for u in self.profile.units)
+        completed = sum(count for _, count in self.latency.values())
+        return SimResult(Metrics(
+            throughput_tasks_per_ms=completed / (makespan / 1000) if makespan else 0.0,
+            avg_latency_ms={label: total / count / 1000
+                            for label, (total, count) in self.latency.items() if count},
+            total_energy_uj=self.energy_uj + round(idle_watts * makespan),
+            drops=self.drops, makespan_us=makespan, completed=completed,
+            skipped=len(self.scenario) - completed), self.trace)
 
     def _dispatch(self, tid: int, now: int) -> None:
         route = sched.dispatch(self.state, self.tasks[tid], self.policy)
         self.status[tid] = _DISPATCHED
+        self.dispatched_at[tid] = now
+        if self.first_dispatch is None:
+            self.first_dispatch = now
         if route.target is RouteClass.CLOUD:
             self._rec(now, tid, LABEL_CLOUD, PHASE_DISPATCH)
             self._drain_cloud(now)
@@ -404,21 +431,30 @@ class _Engine:
                     del refs[producer]
 
     def _complete_local(self, unit: UnitKind, now: int) -> None:
-        tid, label, workload, _, _ = self.running[unit]
+        tid, label, workload, _, plan = self.running[unit]
         self.running[unit] = None
         self._append((now, tid, workload, label, PHASE_COMPLETE))
         self.status[tid] = _DONE
-        self._after_completion(tid, label, now)
+        self.last_end = now
+        self._after_completion(tid, label, plan[4], now)
         self._try_start(unit, now)
 
     def _on_cloud_complete(self, tid: int, now: int) -> None:
         self._rec(now, tid, LABEL_CLOUD, PHASE_CLOUD_COMPLETE)
         self.status[tid] = _DONE
+        if self.cloud_energy is None:
+            self.cloud_energy = energy_of(self.profile, self.tasks[tid].workload, UnitKind.CLOUD)
+        if self.config.cloud_in_makespan:
+            self.last_end = now
         self.cloud_active -= 1
-        self._after_completion(tid, LABEL_CLOUD, now)
+        self._after_completion(tid, LABEL_CLOUD, self.cloud_energy, now)
         self._drain_cloud(now)
 
-    def _after_completion(self, tid: int, unit_label: str, now: int) -> None:
+    def _after_completion(self, tid: int, unit_label: str, energy_uj: int, now: int) -> None:
+        totals = self.latency[unit_label]
+        totals[0] += now - self.dispatched_at.pop(tid)
+        totals[1] += 1
+        self.energy_uj += energy_uj
         self._acquire_buffer(tid, unit_label, now)
         status, deps_left = self.status, self.deps_left
         for dep in self.dependents.get(tid, ()):
@@ -437,6 +473,7 @@ class _Engine:
             self.buffer_refs[tid] = len(consumers)
         else:
             self._rec(now, tid, unit_label, PHASE_DROP)
+            self.drops += 1
             for consumer in consumers:
                 self._skip(consumer)
 
@@ -468,7 +505,8 @@ class _Engine:
 
 def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
              config: SimConfig = SimConfig()) -> SimResult:
-    """Run a scenario to quiescence and return (Metrics, Trace).
+    """Run a scenario to quiescence and return (Metrics, Trace), or
+    (Metrics, None) when the config sets record_trace=False.
 
     The result is a pure function of the arguments: identical inputs and
     seed produce identical metrics and a byte-identical trace.

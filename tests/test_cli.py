@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 
@@ -5,11 +6,13 @@ import pytest
 
 import simrt
 import simrt.cli
+import simrt.engine
 import simrt.profiles
 from simrt import (AuditError, EngineError, Policy, SimConfig, SimrtError,
                    builtin_profiles, convolution_batch, dump_scenario, load_profile,
                    load_scenario, robot_pipeline, simulate)
 from simrt.cli import main
+from simrt.engine import SimResult
 
 from .test_golden import robot_dag
 
@@ -50,6 +53,48 @@ class TestRun:
         metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.latency(),
                               SimConfig())
         assert doc["results"][0]["metrics"] == metrics.to_dict()
+
+    def test_audit_leaves_the_json_unchanged(self, capsys, tmp_path):
+        scenario = tmp_path / "dag.json"
+        scenario.write_text(dump_scenario(robot_dag(5)))
+        argv = ["run", "-p", "sd820-robot", "-s", str(scenario), "--format", "json",
+                "--policy", "advanced:energy,advanced:latency", "--buffer-capacity", "1",
+                "--cloud-slots", "2", "--setup-mode", "per-offload"]
+        plain = run_cli(capsys, *argv)
+        audited = run_cli(capsys, *argv, "--audit")
+        assert plain == audited
+        assert plain[0] == 0 and json.loads(plain[1])["results"][0]["metrics"]["drops"] > 0
+
+    @pytest.mark.parametrize("audit", [False, True])
+    def test_only_the_audit_keeps_a_trace(self, capsys, monkeypatch, conv_scenario, audit):
+        traces = []
+
+        def recording(*args):
+            result = simulate(*args)
+            traces.append(result.trace)
+            return result
+
+        monkeypatch.setattr("simrt.cli.simulate", recording)
+        code, _, _ = run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario,
+                             "--policy", "throughput,energy", *["--audit"] * audit)
+        assert code == 0 and len(traces) == 2
+        assert all((trace is not None) == audit for trace in traces)
+
+    def test_audit_rejects_metrics_that_differ_from_the_trace(self, capsys, monkeypatch,
+                                                                conv_scenario):
+        run = simrt.engine._Engine.run
+
+        def miscounting(engine):
+            metrics, trace = run(engine)
+            return SimResult(dataclasses.replace(metrics, drops=metrics.drops + 1), trace)
+
+        monkeypatch.setattr(simrt.engine._Engine, "run", miscounting)
+        assert run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario)[0] == 0
+        code, out, err = run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario,
+                                 "--audit")
+        assert (code, out) == (1, "")
+        assert err == ("simulation error: throughput: metrics differ from the trace's: "
+                       "drops 1 (trace: 0)\n")
 
     def test_missing_profile_exits_2(self, capsys, conv_scenario):
         code, _, err = run_cli(capsys, "run", "-p", "no-such-profile",

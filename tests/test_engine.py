@@ -419,7 +419,7 @@ class TestSimConfigValidation:
         {"buffer_capacity": -1}, {"buffer_capacity": 1.5}, {"buffer_capacity": True},
         {"cloud_slots": 0}, {"cloud_slots": -2}, {"cloud_slots": "2"},
         {"weights": {"x": 1}}, {"weights": {"g": -1}}, {"weights": {"d": 1.0}},
-        {"weights": [("g", 1)]},
+        {"weights": [("g", 1)]}, {"record_trace": "yes"}, {"record_trace": 1},
     ])
     def test_rejects_out_of_range_fields(self, kwargs):
         with pytest.raises(InvalidConfig):
@@ -427,6 +427,34 @@ class TestSimConfigValidation:
 
     def test_accepts_boundary_values(self):
         SimConfig(buffer_capacity=0, cloud_slots=1, weights={"g": 0, "d": 2, "c": 1})
+
+
+class TestRecordTrace:
+    """With record_trace=False the engine keeps no records: the run's
+    memory does not grow with its trace, and its metrics are the same."""
+
+    def test_trace_off_halves_the_peak_and_keeps_the_metrics(self):
+        scenario = robot_pipeline(10, 25, 200, 3)
+        profile = builtin_profiles()["sd820-robot"]
+        policy = Policy.parse("advanced:throughput")
+        validate_graph(scenario)  # the first check keeps an index; measure only the runs
+
+        def run(record_trace):
+            tracemalloc.start()
+            try:
+                result = simulate(scenario, profile, policy,
+                                  SimConfig(buffer_capacity=4, record_trace=record_trace))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return result, peak
+
+        (metrics_on, trace), peak_on = run(True)
+        (metrics_off, no_trace), peak_off = run(False)
+        assert len(trace) > 0 and no_trace is None
+        assert metrics_off == metrics_on
+        assert list(metrics_off.avg_latency_ms) == list(metrics_on.avg_latency_ms)
+        assert peak_off < peak_on / 2, (peak_off, peak_on)
 
 
 class TestCostTableCallCounts:
