@@ -17,31 +17,33 @@ from .profiles import PlatformProfile
 from .scheduler import SchedulerState
 from .tasks import TaskGraph
 
-# phase -> phases a task may record next; a task's last phase must be terminal
+# phase -> phases a task may record next (None: no record yet); the last is terminal
 _NEXT_ALLOWED = {
+    None: (PHASE_DISPATCH,),
     PHASE_DISPATCH: (PHASE_SETUP, PHASE_CLOUD_SUBMIT), PHASE_SETUP: (PHASE_XFER_IN,),
     PHASE_XFER_IN: (PHASE_KERNEL,), PHASE_KERNEL: (PHASE_XFER_OUT,),
     PHASE_XFER_OUT: (PHASE_COMPLETE,), PHASE_COMPLETE: (),
     PHASE_CLOUD_SUBMIT: (PHASE_CLOUD_COMPLETE,), PHASE_CLOUD_COMPLETE: (),
 }
+_NO_RECORD = (None, float("-inf"))
+_SHARED_LABELS = (LABEL_HP, LABEL_CLOUD)  # queues, not units a task occupies
 
 
 def audit_phase_order(trace: Trace) -> None:
     """Per task, phases appear exactly once, in order, at non-decreasing times."""
     last: dict = {}  # task id -> (last phase, its time)
     for time_us, tid, _, _, phase in trace.records:
-        if phase == PHASE_DROP:
-            continue
-        if tid not in last:
-            if phase != PHASE_DISPATCH:
+        prev_phase, prev_time = last.get(tid, _NO_RECORD)
+        if phase not in _NEXT_ALLOWED[prev_phase] or time_us < prev_time:
+            # a drop (no phase of its task) or a violation
+            if phase == PHASE_DROP:
+                continue
+            if prev_phase is None:
                 raise AuditError(f"task {tid}: first record is {phase}, not dispatch")
-        else:
-            prev_phase, prev_time = last[tid]
             if time_us < prev_time:
                 raise AuditError(f"task {tid}: {phase} at {time_us} after "
                                  f"{prev_phase} at {prev_time}")
-            if phase not in _NEXT_ALLOWED[prev_phase]:
-                raise AuditError(f"task {tid}: {phase} follows {prev_phase}")
+            raise AuditError(f"task {tid}: {phase} follows {prev_phase}")
         last[tid] = (phase, time_us)
     for tid, (phase, _) in last.items():
         if _NEXT_ALLOWED[phase]:
@@ -53,7 +55,7 @@ def audit_unit_exclusivity(trace: Trace) -> None:
     running: dict = {}  # unit -> (task, setup time)
     last_end: dict = {}  # unit -> latest completion time
     for time_us, tid, _, unit, phase in trace.records:
-        if unit == LABEL_HP or unit == LABEL_CLOUD:
+        if (phase != PHASE_SETUP and phase != PHASE_COMPLETE) or unit in _SHARED_LABELS:
             continue
         if phase == PHASE_SETUP:
             if unit in running:
@@ -61,12 +63,12 @@ def audit_unit_exclusivity(trace: Trace) -> None:
                 raise AuditError(
                     f"unit {unit}: task {tid} starts at {time_us} while "
                     f"task {other} (running since {since}) has not completed")
-            if time_us < last_end.get(unit, 0):
+            if unit in last_end and time_us < last_end[unit]:
                 raise AuditError(
                     f"unit {unit}: task {tid} starts at {time_us}, before "
                     f"the previous occupant completed at {last_end[unit]}")
             running[unit] = (tid, time_us)
-        elif phase == PHASE_COMPLETE:
+        else:
             if unit not in running or running[unit][0] != tid:
                 raise AuditError(
                     f"unit {unit}: completion of task {tid} at {time_us} "
@@ -86,12 +88,13 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
             done_at[tid] = time_us
         elif phase == PHASE_SETUP or phase == PHASE_CLOUD_SUBMIT:
             started_at[tid] = time_us
+    task_of = scenario.task
     for tid, start in started_at.items():
-        task = scenario.task(tid)
+        task = task_of(tid)
         if start < task.release_us:
             raise AuditError(
                 f"task {tid} starts at {start} before release {task.release_us}")
-        for dep in sorted(task.deps):
+        for dep in sorted(task.deps) if task.deps else ():
             if dep not in done_at:
                 raise AuditError(f"task {tid} ran but dependency {dep} never completed")
             if start < done_at[dep]:
@@ -123,10 +126,14 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                     f"unit {unit} idle at {now} while high-priority head "
                     f"{hp[0][0]} is runnable on it")
 
+    # only dispatch, setup and complete change a queue or busy flag; a step
+    # without them keeps the state the last check (or the empty start) passed
+    changed = False
     prev_time = None
     for time_us, tid, workload, unit, phase in trace.records:
-        if prev_time is not None and time_us > prev_time:
+        if changed and time_us > prev_time:
             check_idle(prev_time)
+            changed = False
         prev_time = time_us
         if phase == PHASE_DISPATCH:
             if unit == LABEL_HP:
@@ -155,7 +162,10 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
             busy[unit] = True
         elif phase == PHASE_COMPLETE:
             busy[unit] = False
-    if prev_time is not None:
+        else:
+            continue
+        changed = True
+    if changed:
         check_idle(prev_time)
 
 

@@ -96,7 +96,8 @@ def cmd_run(args) -> int:
     for policy in policies:
         metrics, trace = simulate(scenario, profile, policy, config)
         if args.audit:
-            audit_all(trace, scenario, profile, weights=config.weights)
+            audit_all(trace, scenario, profile, weights=config.weights,
+                      fpga_as_gpu=config.fpga_as_gpu)
             ran = metrics.to_dict()
             derived = compute_metrics(trace, profile, config, scenario).to_dict()
             if wrong := [f"{key} {ran[key]!r} (trace: {derived[key]!r})"

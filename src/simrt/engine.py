@@ -107,8 +107,9 @@ class SimConfig:
     record_trace: bool = True  # False: simulate keeps no records and returns trace=None
 
     def __post_init__(self):
-        if not isinstance(self.record_trace, bool):
-            raise InvalidConfig(f"record_trace must be True or False, got {self.record_trace!r}")
+        for flag in ("cloud_in_makespan", "fpga_as_gpu", "record_trace"):
+            if not isinstance(getattr(self, flag), bool):
+                raise InvalidConfig(f"{flag} must be True or False, got {getattr(self, flag)!r}")
         if self.buffer_capacity is not None and not _is_int_at_least(self.buffer_capacity, 0):
             raise InvalidConfig(
                 f"buffer_capacity must be None or an integer >= 0, got {self.buffer_capacity!r}")

@@ -371,6 +371,15 @@ class TestAudits:
         with pytest.raises(audit.AuditError):
             audit.audit_work_conservation(Trace(bad), p)
 
+    def test_audit_rejects_a_start_before_time_zero(self):
+        # the CPU's first setup has no previous occupant to compare with, so
+        # exclusivity passes it; causality rejects the start before release
+        rows = [(-100, 1, "w", "CPU", "dispatch"), (-100, 1, "w", "CPU", "setup"),
+                (-100, 1, "w", "CPU", "xfer_in"), (0, 1, "w", "CPU", "kernel"),
+                (0, 1, "w", "CPU", "xfer_out"), (0, 1, "w", "CPU", "complete")]
+        with pytest.raises(audit.AuditError, match=r"^task 1 starts at -100 before release 0$"):
+            audit.audit_all(Trace(rows), TaskGraph([rt(1)]), single_unit_profile())
+
 
 def partial_hp_profile(rng: random.Random):
     """CPU, mGPU and DSP; "alpha" runs everywhere, while "beta" and "gamma"
@@ -420,6 +429,8 @@ class TestSimConfigValidation:
         {"cloud_slots": 0}, {"cloud_slots": -2}, {"cloud_slots": "2"},
         {"weights": {"x": 1}}, {"weights": {"g": -1}}, {"weights": {"d": 1.0}},
         {"weights": [("g", 1)]}, {"record_trace": "yes"}, {"record_trace": 1},
+        {"cloud_in_makespan": "no"}, {"cloud_in_makespan": 0}, {"fpga_as_gpu": "yes"},
+        {"fpga_as_gpu": 1},
     ])
     def test_rejects_out_of_range_fields(self, kwargs):
         with pytest.raises(InvalidConfig):
