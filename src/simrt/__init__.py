@@ -7,16 +7,14 @@ from .errors import (AuditError, BadInterval, CycleDetected, DuplicateId,
                      EngineError, GraphError, InvalidConfig, InvalidRate,
                      InvalidScenario, MissingCost, NegativeValue, ParseError,
                      SimrtError, UnknownDependency, UnresolvableCost)
-from .profiles import (CostEntry, OffloadBreakdown, PlatformProfile, SetupMode,
-                       UnitKind, UnitSpec, WorkloadSpec, builtin_profiles,
-                       cloud_latency, energy_of, kernel_time, load_profile,
+from .profiles import (CostEntry, PlatformProfile, SetupMode, UnitKind, UnitSpec,
+                       builtin_profiles, cloud_latency, energy_of, load_profile,
                        offload_time, preference_matrix, restrict)
 from .scenarios import (ScenarioSpec, convolution_batch, inference_comparison,
                         robot_pipeline)
 from .scheduler import (BasicPolicy, Policy, Route, RouteClass, SchedulerState,
-                        classify, dispatch, dispatch_energy, dispatch_latency,
-                        dispatch_throughput, on_unit_free)
-from .tasks import (Task, TaskGraph, TaskId, TaskTags, dump_scenario,
-                    load_scenario, validate_graph)
+                        classify, dispatch, dispatch_latency, on_unit_free)
+from .tasks import (Task, TaskGraph, TaskTags, dump_scenario, load_scenario,
+                    validate_graph)
 
 __version__ = "0.1.0"

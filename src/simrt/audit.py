@@ -90,7 +90,10 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
             started_at[tid] = time_us
     task_of = scenario.task
     for tid, start in started_at.items():
-        task = task_of(tid)
+        try:
+            task = task_of(tid)
+        except KeyError:
+            raise AuditError(f"task {tid} is not in the scenario") from None
         if start < task.release_us:
             raise AuditError(
                 f"task {tid} starts at {start} before release {task.release_us}")

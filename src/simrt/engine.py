@@ -107,6 +107,10 @@ class SimConfig:
     record_trace: bool = True  # False: simulate keeps no records and returns trace=None
 
     def __post_init__(self):
+        if not isinstance(self.setup_mode, SetupMode):
+            raise InvalidConfig(f"setup_mode must be a SetupMode, got {self.setup_mode!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         for flag in ("cloud_in_makespan", "fpga_as_gpu", "record_trace"):
             if not isinstance(getattr(self, flag), bool):
                 raise InvalidConfig(f"{flag} must be True or False, got {getattr(self, flag)!r}")

@@ -63,26 +63,12 @@ class UnitSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
-    name: str
-    ops: int | None = None
-
-
-@dataclass(frozen=True)
 class CostEntry:
     setup_us: int = 0
     xfer_in_us: int = 0
     kernel_us: int | None = None  # None only until load_profile derives it
     xfer_out_us: int = 0
     energy_uj: int = 0
-
-
-@dataclass(frozen=True)
-class OffloadBreakdown:
-    setup_us: int
-    xfer_in_us: int
-    kernel_us: int
-    xfer_out_us: int
 
     @property
     def total_us(self) -> int:
@@ -93,7 +79,7 @@ class OffloadBreakdown:
 class PlatformProfile:
     name: str
     units: tuple
-    workloads: dict
+    workloads: tuple  # workload names, in declaration order
     costs: dict  # (workload name, UnitKind) -> CostEntry
     cloud_latency_us: tuple | None = None
     cloud_energy_uj: int | None = None
@@ -113,11 +99,6 @@ class PlatformProfile:
         return (workload, unit) in self.costs
 
 
-def kernel_time(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
-    """Kernel execution time in microseconds, measured or derived at load."""
-    return _cost(profile, workload, unit).kernel_us
-
-
 def _cost(profile: PlatformProfile, workload: str, unit: UnitKind) -> CostEntry:
     entry = profile.costs.get((workload, unit))
     if entry is None:
@@ -130,19 +111,14 @@ def offload_time(
     workload: str,
     unit: UnitKind,
     setup_mode: SetupMode,
-) -> OffloadBreakdown:
-    """Full offload cost breakdown for one dispatch.
+) -> CostEntry:
+    """The cost entry one dispatch pays.
 
     PER_OFFLOAD charges setup on every call; AMORTIZED never does, since
     every unit is initialized before the clock starts.
     """
     entry = _cost(profile, workload, unit)
-    return OffloadBreakdown(
-        setup_us=entry.setup_us if setup_mode is SetupMode.PER_OFFLOAD else 0,
-        xfer_in_us=entry.xfer_in_us,
-        kernel_us=entry.kernel_us,
-        xfer_out_us=entry.xfer_out_us,
-    )
+    return entry if setup_mode is SetupMode.PER_OFFLOAD else replace(entry, setup_us=0)
 
 
 def energy_of(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
@@ -172,7 +148,7 @@ def restrict(profile: PlatformProfile, kinds: Iterable[UnitKind]) -> PlatformPro
     return PlatformProfile(
         name=f"{profile.name}[{'+'.join(labels)}]",
         units=units,
-        workloads=dict(profile.workloads),
+        workloads=profile.workloads,
         costs=costs,
         cloud_latency_us=profile.cloud_latency_us if has_cloud else None,
         cloud_energy_uj=profile.cloud_energy_uj if has_cloud else None,
@@ -271,19 +247,18 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
     if UnitKind.GPU in units and UnitKind.MGPU in units:
         raise ParseError("profile may declare at most one of GPU and mGPU", "units")
 
-    workloads = {}
+    ops_of = {}  # workload name -> operation count or None, in declaration order
     for i, obj in enumerate(doc.get("workloads", [])):
         loc = f"workloads[{i}]"
         check_object(obj, _WORKLOAD_KEYS, loc, "workload")
         wname = obj.get("name")
         if not isinstance(wname, str) or not wname:
             raise ParseError("'name' must be a non-empty string", loc)
-        if wname in workloads:
+        if wname in ops_of:
             raise ParseError(f"workload {wname!r} declared twice", loc)
-        ops = obj.get("ops")
+        ops = ops_of[wname] = obj.get("ops")
         if ops is not None:
             _check_non_negative(ops, "ops", loc)
-        workloads[wname] = WorkloadSpec(name=wname, ops=ops)
 
     costs = {}
     for key, obj in doc.get("costs", {}).items():
@@ -291,7 +266,7 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
         wname, at, kindname = key.rpartition("@")
         if not at:
             raise ParseError("cost key must be 'workload@UNIT'", loc)
-        if wname not in workloads:
+        if wname not in ops_of:
             raise ParseError(f"cost references undeclared workload {wname!r}", loc)
         kind = UnitKind.parse(kindname)
         if kind not in units:
@@ -321,7 +296,7 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
 
     for (wname, kind), entry in costs.items():  # after the cloud, in cost-key order
         if entry.kernel_us is None:
-            ops, gops = workloads[wname].ops, units[kind].gops
+            ops, gops = ops_of[wname], units[kind].gops
             rate = 0 if gops is None else round(gops * 1_000_000_000)  # ops/s
             if ops is None or not rate:
                 raise MissingCost(wname, kind)
@@ -329,7 +304,7 @@ def load_profile(text: str, name: str = "") -> PlatformProfile:
     return PlatformProfile(
         name=doc.get("name", name),
         units=tuple(units.values()),
-        workloads=workloads,
+        workloads=tuple(ops_of),
         costs=costs,
         cloud_latency_us=cloud_latency_us,
         cloud_energy_uj=cloud_energy_uj,

@@ -100,13 +100,16 @@ def classify(task: Task) -> RouteClass:
     return RouteClass.BASIC
 
 
-# Slot orders the basic policies walk: (fill order, overflow slot).
+# Slot orders the basic policies walk.
 _GPU_SLOT = "g"
 _DSP_SLOT = "d"
 _CPU_SLOT = "c"
 _LATENCY_ORDER = (_GPU_SLOT, _DSP_SLOT, _CPU_SLOT)
-_THROUGHPUT_ORDER = (_GPU_SLOT, _CPU_SLOT, _DSP_SLOT)
-_ENERGY_ORDER = (_DSP_SLOT, _GPU_SLOT, _CPU_SLOT)
+# fill policy -> (fill order, overflow slot)
+_FILL_ORDERS = {
+    BasicPolicy.THROUGHPUT: ((_GPU_SLOT, _CPU_SLOT, _DSP_SLOT), _CPU_SLOT),
+    BasicPolicy.ENERGY: ((_DSP_SLOT, _GPU_SLOT, _CPU_SLOT), _DSP_SLOT),
+}
 
 
 class SchedulerState:
@@ -124,10 +127,10 @@ class SchedulerState:
                 gpu_slot = u.kind
         if gpu_slot is None and fpga_as_gpu and profile.unit(UnitKind.FPGA):
             gpu_slot = UnitKind.FPGA
-        self._slot_kind = {_GPU_SLOT: gpu_slot, _DSP_SLOT: UnitKind.DSP, _CPU_SLOT: UnitKind.CPU}
+        slot_kind = {_GPU_SLOT: gpu_slot, _DSP_SLOT: UnitKind.DSP, _CPU_SLOT: UnitKind.CPU}
 
         self.weights: dict = {}
-        for slot, kind in self._slot_kind.items():
+        for slot, kind in slot_kind.items():
             spec = profile.unit(kind)  # None for an empty gpu slot
             if spec is None:
                 continue
@@ -146,15 +149,23 @@ class SchedulerState:
         self.runnable: dict = {u: frozenset(w for (w, k) in profile.costs if k is u)
                                for u in self.units}
         self._routes: dict = {u: Route(RouteClass.BASIC, u) for u in self.units}
+
+        def slot_units(order: tuple) -> list:
+            return [kind for slot in order if (kind := slot_kind[slot]) in self.weights]
+
         # latency rotation as (cumulative weight, unit), walked by counter_n
-        latency_units = self._slot_units(_LATENCY_ORDER)
+        latency_units = slot_units(_LATENCY_ORDER)
         self._rotation = list(zip(accumulate(self.weights[u] for u in latency_units),
                                   latency_units))
-        self._throughput_units = self._slot_units(_THROUGHPUT_ORDER)
-        self._energy_units = self._slot_units(_ENERGY_ORDER)
-
-    def _slot_units(self, order: tuple) -> list:
-        return [kind for slot in order if (kind := self._slot_kind[slot]) in self.weights]
+        # fill policy -> (units in fill order, overflow unit): the overflow slot's
+        # unit when it participates, else the first unit in fill order
+        self._fill: dict = {}
+        for basic, (order, overflow_slot) in _FILL_ORDERS.items():
+            units = slot_units(order)
+            overflow = slot_kind[overflow_slot]
+            if overflow not in units:
+                overflow = units[0] if units else None
+            self._fill[basic] = (units, overflow)
 
 
 def dispatch_latency(state: SchedulerState) -> UnitKind:
@@ -172,33 +183,19 @@ def dispatch_latency(state: SchedulerState) -> UnitKind:
     return unit
 
 
-def _fill_first(state: SchedulerState, units: list, overflow_slot: str) -> UnitKind:
+def _fill_first(state: SchedulerState, fill: tuple) -> UnitKind:
+    """The first unit in fill order whose queue holds less than its weight,
+    else the overflow unit; `fill` is one of SchedulerState._fill's values."""
+    units, overflow = fill
     if not units:
         raise InvalidScenario("no participating units for the selected policy")
+    queues, weights = state.queues, state.weights
     for unit in units:
-        if len(state.queues[unit]) < state.weights[unit]:
+        if len(queues[unit]) < weights[unit]:
             return unit
-    overflow = state._slot_kind[overflow_slot]
-    if overflow in state.weights:
-        return overflow
-    return units[0]
+    return overflow
 
 
-def dispatch_throughput(state: SchedulerState) -> UnitKind:
-    """Keep the gpu queue full of load, then cpu, then dsp; overflow to cpu."""
-    return _fill_first(state, state._throughput_units, _CPU_SLOT)
-
-
-def dispatch_energy(state: SchedulerState) -> UnitKind:
-    """Prefer the dsp queue, then gpu, then cpu; overflow to dsp."""
-    return _fill_first(state, state._energy_units, _DSP_SLOT)
-
-
-_BASIC_DISPATCH = {
-    BasicPolicy.LATENCY: dispatch_latency,
-    BasicPolicy.THROUGHPUT: dispatch_throughput,
-    BasicPolicy.ENERGY: dispatch_energy,
-}
 _CLOUD_ROUTE = Route(RouteClass.CLOUD)
 _HP_ROUTE = Route(RouteClass.HIGH_PRIORITY)
 
@@ -213,7 +210,8 @@ def dispatch(state: SchedulerState, task: Task, policy: Policy) -> Route:
         if route_class is RouteClass.HIGH_PRIORITY:
             state.hp_queue.append(task.id)
             return _HP_ROUTE
-    unit = _BASIC_DISPATCH[policy.basic](state)
+    fill = state._fill.get(policy.basic)  # None for latency
+    unit = dispatch_latency(state) if fill is None else _fill_first(state, fill)
     state.queues[unit].append(task.id)
     return state._routes[unit]
 

@@ -10,7 +10,6 @@ from typing import Iterable, Iterator
 
 from .errors import CycleDetected, DuplicateId, ParseError, UnknownDependency
 
-TaskId = int
 # ceiling on every time, energy, count, weight and rate a profile or scenario
 # holds; larger values overflow the float arithmetic of kernel times and metrics
 MAX_UNIT_NUMBER = 1e12
@@ -26,7 +25,7 @@ class TaskTags:
 
 @dataclass(frozen=True, slots=True)
 class Task:
-    id: TaskId
+    id: int
     workload: str
     tags: TaskTags = TaskTags()
     deps: frozenset = frozenset()
@@ -48,7 +47,7 @@ class TaskGraph:
     def tasks(self) -> tuple:
         return self._tasks
 
-    def task(self, task_id: TaskId) -> Task:
+    def task(self, task_id: int) -> Task:
         return self._by_id[task_id]
 
     def __iter__(self) -> Iterator[Task]:

@@ -380,6 +380,12 @@ class TestAudits:
         with pytest.raises(audit.AuditError, match=r"^task 1 starts at -100 before release 0$"):
             audit.audit_all(Trace(rows), TaskGraph([rt(1)]), single_unit_profile())
 
+    def test_audit_rejects_a_task_the_scenario_lacks(self):
+        p = single_unit_profile()
+        _, trace = simulate(TaskGraph([rt(2)]), p, Policy.latency())
+        with pytest.raises(audit.AuditError, match=r"^task 2 is not in the scenario$"):
+            audit.audit_all(trace, TaskGraph([rt(1)]), p)
+
 
 def partial_hp_profile(rng: random.Random):
     """CPU, mGPU and DSP; "alpha" runs everywhere, while "beta" and "gamma"
@@ -430,7 +436,8 @@ class TestSimConfigValidation:
         {"weights": {"x": 1}}, {"weights": {"g": -1}}, {"weights": {"d": 1.0}},
         {"weights": [("g", 1)]}, {"record_trace": "yes"}, {"record_trace": 1},
         {"cloud_in_makespan": "no"}, {"cloud_in_makespan": 0}, {"fpga_as_gpu": "yes"},
-        {"fpga_as_gpu": 1},
+        {"fpga_as_gpu": 1}, {"setup_mode": "per_offload"}, {"setup_mode": "bogus"},
+        {"setup_mode": None}, {"seed": None}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
     ])
     def test_rejects_out_of_range_fields(self, kwargs):
         with pytest.raises(InvalidConfig):

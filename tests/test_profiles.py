@@ -5,7 +5,7 @@ import pytest
 
 from simrt import (BadInterval, MissingCost, NegativeValue, ParseError,
                    SetupMode, SimrtError, UnitKind, builtin_profiles, cloud_latency,
-                   energy_of, kernel_time, load_profile, offload_time,
+                   energy_of, load_profile, offload_time,
                    preference_matrix, restrict)
 from simrt.builtins import BUILTIN_PROFILE_TEXTS
 
@@ -331,13 +331,13 @@ class TestKernelTime:
         p = load_profile(json.dumps(doc))
         expected = ceil_div_us(895_500_000, 256_000_000_000)
         assert expected == 3499  # frozen from the oracle above
-        assert kernel_time(p, "conv2", UnitKind.GPU) == expected
+        assert p.costs["conv2", UnitKind.GPU].kernel_us == expected
 
     def test_derived_gaussian_blur_on_dsp(self):
         p = builtin_profiles()["sd820"]
         expected = ceil_div_us(15_400_000, 4_000_000_000)
         assert expected == 3850
-        assert kernel_time(p, "gaussian_blur", UnitKind.DSP) == expected
+        assert p.costs["gaussian_blur", UnitKind.DSP].kernel_us == expected
 
     def test_explicit_kernel_wins_over_derivation(self):
         doc = {
@@ -346,14 +346,7 @@ class TestKernelTime:
             "costs": {"w@DSP": {"kernel_us": 100, "energy_uj": 1}},
         }
         p = load_profile(json.dumps(doc))
-        assert kernel_time(p, "w", UnitKind.DSP) == 100
-
-    def test_missing_pair(self):
-        p = make_profile()
-        with pytest.raises(MissingCost):
-            kernel_time(p, "w", UnitKind.DSP)
-        with pytest.raises(MissingCost):
-            kernel_time(p, "nope", UnitKind.CPU)
+        assert p.costs["w", UnitKind.DSP].kernel_us == 100
 
 
 class TestOffloadTime:
@@ -373,8 +366,18 @@ class TestOffloadTime:
         assert bd.total_us == 1200
 
     def test_per_offload_charges_every_component(self):
-        bd = offload_time(self.entry_profile(), "w", UnitKind.GPU, SetupMode.PER_OFFLOAD)
+        p = self.entry_profile()
+        bd = offload_time(p, "w", UnitKind.GPU, SetupMode.PER_OFFLOAD)
         assert bd.total_us == 6200
+        assert bd is p.costs["w", UnitKind.GPU]
+
+    def test_missing_pair(self):
+        p = make_profile()
+        for workload, kind in (("w", UnitKind.DSP), ("nope", UnitKind.CPU)):
+            with pytest.raises(MissingCost):
+                offload_time(p, workload, kind, SetupMode.AMORTIZED)
+            with pytest.raises(MissingCost):
+                energy_of(p, workload, kind)
 
     def test_total_is_component_sum_and_amortized_never_exceeds(self):
         rng = random.Random(11)
@@ -420,8 +423,8 @@ class TestEnergyAndCloud:
 
     def test_tx1_kernel_values(self):
         p = builtin_profiles()["tx1-cloud"]
-        assert kernel_time(p, "alexnet", UnitKind.CPU) == 400_000
-        assert kernel_time(p, "alexnet", UnitKind.GPU) == 33_000
+        assert p.costs["alexnet", UnitKind.CPU].kernel_us == 400_000
+        assert p.costs["alexnet", UnitKind.GPU].kernel_us == 33_000
 
     def test_cloud_latency_within_interval(self):
         p = builtin_profiles()["tx1-cloud"]

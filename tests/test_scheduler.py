@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from simrt import (BasicPolicy, Policy, RouteClass, SchedulerState, Task,
-                   TaskTags, UnitKind, classify, dispatch, dispatch_energy,
-                   dispatch_latency, dispatch_throughput, load_profile,
-                   on_unit_free)
+from simrt import (BasicPolicy, InvalidScenario, Policy, RouteClass,
+                   SchedulerState, Task, TaskTags, UnitKind, classify, dispatch,
+                   dispatch_latency, load_profile, on_unit_free)
 
 from .helpers import random_profile
 
@@ -79,24 +78,19 @@ class TestLatencyRotation:
                 assert window.count(UnitKind.CPU) == w_c
 
 
-def drive_basic(policy_fn, profile, n, weights=None):
+def drive_basic(policy, profile, n, weights=None):
     state = SchedulerState(profile, weights=weights)
-    out = []
-    for i in range(n):
-        unit = policy_fn(state)
-        state.queues[unit].append(i)
-        out.append(unit.value)
-    return out
+    return [dispatch(state, mk_task(i), policy).unit.value for i in range(n)]
 
 
 class TestThroughputFill:
     def test_fills_gpu_then_cpu_then_dsp_then_overflows_to_cpu(self):
-        got = drive_basic(dispatch_throughput, three_unit_profile(4, 2, 2), 12)
+        got = drive_basic(Policy.throughput(), three_unit_profile(4, 2, 2), 12)
         assert got == ["mGPU"] * 4 + ["CPU"] * 2 + ["DSP"] * 2 + ["CPU"] * 4
 
     def test_empty_queues_prefer_gpu(self):
         state = SchedulerState(three_unit_profile())
-        assert dispatch_throughput(state) is UnitKind.MGPU
+        assert dispatch(state, mk_task(1), Policy.throughput()).unit is UnitKind.MGPU
 
     def test_single_unit_profile_overflows_to_it(self):
         doc = {
@@ -104,21 +98,27 @@ class TestThroughputFill:
             "workloads": [{"name": "w"}],
             "costs": {"w@GPU": {"kernel_us": 10, "energy_uj": 1}},
         }
-        got = drive_basic(dispatch_throughput, load_profile(json.dumps(doc)), 3)
+        got = drive_basic(Policy.throughput(), load_profile(json.dumps(doc)), 3)
         assert got == ["GPU"] * 3
 
 
 class TestEnergyFill:
     def test_fills_dsp_then_gpu_then_cpu_then_overflows_to_dsp(self):
-        got = drive_basic(dispatch_energy, three_unit_profile(4, 2, 2), 12)
+        got = drive_basic(Policy.energy(), three_unit_profile(4, 2, 2), 12)
         assert got == ["DSP"] * 2 + ["mGPU"] * 4 + ["CPU"] * 2 + ["DSP"] * 4
 
     def test_empty_queues_prefer_dsp(self):
         state = SchedulerState(three_unit_profile())
-        assert dispatch_energy(state) is UnitKind.DSP
+        assert dispatch(state, mk_task(1), Policy.energy()).unit is UnitKind.DSP
 
 
 class TestDispatch:
+    def test_no_participating_unit_is_rejected_by_every_basic_policy(self):
+        state = SchedulerState(three_unit_profile(), weights={"g": 0, "d": 0, "c": 0})
+        for basic in BasicPolicy:
+            with pytest.raises(InvalidScenario, match="no participating units"):
+                dispatch(state, mk_task(1), Policy(basic))
+
     def test_advanced_routes_non_real_time_to_cloud_queue(self):
         state = SchedulerState(three_unit_profile())
         route = dispatch(state, mk_task(1, real_time=False),
