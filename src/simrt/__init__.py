@@ -8,8 +8,8 @@ from .errors import (AuditError, BadInterval, CycleDetected, DuplicateId,
                      InvalidScenario, MissingCost, NegativeValue, ParseError,
                      SimrtError, UnknownDependency, UnresolvableCost)
 from .profiles import (CostEntry, PlatformProfile, SetupMode, UnitKind, UnitSpec,
-                       builtin_profiles, cloud_latency, energy_of, load_profile,
-                       offload_time, preference_matrix, restrict)
+                       builtin_profiles, energy_of, load_profile, offload_time,
+                       preference_matrix, restrict)
 from .scenarios import (ScenarioSpec, convolution_batch, inference_comparison,
                         robot_pipeline)
 from .scheduler import (BasicPolicy, Policy, Route, RouteClass, SchedulerState,

@@ -11,7 +11,7 @@ from collections import deque
 from .engine import (LABEL_CLOUD, LABEL_HP, PHASE_CLOUD_COMPLETE,
                      PHASE_CLOUD_SUBMIT, PHASE_COMPLETE, PHASE_DISPATCH,
                      PHASE_DROP, PHASE_KERNEL, PHASE_SETUP, PHASE_XFER_IN,
-                     PHASE_XFER_OUT, Trace)
+                     PHASE_XFER_OUT, Trace, _records_of)
 from .errors import AuditError
 from .profiles import PlatformProfile
 from .scheduler import SchedulerState
@@ -32,7 +32,7 @@ _SHARED_LABELS = (LABEL_HP, LABEL_CLOUD)  # queues, not units a task occupies
 def audit_phase_order(trace: Trace) -> None:
     """Per task, phases appear exactly once, in order, at non-decreasing times."""
     last: dict = {}  # task id -> (last phase, its time)
-    for time_us, tid, _, _, phase in trace.records:
+    for time_us, tid, _, _, phase in _records_of(trace):
         prev_phase, prev_time = last.get(tid, _NO_RECORD)
         if phase not in _NEXT_ALLOWED[prev_phase] or time_us < prev_time:
             # a drop (no phase of its task) or a violation
@@ -54,7 +54,7 @@ def audit_unit_exclusivity(trace: Trace) -> None:
     """A local unit never runs two tasks at once."""
     running: dict = {}  # unit -> (task, setup time)
     last_end: dict = {}  # unit -> latest completion time
-    for time_us, tid, _, unit, phase in trace.records:
+    for time_us, tid, _, unit, phase in _records_of(trace):
         if (phase != PHASE_SETUP and phase != PHASE_COMPLETE) or unit in _SHARED_LABELS:
             continue
         if phase == PHASE_SETUP:
@@ -83,7 +83,7 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
     """No task starts before its release time and all dependency completions."""
     done_at: dict = {}
     started_at: dict = {}
-    for time_us, tid, _, _, phase in trace.records:
+    for time_us, tid, _, _, phase in _records_of(trace):
         if phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE:
             done_at[tid] = time_us
         elif phase == PHASE_SETUP or phase == PHASE_CLOUD_SUBMIT:
@@ -133,7 +133,7 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
     # without them keeps the state the last check (or the empty start) passed
     changed = False
     prev_time = None
-    for time_us, tid, workload, unit, phase in trace.records:
+    for time_us, tid, workload, unit, phase in _records_of(trace):
         if changed and time_us > prev_time:
             check_idle(prev_time)
             changed = False

@@ -132,14 +132,10 @@ def _robot_profile() -> dict:
     workloads.append({"name": "map_generation"})
     return {
         "name": "sd820-robot",
-        "units": [
-            {"kind": "CPU", "weight": 2},
-            {"kind": "mGPU", "weight": 4, "gops": 160},
-            {"kind": "DSP", "weight": 2, "gops": 4},
-        ],
+        "units": _SD820["units"],
         "workloads": workloads,
         "costs": costs,
-        "cloud": {"latency_us": [2_000_000, 5_000_000], "energy_uj": 10_000},
+        "cloud": _TX1_CLOUD["cloud"],
     }
 
 

@@ -28,8 +28,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import scheduler as sched
-from .errors import EngineError, InvalidConfig, InvalidScenario, UnresolvableCost
-from .profiles import (PlatformProfile, SetupMode, UnitKind, cloud_latency,
+from .errors import AuditError, EngineError, InvalidConfig, InvalidScenario, UnresolvableCost
+from .profiles import (PlatformProfile, SetupMode, UnitKind, _check_setup_mode,
                        energy_of, offload_time)
 from .scheduler import Policy, RouteClass, SchedulerState
 from .tasks import TaskGraph, validate_graph
@@ -50,7 +50,7 @@ LABEL_CLOUD = "CLOUD"
 
 _NO_RELEASE = (float("inf"), None)  # (time, task id) after the last release
 
-_PENDING, _DISPATCHED, _DONE, _SKIPPED = range(4)
+_PENDING, _STARTED, _SKIPPED = range(3)  # a finished task stays _STARTED
 
 
 class TraceRecord(NamedTuple):
@@ -95,6 +95,12 @@ class Trace:
         return len(self.records)
 
 
+def _records_of(trace: Trace | None) -> list:
+    if trace is None:
+        raise AuditError("no trace to read: the run was made with record_trace=False")
+    return trace.records
+
+
 @dataclass(frozen=True)
 class SimConfig:
     setup_mode: SetupMode = SetupMode.AMORTIZED
@@ -107,8 +113,7 @@ class SimConfig:
     record_trace: bool = True  # False: simulate keeps no records and returns trace=None
 
     def __post_init__(self):
-        if not isinstance(self.setup_mode, SetupMode):
-            raise InvalidConfig(f"setup_mode must be a SetupMode, got {self.setup_mode!r}")
+        _check_setup_mode(self.setup_mode)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         for flag in ("cloud_in_makespan", "fpga_as_gpu", "record_trace"):
@@ -181,7 +186,7 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     dispatch_t = {}
     completes = []
     drops = 0
-    for time_us, tid, workload, unit, phase in trace.records:
+    for time_us, tid, workload, unit, phase in _records_of(trace):
         if phase == PHASE_DISPATCH:
             dispatch_t[tid] = time_us
         elif phase == PHASE_COMPLETE:
@@ -295,11 +300,6 @@ class _Engine:
         self.tasks, self.dependents, dep_counts = index
         self.status = dict.fromkeys(self.tasks, _PENDING)
         self.deps_left = dep_counts.copy()
-        self.image_consumers: dict = {}  # producer id -> image-input dependents
-        for t in scenario:
-            if t.tags.image_input:
-                for dep in t.deps:
-                    self.image_consumers.setdefault(dep, []).append(t.id)
         # producer id -> live consumer count; one entry per image buffer in use
         self.buffer_refs: dict = {}
 
@@ -358,7 +358,7 @@ class _Engine:
             else:
                 self._on_phase(key, kind, now)
 
-        leftover = [tid for tid, s in self.status.items() if s not in (_DONE, _SKIPPED)]
+        leftover = [t for t, s in self.status.items() if s == _PENDING or t in self.dispatched_at]
         if leftover or self.buffer_refs:
             raise EngineError(
                 f"simulation did not quiesce: pending={leftover} "
@@ -377,7 +377,7 @@ class _Engine:
 
     def _dispatch(self, tid: int, now: int) -> None:
         route = sched.dispatch(self.state, self.tasks[tid], self.policy)
-        self.status[tid] = _DISPATCHED
+        self.status[tid] = _STARTED
         self.dispatched_at[tid] = now
         if self.first_dispatch is None:
             self.first_dispatch = now
@@ -439,14 +439,12 @@ class _Engine:
         tid, label, workload, _, plan = self.running[unit]
         self.running[unit] = None
         self._append((now, tid, workload, label, PHASE_COMPLETE))
-        self.status[tid] = _DONE
         self.last_end = now
         self._after_completion(tid, label, plan[4], now)
         self._try_start(unit, now)
 
     def _on_cloud_complete(self, tid: int, now: int) -> None:
         self._rec(now, tid, LABEL_CLOUD, PHASE_CLOUD_COMPLETE)
-        self.status[tid] = _DONE
         if self.cloud_energy is None:
             self.cloud_energy = energy_of(self.profile, self.tasks[tid].workload, UnitKind.CLOUD)
         if self.config.cloud_in_makespan:
@@ -469,8 +467,8 @@ class _Engine:
                 self._dispatch(dep, now)
 
     def _acquire_buffer(self, tid: int, unit_label: str, now: int) -> None:
-        consumers = [c for c in self.image_consumers.get(tid, ())
-                     if self.status[c] != _SKIPPED]
+        consumers = [c for c in self.dependents.get(tid, ())
+                     if self.tasks[c].tags.image_input and self.status[c] != _SKIPPED]
         if not consumers:
             return
         capacity = self.config.buffer_capacity
@@ -504,8 +502,8 @@ class _Engine:
             self._rec(now, tid, LABEL_CLOUD, PHASE_CLOUD_SUBMIT)
             # an image consumer needs its input only until upload
             self._release_buffers_for(tid)
-            latency = cloud_latency(self.profile, self.rng)
-            self._push(now + latency, now, PHASE_CLOUD_COMPLETE, tid)
+            lo, hi = self.profile.cloud_latency_us
+            self._push(now + self.rng.randint(lo, hi), now, PHASE_CLOUD_COMPLETE, tid)
 
 
 def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,

@@ -9,12 +9,11 @@ table. Cloud execution is modeled with a fixed per-inference energy and a
 latency drawn uniformly from a closed interval.
 """
 
-import random
 from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Iterable
 
-from .errors import BadInterval, MissingCost, NegativeValue, ParseError
+from .errors import BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError
 from .tasks import MAX_UNIT_NUMBER, check_object, parse_document
 
 
@@ -49,7 +48,7 @@ class SetupMode(Enum):
     @classmethod
     def parse(cls, text: str) -> "SetupMode":
         for mode in cls:
-            if mode.value == text.lower().replace("-", "_"):
+            if isinstance(text, str) and mode.value == text.lower().replace("-", "_"):
                 return mode
         raise ParseError(f"unknown setup mode {text!r}")
 
@@ -99,6 +98,11 @@ class PlatformProfile:
         return (workload, unit) in self.costs
 
 
+def _check_setup_mode(setup_mode) -> None:
+    if not isinstance(setup_mode, SetupMode):
+        raise InvalidConfig(f"setup_mode must be a SetupMode, got {setup_mode!r}")
+
+
 def _cost(profile: PlatformProfile, workload: str, unit: UnitKind) -> CostEntry:
     entry = profile.costs.get((workload, unit))
     if entry is None:
@@ -117,6 +121,7 @@ def offload_time(
     PER_OFFLOAD charges setup on every call; AMORTIZED never does, since
     every unit is initialized before the clock starts.
     """
+    _check_setup_mode(setup_mode)
     entry = _cost(profile, workload, unit)
     return entry if setup_mode is SetupMode.PER_OFFLOAD else replace(entry, setup_us=0)
 
@@ -128,14 +133,6 @@ def energy_of(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
             raise MissingCost(workload, unit)
         return profile.cloud_energy_uj
     return _cost(profile, workload, unit).energy_uj
-
-
-def cloud_latency(profile: PlatformProfile, rng: random.Random) -> int:
-    """One latency sample, uniform over the closed configured interval."""
-    if profile.cloud_latency_us is None:
-        raise MissingCost("<any>", UnitKind.CLOUD)
-    lo, hi = profile.cloud_latency_us
-    return rng.randint(lo, hi)
 
 
 def restrict(profile: PlatformProfile, kinds: Iterable[UnitKind]) -> PlatformProfile:

@@ -63,8 +63,8 @@ class Policy:
 
     @classmethod
     def parse(cls, text: str) -> "Policy":
-        text = text.strip().lower()
-        basic = text.removeprefix("advanced:")
+        text = text.strip().lower() if isinstance(text, str) else text
+        basic = text.removeprefix("advanced:") if isinstance(text, str) else None
         try:
             return cls(BasicPolicy(basic), advanced=basic != text)
         except ValueError:

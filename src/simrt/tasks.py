@@ -110,6 +110,8 @@ def parse_document(text: str, location: str, keys, **json_options) -> dict:
         raise ParseError(f"invalid JSON: {exc}", location) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested too deeply", location) from None
+    except TypeError:  # not str, bytes or bytearray
+        raise ParseError(f"must be JSON text, not {type(text).__name__}", location) from None
     return check_object(doc, keys, location, "top level")
 
 

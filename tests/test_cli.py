@@ -1,6 +1,10 @@
 import dataclasses
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -95,6 +99,32 @@ class TestRun:
         assert (code, out) == (1, "")
         assert err == ("simulation error: throughput: metrics differ from the trace's: "
                        "drops 1 (trace: 0)\n")
+
+    def test_csv_holds_the_table_cells(self, capsys, conv_scenario):
+        argv = ["run", "-p", "sd820", "-s", conv_scenario,
+                "--policy", "throughput,latency,energy"]
+        _, table, _ = run_cli(capsys, *argv)
+        code, csv, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, _, *rows = table.splitlines()[1:]  # below the profile line, above the dashes
+        assert [line.split(",") for line in csv.splitlines()] == [
+            header.split(), *(row.split() for row in rows)]
+        assert len(rows) == 3
+
+    def test_module_entry_point(self, conv_scenario):
+        src = str(pathlib.Path(simrt.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+        def cli(*argv):
+            return subprocess.run([sys.executable, "-m", "simrt.cli", *argv], env=env,
+                                  capture_output=True, text=True, timeout=120)
+
+        ok = cli("run", "-p", "sd820", "-s", conv_scenario)
+        assert (ok.returncode, ok.stderr) == (0, "")
+        assert ok.stdout.startswith("profile: sd820")
+        missing = cli("run", "-p", "no-such-profile", "-s", conv_scenario)
+        assert_input_error(missing.returncode, missing.stdout, missing.stderr)
 
     def test_missing_profile_exits_2(self, capsys, conv_scenario):
         code, _, err = run_cli(capsys, "run", "-p", "no-such-profile",

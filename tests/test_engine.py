@@ -386,6 +386,17 @@ class TestAudits:
         with pytest.raises(audit.AuditError, match=r"^task 2 is not in the scenario$"):
             audit.audit_all(trace, TaskGraph([rt(1)]), p)
 
+    def test_a_run_without_a_trace_cannot_be_audited(self):
+        p, scenario = single_unit_profile(), TaskGraph([rt(1)])
+        config = SimConfig(record_trace=False)
+        _, trace = simulate(scenario, p, Policy.latency(), config)
+        assert trace is None
+        message = r"^no trace to read: the run was made with record_trace=False$"
+        with pytest.raises(audit.AuditError, match=message):
+            audit.audit_all(trace, scenario, p)
+        with pytest.raises(audit.AuditError, match=message):
+            compute_metrics(trace, p, config, scenario)
+
 
 def partial_hp_profile(rng: random.Random):
     """CPU, mGPU and DSP; "alpha" runs everywhere, while "beta" and "gamma"

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from simrt import (BadInterval, MissingCost, NegativeValue, ParseError,
-                   SetupMode, SimrtError, UnitKind, builtin_profiles, cloud_latency,
-                   energy_of, load_profile, offload_time,
-                   preference_matrix, restrict)
+from simrt import (BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError,
+                   Policy, SetupMode, SimConfig, SimrtError, UnitKind, builtin_profiles,
+                   energy_of, load_profile, offload_time, preference_matrix, restrict)
 from simrt.builtins import BUILTIN_PROFILE_TEXTS
 
 from .helpers import WORKLOADS, random_profile
@@ -312,6 +311,14 @@ _PROFILE_REJECTIONS = [
 ]
 
 
+@pytest.mark.parametrize("parse", [UnitKind.parse, SetupMode.parse, Policy.parse,
+                                   load_profile])
+@pytest.mark.parametrize("value", [None, 3])
+def test_parsers_reject_a_non_string(parse, value):
+    with pytest.raises(ParseError):
+        parse(value)
+
+
 class TestProfileLoaderErrors:
     @pytest.mark.parametrize("text, error, message", _PROFILE_REJECTIONS)
     def test_exact_type_and_message(self, text, error, message):
@@ -379,6 +386,16 @@ class TestOffloadTime:
             with pytest.raises(MissingCost):
                 energy_of(p, workload, kind)
 
+    @pytest.mark.parametrize("mode", ["per_offload", "amortized", None])
+    def test_rejects_a_setup_mode_that_is_not_a_setup_mode(self, mode):
+        p = builtin_profiles()["sd820"]
+        with pytest.raises(InvalidConfig) as exc:
+            offload_time(p, "convolution", UnitKind.MGPU, mode)
+        with pytest.raises(InvalidConfig) as config_exc:
+            SimConfig(setup_mode=mode)
+        assert str(exc.value) == str(config_exc.value) == (
+            f"setup_mode must be a SetupMode, got {mode!r}")
+
     def test_total_is_component_sum_and_amortized_never_exceeds(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -425,25 +442,6 @@ class TestEnergyAndCloud:
         p = builtin_profiles()["tx1-cloud"]
         assert p.costs["alexnet", UnitKind.CPU].kernel_us == 400_000
         assert p.costs["alexnet", UnitKind.GPU].kernel_us == 33_000
-
-    def test_cloud_latency_within_interval(self):
-        p = builtin_profiles()["tx1-cloud"]
-        for seed in range(200):
-            v = cloud_latency(p, random.Random(seed))
-            assert 2_000_000 <= v <= 5_000_000
-
-    def test_point_interval(self):
-        p = make_profile(cloud={"latency_us": [3_000_000, 3_000_000], "energy_uj": 1})
-        assert cloud_latency(p, random.Random(99)) == 3_000_000
-
-    def test_pure_function_of_rng_state(self):
-        p = builtin_profiles()["tx1-cloud"]
-        a = [cloud_latency(p, random.Random(42)) for _ in range(2)]
-        draws = random.Random(42)
-        b = [cloud_latency(p, draws), cloud_latency(p, draws)]
-        assert a[0] == b[0]
-        again = random.Random(42)
-        assert [cloud_latency(p, again), cloud_latency(p, again)] == b
 
 
 class TestPreferenceMatrix:

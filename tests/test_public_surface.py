@@ -13,7 +13,6 @@ PUBLIC_NAMES = {
     "ScenarioSpec", "robot_pipeline", "convolution_batch",
     # profiles and the cost model
     "PlatformProfile", "UnitKind", "UnitSpec", "CostEntry", "load_profile",
-    "cloud_latency",
     # dispatch
     "RouteClass",
     # errors

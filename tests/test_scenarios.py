@@ -31,8 +31,9 @@ class TestConvolutionBatch:
                                     weights=config.weights)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(InvalidRate):
-            convolution_batch(-1)
+        for n in (-1, 1.5, "1", True, None):
+            with pytest.raises(InvalidRate):
+                convolution_batch(n)
 
 
 class TestRobotPipeline:
@@ -95,10 +96,12 @@ class TestRobotPipeline:
         validate_graph(robot_pipeline(2, 25, 200, 3))
 
     def test_invalid_rates_rejected(self):
+        for args in ((0, 25, 200, 3), (10, -25, 200, 3), (1.5, 25, 200, 3),
+                     ("1", 25, 200, 3), (1, 25, 200, 3.0), (1, True, 200, 3)):
+            with pytest.raises(InvalidRate):
+                robot_pipeline(*args)
         with pytest.raises(InvalidRate):
-            robot_pipeline(0, 25, 200, 3)
-        with pytest.raises(InvalidRate):
-            robot_pipeline(10, -25, 200, 3)
+            robot_pipeline(1, 25, 200, 3, planning_hz=0.5)
 
 
 class TestInferenceComparison:
