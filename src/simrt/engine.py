@@ -31,7 +31,8 @@ from . import scheduler as sched
 from .errors import AuditError, EngineError, InvalidConfig, InvalidScenario, UnresolvableCost
 from .profiles import (PlatformProfile, SetupMode, UnitKind, _check_setup_mode,
                        energy_of, offload_time)
-from .scheduler import Policy, RouteClass, SchedulerState
+from .scheduler import (Policy, RouteClass, SchedulerState, _check_flag, _check_weights,
+                        _is_int_at_least)
 from .tasks import TaskGraph, validate_graph
 
 PHASE_DISPATCH = "dispatch"
@@ -117,26 +118,14 @@ class SimConfig:
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         for flag in ("cloud_in_makespan", "fpga_as_gpu", "record_trace"):
-            if not isinstance(getattr(self, flag), bool):
-                raise InvalidConfig(f"{flag} must be True or False, got {getattr(self, flag)!r}")
+            _check_flag(flag, getattr(self, flag))
         if self.buffer_capacity is not None and not _is_int_at_least(self.buffer_capacity, 0):
             raise InvalidConfig(
                 f"buffer_capacity must be None or an integer >= 0, got {self.buffer_capacity!r}")
         if self.cloud_slots is not None and not _is_int_at_least(self.cloud_slots, 1):
             raise InvalidConfig(
                 f"cloud_slots must be None or an integer >= 1, got {self.cloud_slots!r}")
-        if self.weights is not None:
-            if not isinstance(self.weights, dict):
-                raise InvalidConfig(f"weights must be a dict, got {self.weights!r}")
-            for slot, weight in self.weights.items():
-                if slot not in ("g", "d", "c") or not _is_int_at_least(weight, 0):
-                    raise InvalidConfig(
-                        f"weights: bad item {slot!r}: {weight!r}; keys are g, d, c "
-                        f"and weights are integers >= 0")
-
-
-def _is_int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+        _check_weights(self.weights)
 
 
 @dataclass(frozen=True)

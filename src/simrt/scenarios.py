@@ -26,7 +26,8 @@ _CAMERA_CHAIN = (
     ("update", _RT),
 )
 
-_DL_CHAIN = ("conv1", "conv2", "conv3", "conv4", "conv5", "fc6", "fc7", "fc8")
+_DL_CHAIN = tuple((layer, _RT) for layer in (
+    "conv1", "conv2", "conv3", "conv4", "conv5", "fc6", "fc7", "fc8"))
 
 
 @dataclass(frozen=True)
@@ -46,55 +47,34 @@ def convolution_batch(n: int) -> TaskGraph:
         Task(id=i + 1, workload="convolution", tags=_RT) for i in range(n))
 
 
-def _periodic_releases(duration_s: int, rate_hz: int) -> list:
-    """Release times (µs) for floor(duration * rate) periodic arrivals."""
-    count = duration_s * rate_hz
-    return [k * 1_000_000 // rate_hz for k in range(count)]
-
-
 def robot_pipeline(duration_s: int, camera_fps: int, imu_hz: int,
                    dl_fps: int, planning_hz: int = 10) -> TaskGraph:
     """Full robotic workload: periodic camera-frame chains, IMU propagation,
     CNN inference chains, periodic path planning, and two aperiodic
     non-real-time tasks (scene understanding and map generation) that only
-    the tag-aware policy sends to the cloud."""
-    for name, rate in (("duration_s", duration_s), ("camera_fps", camera_fps),
-                       ("imu_hz", imu_hz), ("dl_fps", dl_fps),
-                       ("planning_hz", planning_hz)):
+    the tag-aware policy sends to the cloud.
+
+    A stream at rate r releases duration_s * r chains, chain k at
+    k * 1_000_000 // r µs; each stage depends on the one before it."""
+    streams = (("camera_fps", camera_fps, _CAMERA_CHAIN),
+               ("imu_hz", imu_hz, (("propagate", _RT),)),
+               ("dl_fps", dl_fps, _DL_CHAIN),
+               ("planning_hz", planning_hz, (("planning", _RT),)))
+    for name, rate, _ in (("duration_s", duration_s, ()),) + streams:
         if type(rate) is not int or rate <= 0:
             raise InvalidRate(name, rate)
 
     tasks = []
-    next_id = 1
-
-    def add(workload: str, tags: TaskTags, deps=(), release_us: int = 0) -> int:
-        nonlocal next_id
-        tasks.append(Task(id=next_id, workload=workload, tags=tags,
-                          deps=frozenset(deps), release_us=release_us))
-        next_id += 1
-        return next_id - 1
-
-    for release in _periodic_releases(duration_s, camera_fps):
-        prev = None
-        for workload, tags in _CAMERA_CHAIN:
-            prev = add(workload, tags, deps=() if prev is None else (prev,),
-                       release_us=release)
-
-    for release in _periodic_releases(duration_s, imu_hz):
-        add("propagate", _RT, release_us=release)
-
-    for release in _periodic_releases(duration_s, dl_fps):
-        prev = None
-        for workload in _DL_CHAIN:
-            prev = add(workload, _RT, deps=() if prev is None else (prev,),
-                       release_us=release)
-
-    for release in _periodic_releases(duration_s, planning_hz):
-        add("planning", _RT, release_us=release)
-
-    add("scene_understanding", TaskTags(real_time=False, image_input=True))
-    add("map_generation", TaskTags(real_time=False, image_input=False))
-
+    for _, rate, stages in streams:
+        for k in range(duration_s * rate):
+            deps = frozenset()
+            for workload, tags in stages:
+                tasks.append(Task(id=len(tasks) + 1, workload=workload, tags=tags,
+                                  deps=deps, release_us=k * 1_000_000 // rate))
+                deps = frozenset((len(tasks),))
+    for workload, image_input in (("scene_understanding", True), ("map_generation", False)):
+        tasks.append(Task(id=len(tasks) + 1, workload=workload,
+                          tags=TaskTags(real_time=False, image_input=image_input)))
     return TaskGraph(tasks)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-from .errors import InvalidScenario, ParseError
+from .errors import InvalidConfig, InvalidScenario, ParseError
 from .profiles import PlatformProfile, UnitKind
 from .tasks import Task
 
@@ -112,6 +112,27 @@ _FILL_ORDERS = {
 }
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
+def _check_flag(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise InvalidConfig(f"{name} must be True or False, got {value!r}")
+
+
+def _check_weights(weights) -> None:
+    """Reject weights that are not None or a dict of slot -> int >= 0."""
+    if weights is None:
+        return
+    if not isinstance(weights, dict):
+        raise InvalidConfig(f"weights must be a dict, got {weights!r}")
+    for slot, weight in weights.items():
+        if slot not in _LATENCY_ORDER or not _is_int_at_least(weight, 0):
+            raise InvalidConfig(f"weights: bad item {slot!r}: {weight!r}; keys are g, d, c "
+                                f"and weights are integers >= 0")
+
+
 class SchedulerState:
     """Single-owner mutable dispatch state for one simulation run."""
 
@@ -121,6 +142,8 @@ class SchedulerState:
         weights: dict | None = None,
         fpga_as_gpu: bool = False,
     ):
+        _check_weights(weights)
+        _check_flag("fpga_as_gpu", fpga_as_gpu)
         gpu_slot = None
         for u in profile.units:
             if u.kind in (UnitKind.MGPU, UnitKind.GPU):

@@ -14,7 +14,7 @@ import simrt.engine
 import simrt.profiles
 from simrt import (AuditError, EngineError, Policy, SimConfig, SimrtError,
                    builtin_profiles, convolution_batch, dump_scenario, load_profile,
-                   load_scenario, robot_pipeline, simulate)
+                   load_scenario, preference_matrix, robot_pipeline, simulate)
 from simrt.cli import main
 from simrt.engine import SimResult
 
@@ -218,6 +218,20 @@ class TestValidate:
         assert "units: CPU(w=2), GPU(w=4, 256 GOPS)" in out.splitlines()
         assert "cloud: latency_us=[2000000, 5000000], energy_uj=10000" in out.splitlines()
         assert "CLOUD(" not in out
+
+    def test_workload_without_a_cost_entry_has_no_row(self, capsys, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({
+            "units": [{"kind": "CPU", "weight": 2}],
+            "workloads": [{"name": "a"}, {"name": "b"}],
+            "costs": {"a@CPU": {"kernel_us": 10, "energy_uj": 1}},
+        }))
+        assert list(preference_matrix(load_profile(path.read_text()))) == ["a"]
+        code, out, _ = run_cli(capsys, "validate", str(path))
+        assert code == 0
+        rows = [line.split()[0] for line in out.splitlines() if line.strip()]
+        assert "a" in rows and "b" not in rows
+        assert out.strip().endswith("ok")
 
     def test_malformed_profile_exits_2(self, capsys, tmp_path):
         path = tmp_path / "broken.json"

@@ -457,6 +457,33 @@ class TestSimConfigValidation:
     def test_accepts_boundary_values(self):
         SimConfig(buffer_capacity=0, cloud_slots=1, weights={"g": 0, "d": 2, "c": 1})
 
+    def test_first_bad_field_is_reported(self):
+        with pytest.raises(InvalidConfig) as exc:
+            SimConfig(weights={"x": 1}, cloud_slots=0, fpga_as_gpu="yes")
+        assert str(exc.value) == "fpga_as_gpu must be True or False, got 'yes'"
+        with pytest.raises(InvalidConfig) as exc:
+            SimConfig(weights={"g": 1, "d": -1}, cloud_slots=1)
+        assert str(exc.value) == ("weights: bad item 'd': -1; keys are g, d, c "
+                                  "and weights are integers >= 0")
+
+    def test_weights_changed_after_the_config_is_made(self):
+        weights = {"g": 1}
+        config = SimConfig(weights=weights)
+        weights["g"] = "x"
+        with pytest.raises(InvalidConfig, match="bad item 'g': 'x'"):
+            simulate(convolution_batch(3), builtin_profiles()["sd820"],
+                     Policy.throughput(), config)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"weights": {"g": -1}}, "weights: bad item 'g': -1"),
+        ({"fpga_as_gpu": "yes"}, "fpga_as_gpu must be True or False, got 'yes'"),
+    ])
+    def test_audit_rejects_a_bad_argument_not_the_trace(self, kwargs, message):
+        scenario, profile = convolution_batch(1), builtin_profiles()["sd820"]
+        _, trace = simulate(scenario, profile, Policy.throughput())
+        with pytest.raises(InvalidConfig, match=message):
+            audit.audit_all(trace, scenario, profile, **kwargs)
+
 
 class TestRecordTrace:
     """With record_trace=False the engine keeps no records: the run's

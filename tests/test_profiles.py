@@ -5,7 +5,8 @@ import pytest
 
 from simrt import (BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError,
                    Policy, SetupMode, SimConfig, SimrtError, UnitKind, builtin_profiles,
-                   energy_of, load_profile, offload_time, preference_matrix, restrict)
+                   energy_of, load_profile, load_scenario, offload_time, preference_matrix,
+                   restrict)
 from simrt.builtins import BUILTIN_PROFILE_TEXTS
 
 from .helpers import WORKLOADS, random_profile
@@ -317,6 +318,14 @@ _PROFILE_REJECTIONS = [
 def test_parsers_reject_a_non_string(parse, value):
     with pytest.raises(ParseError):
         parse(value)
+
+
+@pytest.mark.parametrize("load, location", [(load_scenario, "scenario"),
+                                             (load_profile, "profile")])
+def test_parsers_reject_bytes_that_are_not_utf8(load, location):
+    with pytest.raises(ParseError) as exc:
+        load(b"\xff")
+    assert str(exc.value) == f"{location}: not UTF-8 text: invalid start byte at byte 0"
 
 
 class TestProfileLoaderErrors:

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+
 import pytest
 
 from simrt import (InvalidRate, Policy, SimConfig, UnitKind, builtin_profiles,
@@ -5,6 +8,12 @@ from simrt import (InvalidRate, Policy, SimConfig, UnitKind, builtin_profiles,
                    robot_pipeline, simulate, validate_graph)
 
 from .oracle import assert_dispatch_equivalence
+
+
+# SHA-256 over robot_pipeline's scenario JSON on a grid of rates, and over
+# the InvalidRate raised for bad argument lists; see
+# TestRobotPipeline.test_output_and_errors_are_pinned
+_ROBOT_DIGEST = "b558476d72ca8fd4c1fae9822ff5b7c709ead36b9f1ed8c5a3fb3b08fa094e73"
 
 
 class TestConvolutionBatch:
@@ -94,6 +103,22 @@ class TestRobotPipeline:
 
     def test_graph_validates(self):
         validate_graph(robot_pipeline(2, 25, 200, 3))
+
+    def test_output_and_errors_are_pinned(self):
+        # rates 7 and 13 do not divide 10**6, so release times round down;
+        # each bad argument list holds two bad rates, so the digest also
+        # pins which one is reported
+        digest = hashlib.sha256()
+        for args in itertools.product((1, 2, 3), (1, 7, 25), (1, 13, 200),
+                                      (1, 3), (1, 7, 10)):
+            digest.update(f"{args}|{dump_scenario(robot_pipeline(*args))}\n".encode())
+        for args in ((0, 0, 200, 3), (1, -25, 200, 0), (1, 25, 1.5, 3, 0),
+                     (2, 25, 13, True, "7"), ("1", None, 200, 3),
+                     (1, 25, 200, 3.0, -10)):
+            with pytest.raises(InvalidRate) as exc:
+                robot_pipeline(*args)
+            digest.update(f"{args}|{type(exc.value).__name__}|{exc.value}\n".encode())
+        assert digest.hexdigest() == _ROBOT_DIGEST
 
     def test_invalid_rates_rejected(self):
         for args in ((0, 25, 200, 3), (10, -25, 200, 3), (1.5, 25, 200, 3),

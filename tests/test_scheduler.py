@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from simrt import (BasicPolicy, InvalidScenario, Policy, RouteClass,
-                   SchedulerState, Task, TaskTags, UnitKind, classify, dispatch,
-                   dispatch_latency, load_profile, on_unit_free)
+from simrt import (BasicPolicy, InvalidConfig, InvalidScenario, Policy, RouteClass,
+                   SchedulerState, Task, TaskTags, UnitKind, builtin_profiles, classify,
+                   dispatch, dispatch_latency, load_profile, on_unit_free)
 
 from .helpers import random_profile
 
@@ -246,6 +246,21 @@ class TestFpgaSlot:
         assert set(state.units) == {UnitKind.CPU, UnitKind.FPGA}
         got = [dispatch_latency(state).value for _ in range(3)]
         assert got == ["FPGA", "FPGA", "CPU"]
+
+
+class TestStateArguments:
+    """SchedulerState checks its arguments with SimConfig's rules."""
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"weights": {"x": 1}}, "weights: bad item 'x': 1; keys are g, d, c "
+                                "and weights are integers >= 0"),
+        ({"weights": [("g", 1)]}, "weights must be a dict, got [('g', 1)]"),
+        ({"fpga_as_gpu": "yes"}, "fpga_as_gpu must be True or False, got 'yes'"),
+    ])
+    def test_rejects_what_simconfig_rejects(self, kwargs, message):
+        with pytest.raises(InvalidConfig) as exc:
+            SchedulerState(builtin_profiles()["sd820"], **kwargs)
+        assert str(exc.value) == message
 
 
 class TestPolicyParsing:
