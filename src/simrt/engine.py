@@ -14,9 +14,12 @@ completions-before-releases, insertion sequence) order, so a run is a pure
 function of (scenario, profile, policy, config) and two runs emit
 byte-identical traces. Releases sit in one list stably sorted by release
 time; a phase or cloud completion due later goes on a heap ordered by
-(time, sequence), and one due at the current instant goes to a FIFO. The
-loop runs the heap events due now (scheduled earlier, so older), then the
-FIFO, and takes a release only when no completion is due at or before it.
+(time, sequence), and one due at the current instant goes to a FIFO. A
+local event's kind is the index (0-3) of the boundary it crosses in its
+unit's phase plan: into xfer_in, kernel, xfer_out or complete; a cloud
+completion has a kind of its own. The loop runs the heap events due now
+(scheduled earlier, so older), then the FIFO, and takes a release only when
+no completion is due at or before it.
 """
 
 import heapq
@@ -259,10 +262,10 @@ def _phase_table(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
     return table
 
 
-# a phase event's kind is the phase the task enters at that boundary;
-# phase -> (index of its boundary in the phase plan, next phase)
-_NEXT_PHASE = {PHASE_XFER_IN: (0, PHASE_KERNEL), PHASE_KERNEL: (1, PHASE_XFER_OUT),
-               PHASE_XFER_OUT: (2, PHASE_COMPLETE)}
+# a local event's kind is the index of its boundary in the phase plan, and
+# _BOUNDARY_PHASES[kind] the phase entered there; a cloud completion's is _CLOUD_EVENT
+_BOUNDARY_PHASES = (PHASE_XFER_IN, PHASE_KERNEL, PHASE_XFER_OUT, PHASE_COMPLETE)
+_KERNEL, _COMPLETE, _CLOUD_EVENT = 1, 3, -1
 
 
 class _Engine:
@@ -307,19 +310,17 @@ class _Engine:
 
     # -- plumbing ---------------------------------------------------------
 
-    def _push(self, time_us: int, now: int, kind: str, key) -> None:
+    def _push(self, time_us: int, now: int, kind: int, key) -> None:
         if time_us == now:
             self.due_now.append((kind, key))
         else:
             heapq.heappush(self.heap, (time_us, next(self._seq), kind, key))
 
-    def _rec(self, time_us: int, task_id: int, unit: str, phase: str) -> None:
-        self._append((time_us, task_id, self.tasks[task_id].workload, unit, phase))
-
     # -- dispatch and execution -------------------------------------------
 
     def run(self) -> SimResult:
-        heap, due_now, pop = self.heap, self.due_now, heapq.heappop
+        heap, due_now, seq, running = self.heap, self.due_now, self._seq, self.running
+        pop, push, append = heapq.heappop, heapq.heappush, self._append
         status, deps_left = self.status, self.deps_left
         releases = iter(sorted(((t.release_us, t.id) for t in self.scenario),
                                key=itemgetter(0)))
@@ -340,12 +341,27 @@ class _Engine:
                 continue
             else:
                 break
-            if kind == PHASE_COMPLETE:
-                self._complete_local(key, now)
-            elif kind == PHASE_CLOUD_COMPLETE:
+            if kind == _CLOUD_EVENT:
                 self._on_cloud_complete(key, now)
+                continue
+            tid, label, workload, start, plan = running[key]
+            if start + plan[kind] != now:
+                raise EngineError(f"task {tid} entered {_BOUNDARY_PHASES[kind]} at {now}, "
+                                  f"off its plan {start + plan[kind]}")
+            append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
+            if kind == _COMPLETE:
+                running[key] = None
+                self.last_end = now
+                self._after_completion(tid, label, plan[4], now)
+                self._try_start(key, now)
+                continue
+            if kind == _KERNEL:
+                self._release_buffers_for(tid)
+            kind += 1
+            if start + plan[kind] == now:
+                due_now.append((kind, key))
             else:
-                self._on_phase(key, kind, now)
+                push(heap, (start + plan[kind], next(seq), kind, key))
 
         leftover = [t for t, s in self.status.items() if s == _PENDING or t in self.dispatched_at]
         if leftover or self.buffer_refs:
@@ -365,20 +381,21 @@ class _Engine:
             skipped=len(self.scenario) - completed), self.trace)
 
     def _dispatch(self, tid: int, now: int) -> None:
-        route = sched.dispatch(self.state, self.tasks[tid], self.policy)
+        task = self.tasks[tid]
+        route = sched.dispatch(self.state, task, self.policy)
         self.status[tid] = _STARTED
         self.dispatched_at[tid] = now
         if self.first_dispatch is None:
             self.first_dispatch = now
-        if route.target is RouteClass.CLOUD:
-            self._rec(now, tid, LABEL_CLOUD, PHASE_DISPATCH)
+        if (unit := route.unit) is not None:
+            self._append((now, tid, task.workload, self.labels[unit], PHASE_DISPATCH))
+            self._try_start(unit, now)
+        elif route.target is RouteClass.CLOUD:
+            self._append((now, tid, task.workload, LABEL_CLOUD, PHASE_DISPATCH))
             self._drain_cloud(now)
-        elif route.target is RouteClass.HIGH_PRIORITY:
-            self._rec(now, tid, LABEL_HP, PHASE_DISPATCH)
-            self._kick(now)
         else:
-            self._rec(now, tid, self.labels[route.unit], PHASE_DISPATCH)
-            self._try_start(route.unit, now)
+            self._append((now, tid, task.workload, LABEL_HP, PHASE_DISPATCH))
+            self._kick(now)
 
     def _kick(self, now: int) -> None:
         for unit in self.state.units:
@@ -392,29 +409,18 @@ class _Engine:
         tid = sched.on_unit_free(self.state, unit, self.tasks)
         if tid is None:
             return
-        self._start(tid, unit, now)
-        if tid == hp_head and hp:
-            # the new high-priority head may be runnable on another idle unit
-            self._kick(now)
-
-    def _start(self, tid: int, unit: UnitKind, now: int) -> None:
         workload = self.tasks[tid].workload
         plan = self.table[unit][workload]
         label = self.labels[unit]
         self._append((now, tid, workload, label, PHASE_SETUP))
         self.running[unit] = (tid, label, workload, now, plan)
-        self._push(now + plan[0], now, PHASE_XFER_IN, unit)
-
-    def _on_phase(self, unit: UnitKind, phase: str, now: int) -> None:
-        tid, label, workload, start, plan = self.running[unit]
-        index, next_phase = _NEXT_PHASE[phase]
-        if start + plan[index] != now:
-            raise EngineError(f"task {tid} entered {phase} at {now}, "
-                              f"off its plan {start + plan[index]}")
-        self._append((now, tid, workload, label, phase))
-        if phase == PHASE_KERNEL:
-            self._release_buffers_for(tid)
-        self._push(start + plan[index + 1], now, next_phase, unit)
+        if plan[0]:
+            heapq.heappush(self.heap, (now + plan[0], next(self._seq), 0, unit))
+        else:
+            self.due_now.append((0, unit))
+        if tid == hp_head and hp:
+            # the new high-priority head may be runnable on another idle unit
+            self._kick(now)
 
     def _release_buffers_for(self, tid: int) -> None:
         task, refs = self.tasks[tid], self.buffer_refs
@@ -424,16 +430,8 @@ class _Engine:
                 if refs[producer] == 0:
                     del refs[producer]
 
-    def _complete_local(self, unit: UnitKind, now: int) -> None:
-        tid, label, workload, _, plan = self.running[unit]
-        self.running[unit] = None
-        self._append((now, tid, workload, label, PHASE_COMPLETE))
-        self.last_end = now
-        self._after_completion(tid, label, plan[4], now)
-        self._try_start(unit, now)
-
     def _on_cloud_complete(self, tid: int, now: int) -> None:
-        self._rec(now, tid, LABEL_CLOUD, PHASE_CLOUD_COMPLETE)
+        self._append((now, tid, self.tasks[tid].workload, LABEL_CLOUD, PHASE_CLOUD_COMPLETE))
         if self.cloud_energy is None:
             self.cloud_energy = energy_of(self.profile, self.tasks[tid].workload, UnitKind.CLOUD)
         if self.config.cloud_in_makespan:
@@ -447,16 +445,18 @@ class _Engine:
         totals[0] += now - self.dispatched_at.pop(tid)
         totals[1] += 1
         self.energy_uj += energy_uj
-        self._acquire_buffer(tid, unit_label, now)
+        if not (dependents := self.dependents.get(tid)):
+            return
+        self._acquire_buffer(tid, dependents, unit_label, now)
         status, deps_left = self.status, self.deps_left
-        for dep in self.dependents.get(tid, ()):
+        for dep in dependents:
             deps_left[dep] -= 1
             if (status[dep] == _PENDING and deps_left[dep] == 0
                     and self.tasks[dep].release_us <= now):
                 self._dispatch(dep, now)
 
-    def _acquire_buffer(self, tid: int, unit_label: str, now: int) -> None:
-        consumers = [c for c in self.dependents.get(tid, ())
+    def _acquire_buffer(self, tid: int, dependents: list, unit_label: str, now: int) -> None:
+        consumers = [c for c in dependents
                      if self.tasks[c].tags.image_input and self.status[c] != _SKIPPED]
         if not consumers:
             return
@@ -464,7 +464,7 @@ class _Engine:
         if capacity is None or len(self.buffer_refs) < capacity:
             self.buffer_refs[tid] = len(consumers)
         else:
-            self._rec(now, tid, unit_label, PHASE_DROP)
+            self._append((now, tid, self.tasks[tid].workload, unit_label, PHASE_DROP))
             self.drops += 1
             for consumer in consumers:
                 self._skip(consumer)
@@ -488,11 +488,11 @@ class _Engine:
         while self.state.cloud_queue and (slots is None or self.cloud_active < slots):
             tid = self.state.cloud_queue.popleft()
             self.cloud_active += 1
-            self._rec(now, tid, LABEL_CLOUD, PHASE_CLOUD_SUBMIT)
+            self._append((now, tid, self.tasks[tid].workload, LABEL_CLOUD, PHASE_CLOUD_SUBMIT))
             # an image consumer needs its input only until upload
             self._release_buffers_for(tid)
             lo, hi = self.profile.cloud_latency_us
-            self._push(now + self.rng.randint(lo, hi), now, PHASE_CLOUD_COMPLETE, tid)
+            self._push(now + self.rng.randint(lo, hi), now, _CLOUD_EVENT, tid)
 
 
 def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,

@@ -208,7 +208,7 @@ def _reject_constant(name: str):  # NaN, Infinity, -Infinity
     raise ParseError(f"invalid JSON: {name} is not a number", "profile")
 
 
-def load_profile(text: str, name: str = "") -> PlatformProfile:
+def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
     """Parse and validate a platform profile JSON document.
 
     Every declared cost entry must be resolvable: an explicit kernel time,

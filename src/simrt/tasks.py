@@ -102,9 +102,13 @@ def _dependency_index(graph: TaskGraph) -> tuple:
     return ids, dependents, dep_counts
 
 
-def parse_document(text: str, location: str, keys, **json_options) -> dict:
-    """The top-level object of a JSON document, holding only the given keys."""
+def parse_document(text: str | bytes, location: str, keys, **json_options) -> dict:
+    """The top-level object of a JSON document, holding only the given keys.
+    Bytes are read as strict UTF-8, as the CLI reads a file: json.loads alone
+    would also take a BOM, UTF-16/32 and encoded surrogates."""
     try:
+        if isinstance(text, (bytes, bytearray)):
+            text = text.decode("utf-8")
         doc = json.loads(text, **json_options)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", location) from None
@@ -135,7 +139,7 @@ _TAGS = {(rt, img): TaskTags(rt, img) for rt in (True, False) for img in (True, 
 _NO_DEPS = frozenset()  # shared by every loaded task without deps
 
 
-def load_scenario(text: str) -> TaskGraph:
+def load_scenario(text: str | bytes) -> TaskGraph:
     """Parse a scenario JSON document into a validated TaskGraph.
 
     Unknown keys are rejected. Missing tags default to real_time=true,

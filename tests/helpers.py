@@ -62,3 +62,22 @@ def random_scenario(rng: random.Random, max_tasks: int = 20) -> TaskGraph:
             release_us=rng.randint(0, 5000),
         ))
     return TaskGraph(tasks)
+
+
+def strict_utf8_rejections(text: str, value: str) -> list:
+    """(case id, bytes, ParseError message) for encodings of the JSON document
+    `text` that are not plain UTF-8 JSON: a BOM, a bad byte after a BOM,
+    UTF-16 and UTF-32, and a UTF-8-encoded surrogate in place of the JSON
+    string `value`. Each message names the true byte offset."""
+    data = text.encode()
+    quoted = json.dumps(value).encode()
+    surrogate = data.replace(quoted, b'"\xed\xa0\x80"', 1)
+    return [
+        ("bom", b"\xef\xbb\xbf" + data,
+         "invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+        ("bom-then-bad-byte", b"\xef\xbb\xbf\xff", "not UTF-8 text: invalid start byte at byte 3"),
+        ("utf-16", text.encode("utf-16"), "not UTF-8 text: invalid start byte at byte 0"),
+        ("utf-32", text.encode("utf-32"), "not UTF-8 text: invalid start byte at byte 0"),
+        ("surrogate", surrogate,
+         f"not UTF-8 text: invalid continuation byte at byte {data.index(quoted) + 1}"),
+    ]

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 import simrt
+import simrt.builtins
 import simrt.cli
 import simrt.engine
 import simrt.profiles
@@ -18,6 +19,7 @@ from simrt import (AuditError, EngineError, Policy, SimConfig, SimrtError,
 from simrt.cli import main
 from simrt.engine import SimResult
 
+from .helpers import strict_utf8_rejections
 from .test_golden import robot_dag
 
 
@@ -409,6 +411,28 @@ class TestUnreadableInputs:
         code, out, err = run_cli(capsys, "validate", str(path))
         assert_input_error(code, out, err)
         assert str(path) in err
+
+    @pytest.mark.parametrize("flag, load, data, message", [
+        pytest.param(flag, load, data, message, id=f"{load.__name__}-{case}")
+        for flag, load, text, value in [
+            ("-s", load_scenario, dump_scenario(convolution_batch(2)), "convolution"),
+            ("-p", load_profile, simrt.builtins.BUILTIN_PROFILE_TEXTS["sd820"], "sd820")]
+        for case, data, message in strict_utf8_rejections(text, value)])
+    def test_bytes_fail_as_in_the_library(self, capsys, tmp_path, conv_scenario,
+                                          flag, load, data, message):
+        """`simrt run` and the loaders read bytes as strict UTF-8 alike: a
+        BOM, UTF-16/32 and an encoded surrogate fail, naming the true offset."""
+        with pytest.raises(SimrtError) as exc:
+            load(data)
+        location, _, library_message = str(exc.value).partition(": ")
+        assert library_message == message
+        path = tmp_path / "input.json"
+        path.write_bytes(data)
+        args = {"-p": "sd820", "-s": conv_scenario, flag: str(path)}
+        code, out, err = run_cli(capsys, "run", *(arg for item in args.items() for arg in item))
+        assert_input_error(code, out, err)
+        # the CLI names the file where the bytes fail to decode, else the document
+        assert err in (f"error: {path}: {message}\n", f"error: {location}: {message}\n")
 
     def test_deeply_nested_scenario(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -11,7 +11,7 @@ import pytest
 
 import simrt.engine
 import simrt.tasks
-from simrt import (BasicPolicy, CycleDetected, DuplicateId, InvalidConfig,
+from simrt import (BasicPolicy, CycleDetected, DuplicateId, EngineError, InvalidConfig,
                    PlatformProfile, Policy, SetupMode, SimConfig, Task,
                    TaskGraph, TaskTags, Trace, TraceRecord, UnitKind,
                    UnknownDependency, UnresolvableCost, audit, builtin_profiles,
@@ -585,6 +585,57 @@ class TestHeapTraffic:
         monkeypatch.undo()
         assert metrics.completed == len(scenario)
         assert 0 < pushes <= 2 * len(scenario)
+
+    @pytest.mark.parametrize("case", ["dag-adv-energy-drops-cloud2", "robot"])
+    def test_one_heap_push_per_phase_that_takes_time(self, monkeypatch, case):
+        if case == "robot":
+            scenario, profile = robot_pipeline(2, 25, 200, 3), builtin_profiles()["sd820-robot"]
+            policy = Policy.advanced_over(BasicPolicy.THROUGHPUT)
+            config = SimConfig(buffer_capacity=4)
+        else:
+            scenario, profile, policy, config = golden_cases()[case]
+        pushes = 0
+        original = heapq.heappush
+
+        def counting(heap, item):
+            nonlocal pushes
+            pushes += 1
+            original(heap, item)
+
+        monkeypatch.setattr(heapq, "heappush", counting)
+        _, trace = simulate(scenario, profile, policy, config)
+        monkeypatch.undo()
+        # each phase entered at a boundary the engine scheduled, and later than
+        # the task's previous record, took time, so its boundary was pushed
+        scheduled = {"xfer_in", "kernel", "xfer_out", "complete", "cloud_complete"}
+        previous = {}  # task id -> time of its latest record
+        timed = 0
+        for time_us, tid, _, _, phase in trace.records:
+            if phase in scheduled and time_us > previous[tid]:
+                timed += 1
+            previous[tid] = time_us
+        assert "cloud_complete" in {r.phase for r in trace}
+        assert pushes == timed > 0
+
+
+class TestOffPlan:
+    """A phase boundary that fires at another time than the task's phase
+    plan says is a broken engine invariant, at every local boundary."""
+
+    @pytest.mark.parametrize("costs, phase", [
+        ({"xin": 50}, "kernel"),
+        ({"kernel": 0, "xout": 50}, "complete"),
+    ], ids=["kernel", "complete"])
+    def test_a_late_boundary_raises(self, monkeypatch, costs, phase):
+        original = heapq.heappush
+
+        def late(heap, item):
+            original(heap, (item[0] + 1, *item[1:]))
+
+        profile = single_unit_profile(**costs)
+        monkeypatch.setattr(heapq, "heappush", late)
+        with pytest.raises(EngineError, match=f"entered {phase} at .* off its plan"):
+            simulate(TaskGraph([rt(1)]), profile, Policy.latency())
 
 
 class TestDependencyIndex:
