@@ -130,15 +130,20 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                     f"{hp[0][0]} is runnable on it")
 
     # only dispatch, setup and complete change a queue or busy flag; a step
-    # without them keeps the state the last check (or the empty start) passed
+    # without them keeps the state the last check (or the empty start) passed,
+    # and a step that ends with no task queued or at the HP head cannot fail
     changed = False
+    queued = 0  # tasks in the unit FIFOs
     prev_time = None
+    # locals, as every record is compared with them
+    dispatch, setup, complete = PHASE_DISPATCH, PHASE_SETUP, PHASE_COMPLETE
     for time_us, tid, workload, unit, phase in _records_of(trace):
         if changed and time_us > prev_time:
-            check_idle(prev_time)
+            if queued or hp:
+                check_idle(prev_time)
             changed = False
         prev_time = time_us
-        if phase == PHASE_DISPATCH:
+        if phase == dispatch:
             if unit == LABEL_HP:
                 hp.append((tid, workload))
             elif unit != LABEL_CLOUD:
@@ -146,7 +151,8 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                     raise AuditError(
                         f"task {tid} dispatched to non-participating unit {unit}")
                 fifos[unit].append(tid)
-        elif phase == PHASE_SETUP:
+                queued += 1
+        elif phase == setup:
             fifo = fifos.get(unit)
             if fifo is None:
                 raise AuditError(f"task {tid} ran on non-participating unit {unit}")
@@ -154,6 +160,7 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                 hp.popleft()
             elif fifo and fifo[0] == tid:
                 fifo.popleft()
+                queued -= 1
             elif tid in fifo:
                 raise AuditError(
                     f"unit {unit} started {tid} out of FIFO order; "
@@ -163,12 +170,12 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                     f"unit {unit} started task {tid} that was not queued "
                     f"for it or at the high-priority head")
             busy[unit] = True
-        elif phase == PHASE_COMPLETE:
+        elif phase == complete:
             busy[unit] = False
         else:
             continue
         changed = True
-    if changed:
+    if changed and (queued or hp):
         check_idle(prev_time)
 
 

@@ -24,28 +24,26 @@ EXIT_SIM_ERROR = 1
 EXIT_INPUT_ERROR = 2
 
 
-def _read_text(path: str) -> str:
-    """A scenario or profile file's text; a file that cannot be read, or
-    bytes that are not UTF-8, are a ParseError."""
+def _read_file(path: str) -> bytes:
+    """A scenario or profile file's bytes, which the loaders read as strict
+    UTF-8; a file that cannot be read is a ParseError."""
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, "rb") as fh:
             return fh.read()
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}", path) from None
     except OSError as exc:
         raise ParseError(f"cannot read: {exc.strerror or exc}", path) from None
 
 
 def _load_profile_arg(name_or_path: str) -> PlatformProfile:
     if os.path.exists(name_or_path):
-        return load_profile(_read_text(name_or_path), name=os.path.basename(name_or_path))
+        return load_profile(_read_file(name_or_path), name=os.path.basename(name_or_path))
     if name_or_path in BUILTIN_PROFILE_TEXTS:
         return load_profile(BUILTIN_PROFILE_TEXTS[name_or_path], name=name_or_path)
     search_dir = os.environ.get("SIMRT_PROFILE_DIR")
     if search_dir:
         candidate = os.path.join(search_dir, name_or_path + ".json")
         if os.path.exists(candidate):
-            return load_profile(_read_text(candidate), name=name_or_path)
+            return load_profile(_read_file(candidate), name=name_or_path)
     raise ParseError(
         f"profile {name_or_path!r} is neither a file, a builtin "
         f"({', '.join(sorted(BUILTIN_PROFILE_TEXTS))}), nor in SIMRT_PROFILE_DIR")
@@ -88,7 +86,7 @@ def _format_table(rows: list, headers: list) -> str:
 
 def cmd_run(args) -> int:
     profile = _load_profile_arg(args.profile)
-    scenario = load_scenario(_read_text(args.scenario))
+    scenario = load_scenario(_read_file(args.scenario))
     config = _config_from_args(args, record_trace=args.audit)  # only the audit reads a trace
     policies = [Policy.parse(p) for p in args.policy.split(",")]
 
@@ -167,7 +165,7 @@ _ENDED_PHASE_COLUMN = {PHASE_XFER_IN: 0, PHASE_KERNEL: 1, PHASE_XFER_OUT: 2, PHA
 
 def cmd_trace(args) -> int:
     profile = _load_profile_arg(args.profile)
-    scenario = load_scenario(_read_text(args.scenario))
+    scenario = load_scenario(_read_file(args.scenario))
     config = _config_from_args(args)
     policy = Policy.parse(args.policy)
     metrics, trace = simulate(scenario, profile, policy, config)

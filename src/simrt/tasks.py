@@ -23,13 +23,27 @@ class TaskTags:
     image_input: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Task:
     id: int
     workload: str
     tags: TaskTags = TaskTags()
     deps: frozenset = frozenset()
     release_us: int = 0
+
+    # the generated frozen __init__ stores each field through object.__setattr__;
+    # calling the slots' own setters stores the same values with less work
+    def __init__(self, id: int, workload: str, tags: TaskTags = TaskTags(),
+                 deps: frozenset = frozenset(), release_us: int = 0) -> None:
+        _set_id(self, id)
+        _set_workload(self, workload)
+        _set_tags(self, tags)
+        _set_deps(self, deps)
+        _set_release_us(self, release_us)
+
+
+_set_id, _set_workload, _set_tags, _set_deps, _set_release_us = (
+    Task.__dict__[name].__set__ for name in ("id", "workload", "tags", "deps", "release_us"))
 
 
 class TaskGraph:

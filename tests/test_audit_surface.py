@@ -12,6 +12,11 @@ SIMRT_AUDIT_CASES sets the number of cases (default 1000); only the
 default count has a recorded digest, e.g.
 
     SIMRT_AUDIT_CASES=20000 PYTHONPATH=src python -m pytest tests/test_audit_surface.py
+
+Run as a module, it prints the digest of CASES cases (default as above),
+to compare two versions of the audits beyond the recorded count:
+
+    PYTHONPATH=src python -m tests.test_audit_surface 20000
 """
 
 import collections
@@ -19,6 +24,7 @@ import hashlib
 import os
 import random
 import re
+import sys
 
 from simrt import AuditError, SimrtError, Trace, audit, simulate
 
@@ -116,12 +122,14 @@ def audit_outcomes(trace, scenario, profile, config):
     return [(name, outcome(check)) for name, check in checks]
 
 
-def test_audit_verdicts_and_messages_are_pinned():
+def audit_surface(cases: int) -> tuple:
+    """(digest, traces, template counts, non-AuditError outcomes) of the
+    first `cases` generated cases; the templates' messages are checked."""
     digest = hashlib.sha256()
     templates = collections.Counter()
     others = []
     traces = 0
-    for seed in range(CASES):
+    for seed in range(cases):
         scenario, profile, policy, config = random_case(seed)
         try:
             _, trace = simulate(scenario, profile, policy, config)
@@ -141,8 +149,19 @@ def test_audit_verdicts_and_messages_are_pinned():
                 matched = [k for k, p in enumerate(TEMPLATES) if p.fullmatch(message)]
                 assert len(matched) == 1, (seed, name, message)
                 templates[matched[0]] += 1
+    return digest.hexdigest(), traces, templates, others
+
+
+def test_audit_verdicts_and_messages_are_pinned():
+    digest, traces, templates, others = audit_surface(CASES)
     assert not others, others[:5]
     assert sorted(templates) == list(range(len(TEMPLATES))), (traces, templates)
     if CASES == 1000:
-        assert digest.hexdigest() == DIGEST, (traces, digest.hexdigest())
+        assert digest == DIGEST, (traces, digest)
+
+
+if __name__ == "__main__":
+    cases = int(sys.argv[1]) if len(sys.argv) > 1 else CASES
+    digest, traces, _, others = audit_surface(cases)
+    print(f"{cases} cases, {traces} traces, {len(others)} non-AuditError outcomes: {digest}")
 

@@ -403,14 +403,14 @@ class TestUnreadableInputs:
         path.write_bytes(b'{"tasks": [{"id": 1, "workload": "caf\xe9"}]}')
         code, out, err = run_cli(capsys, "run", "-p", "sd820", "-s", str(path))
         assert_input_error(code, out, err)
-        assert str(path) in err and "UTF-8" in err
+        assert err == "error: scenario: not UTF-8 text: invalid continuation byte at byte 37\n"
 
     def test_non_utf8_profile(self, capsys, tmp_path):
         path = tmp_path / "latin1.json"
         path.write_bytes(b'\xff\xfe{"name": "x"}')
         code, out, err = run_cli(capsys, "validate", str(path))
         assert_input_error(code, out, err)
-        assert str(path) in err
+        assert err == "error: profile: not UTF-8 text: invalid start byte at byte 0\n"
 
     @pytest.mark.parametrize("flag, load, data, message", [
         pytest.param(flag, load, data, message, id=f"{load.__name__}-{case}")
@@ -431,8 +431,7 @@ class TestUnreadableInputs:
         args = {"-p": "sd820", "-s": conv_scenario, flag: str(path)}
         code, out, err = run_cli(capsys, "run", *(arg for item in args.items() for arg in item))
         assert_input_error(code, out, err)
-        # the CLI names the file where the bytes fail to decode, else the document
-        assert err in (f"error: {path}: {message}\n", f"error: {location}: {message}\n")
+        assert err == f"error: {location}: {message}\n"
 
     def test_deeply_nested_scenario(self, capsys, tmp_path):
         path = tmp_path / "deep.json"

@@ -3,6 +3,7 @@ import io
 import json
 import pathlib
 import random
+import re
 import sys
 import threading
 import tracemalloc
@@ -396,6 +397,48 @@ class TestAudits:
             audit.audit_all(trace, scenario, p)
         with pytest.raises(audit.AuditError, match=message):
             compute_metrics(trace, p, config, scenario)
+
+
+class TestWorkConservationSteps:
+    """Idle units are caught at every step where a task waits, whether it waits
+    in a unit FIFO or only at the high-priority head."""
+
+    # the CPU runs "w" and "v", the DSP only "w"
+    PROFILE = load_profile(json.dumps({
+        "units": [{"kind": "CPU", "weight": 1}, {"kind": "DSP", "weight": 1}],
+        "workloads": [{"name": "w"}, {"name": "v"}],
+        "costs": {key: {"kernel_us": 100, "energy_uj": 1} for key in ("w@CPU", "w@DSP", "v@CPU")},
+    }))
+
+    @staticmethod
+    def local_run(tid, unit, start, end, workload="w"):
+        """A local task's records from setup to completion."""
+        return [(start, tid, workload, unit, phase) for phase in ("setup", "xfer_in", "kernel")] + [
+            (end, tid, workload, unit, phase) for phase in ("xfer_out", "complete")]
+
+    def assert_idle_error(self, rows, message):
+        with pytest.raises(audit.AuditError, match=f"^{re.escape(message)}$"):
+            audit.audit_work_conservation(Trace(rows), self.PROFILE)
+
+    def test_only_the_hp_head_waits_for_an_idle_unit(self):
+        # at 50 only the DSP idles, which cannot run "v"; at 100 the CPU frees up
+        rows = [(0, 1, "w", "CPU", "dispatch"), *self.local_run(1, "CPU", 0, 100),
+                (200, 2, "v", "CPU", "setup")]
+        rows.insert(4, (50, 2, "v", "HP", "dispatch"))
+        self.assert_idle_error(rows, "unit CPU idle at 100 while high-priority head 2 is runnable on it")
+
+    def test_a_fifo_task_waits_only_at_the_last_step(self):
+        rows = [(0, 1, "w", "CPU", "dispatch"), *self.local_run(1, "CPU", 0, 100),
+                (100, 2, "w", "CPU", "dispatch")]
+        self.assert_idle_error(rows, "unit CPU idle at 100 with queued tasks [2]")
+
+    def test_a_fifo_that_empties_and_refills_in_one_instant(self):
+        # at 100 task 2 leaves the CPU's FIFO, task 3 joins it, task 2 completes
+        second = self.local_run(2, "CPU", 100, 100)
+        rows = [(0, 1, "w", "CPU", "dispatch"), (0, 2, "w", "CPU", "dispatch"),
+                *self.local_run(1, "CPU", 0, 100), *second[:1], (100, 3, "w", "CPU", "dispatch"),
+                *second[1:], *self.local_run(3, "CPU", 300, 400)]
+        self.assert_idle_error(rows, "unit CPU idle at 100 with queued tasks [3]")
 
 
 def partial_hp_profile(rng: random.Random):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import inspect
 import json
 import pickle
 import random
@@ -162,6 +163,74 @@ class TestLeanTasks:
         with pytest.raises(dataclasses.FrozenInstanceError):
             t.release_us = 1
         assert Task(1, "w").deps == frozenset()
+
+
+def generated_task_class():
+    """A twin of Task that keeps the __init__ dataclass generates."""
+    @dataclasses.dataclass(frozen=True, slots=True)
+    class Task:
+        id: int
+        workload: str
+        tags: TaskTags = TaskTags()
+        deps: frozenset = frozenset()
+        release_us: int = 0
+    Task.__qualname__ = "Task"  # as repr names the module-level class
+    return Task
+
+
+class TestTaskInit:
+    """Task's hand-written __init__ builds the same frozen value as the
+    generated one."""
+
+    ARGS = [(7, "fc6", TaskTags(False, True), frozenset({3, 5}), 40), (7, "fc6"),
+            (7, "fc7"), (8, "fc6", TaskTags(), frozenset(), 0)]
+
+    def test_fields_are_unchanged(self):
+        assert [(f.name, f.type, f.default, f.init, f.repr, f.hash, f.compare, f.kw_only)
+                for f in dataclasses.fields(Task)] == [
+            ("id", int, dataclasses.MISSING, True, True, None, True, False),
+            ("workload", str, dataclasses.MISSING, True, True, None, True, False),
+            ("tags", TaskTags, TaskTags(), True, True, None, True, False),
+            ("deps", frozenset, frozenset(), True, True, None, True, False),
+            ("release_us", int, 0, True, True, None, True, False)]
+        assert inspect.signature(Task) == inspect.signature(generated_task_class())
+
+    @pytest.mark.parametrize("field", ["id", "workload", "tags", "deps", "release_us"])
+    def test_fields_cannot_be_assigned_or_deleted(self, field):
+        t = Task(1, "w")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, field, getattr(t, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(t, field)
+        assert t == Task(1, "w")
+
+    def test_keywords_defaults_and_replace(self):
+        t = Task(workload="w", release_us=5, id=2)
+        assert (t.id, t.workload, t.tags, t.deps, t.release_us) == (2, "w", TaskTags(),
+                                                                    frozenset(), 5)
+        assert Task(2, "w", release_us=5) == t
+        moved = dataclasses.replace(t, deps=frozenset({1}), tags=TaskTags(False))
+        assert moved == Task(2, "w", TaskTags(False), frozenset({1}), 5) and t.deps == frozenset()
+        with pytest.raises(TypeError):
+            Task(1)
+        with pytest.raises(TypeError):
+            Task(1, "w", tag=TaskTags())
+
+    def test_eq_hash_and_repr_match_the_generated_init(self):
+        twin_class = generated_task_class()
+        tasks = [Task(*args) for args in self.ARGS]
+        twins = [twin_class(*args) for args in self.ARGS]
+        for t, twin in zip(tasks, twins):
+            assert repr(t) == repr(twin) and hash(t) == hash(twin)
+            assert [t == other for other in tasks] == [twin == other for other in twins]
+
+    def test_pickle_and_copy_round_trip(self):
+        for args in self.ARGS:
+            t = Task(*args)
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(t, protocol))
+                assert type(back) is Task and back == t and repr(back) == repr(t)
+            assert copy.copy(t) == t and copy.copy(t).deps is t.deps
 
 
 def _scenario(*tasks) -> str:
