@@ -55,10 +55,9 @@ def _parse_weights(text: str | None) -> dict | None:
     weights = {}
     for item in text.split(","):
         key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in ("g", "d", "c") or not value.strip().isdecimal():
+        if not value.strip().isdecimal():  # SimConfig checks the keys
             raise ParseError(f"bad --weights item {item!r}; expected g=4,d=2,c=2")
-        weights[key] = int(value)
+        weights[key.strip()] = int(value)
     return weights
 
 

@@ -9,17 +9,15 @@ completes and released as soon as the consuming task starts its kernel
 phase; acquiring from a full pool drops the image and skips its
 dependents.
 
-Event ordering is total and reproducible: events fire in (time,
-completions-before-releases, insertion sequence) order, so a run is a pure
-function of (scenario, profile, policy, config) and two runs emit
-byte-identical traces. Releases sit in one list stably sorted by release
-time; a phase or cloud completion due later goes on a heap ordered by
-(time, sequence), and one due at the current instant goes to a FIFO. A
-local event's kind is the index (0-3) of the boundary it crosses in its
-unit's phase plan: into xfer_in, kernel, xfer_out or complete; a cloud
-completion has a kind of its own. The loop runs the heap events due now
-(scheduled earlier, so older), then the FIFO, and takes a release only when
-no completion is due at or before it.
+Event ordering is total and reproducible, so a run is a pure function of
+(scenario, profile, policy, config) and two runs emit byte-identical traces.
+Releases sit in one list stably sorted by release time; phase boundaries and
+cloud completions go on one heap ordered by (time, sequence). A local
+event's kind is the index (0-3) of the boundary it crosses in its unit's
+phase plan: into xfer_in, kernel, xfer_out or complete; a cloud completion
+has a kind of its own. Events due at an instant fire in the order they were
+scheduled; a release fires only when no event is due at or before its time;
+releases fire in scenario order.
 """
 
 import heapq
@@ -284,8 +282,7 @@ class _Engine:
         # a zero-length deque discards what it is given: a no-op append that runs in C
         self._append = (self.trace.records if config.record_trace else deque(maxlen=0)).append
         # a local phase event names its unit, a cloud completion its task id
-        self.heap = []  # (time, sequence, kind, unit or task id), due after the current instant
-        self.due_now: deque = deque()  # (kind, unit or task id), due at the current instant
+        self.heap = []  # (time, sequence, kind, unit or task id)
         self._seq = itertools.count()
 
         # validate_graph's shared index: the tables are only read, counts copied
@@ -308,31 +305,21 @@ class _Engine:
                         [u.kind.value for u in profile.units] + [LABEL_CLOUD]}
         self.energy_uj = self.drops = 0
 
-    # -- plumbing ---------------------------------------------------------
-
-    def _push(self, time_us: int, now: int, kind: int, key) -> None:
-        if time_us == now:
-            self.due_now.append((kind, key))
-        else:
-            heapq.heappush(self.heap, (time_us, next(self._seq), kind, key))
-
     # -- dispatch and execution -------------------------------------------
 
     def run(self) -> SimResult:
-        heap, due_now, seq, running = self.heap, self.due_now, self._seq, self.running
-        pop, push, append = heapq.heappop, heapq.heappush, self._append
+        heap, seq, running = self.heap, self._seq, self.running
+        pop, replace, append = heapq.heappop, heapq.heapreplace, self._append
         status, deps_left = self.status, self.deps_left
         releases = iter(sorted(((t.release_us, t.id) for t in self.scenario),
                                key=itemgetter(0)))
         release_at, release_tid = next(releases, _NO_RELEASE)
         now = 0
         while True:
-            if heap and heap[0][0] == now:
-                _, _, kind, key = pop(heap)
-            elif due_now:
-                kind, key = due_now.popleft()
-            elif heap and heap[0][0] <= release_at:
-                now, _, kind, key = pop(heap)
+            if heap and heap[0][0] <= release_at:
+                time_us, _, kind, key = heap[0]
+                if time_us != now:  # records at one instant share one time object
+                    now = time_us
             elif release_tid is not None:
                 now, tid = release_at, release_tid
                 release_at, release_tid = next(releases, _NO_RELEASE)
@@ -342,6 +329,7 @@ class _Engine:
             else:
                 break
             if kind == _CLOUD_EVENT:
+                pop(heap)
                 self._on_cloud_complete(key, now)
                 continue
             tid, label, workload, start, plan = running[key]
@@ -350,6 +338,7 @@ class _Engine:
                                   f"off its plan {start + plan[kind]}")
             append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
             if kind == _COMPLETE:
+                pop(heap)
                 running[key] = None
                 self.last_end = now
                 self._after_completion(tid, label, plan[4], now)
@@ -357,11 +346,9 @@ class _Engine:
                 continue
             if kind == _KERNEL:
                 self._release_buffers_for(tid)
+            # crossing a boundary pushes nothing, so the event is still the heap's head
             kind += 1
-            if start + plan[kind] == now:
-                due_now.append((kind, key))
-            else:
-                push(heap, (start + plan[kind], next(seq), kind, key))
+            replace(heap, (start + plan[kind], next(seq), kind, key))
 
         leftover = [t for t, s in self.status.items() if s == _PENDING or t in self.dispatched_at]
         if leftover or self.buffer_refs:
@@ -414,10 +401,7 @@ class _Engine:
         label = self.labels[unit]
         self._append((now, tid, workload, label, PHASE_SETUP))
         self.running[unit] = (tid, label, workload, now, plan)
-        if plan[0]:
-            heapq.heappush(self.heap, (now + plan[0], next(self._seq), 0, unit))
-        else:
-            self.due_now.append((0, unit))
+        heapq.heappush(self.heap, (now + plan[0], next(self._seq), 0, unit))
         if tid == hp_head and hp:
             # the new high-priority head may be runnable on another idle unit
             self._kick(now)
@@ -492,7 +476,8 @@ class _Engine:
             # an image consumer needs its input only until upload
             self._release_buffers_for(tid)
             lo, hi = self.profile.cloud_latency_us
-            self._push(now + self.rng.randint(lo, hi), now, _CLOUD_EVENT, tid)
+            heapq.heappush(self.heap, (now + self.rng.randint(lo, hi), next(self._seq),
+                                       _CLOUD_EVENT, tid))
 
 
 def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,

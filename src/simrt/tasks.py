@@ -5,7 +5,7 @@ no floating-point time.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator
 
 from .errors import CycleDetected, DuplicateId, ParseError, UnknownDependency
@@ -44,6 +44,17 @@ class Task:
 
 _set_id, _set_workload, _set_tags, _set_deps, _set_release_us = (
     Task.__dict__[name].__set__ for name in ("id", "workload", "tags", "deps", "release_us"))
+
+
+# the generated frozen __setattr__/__delattr__ call super() on the class that
+# slots=True replaced, which raises TypeError for a name that is not a field
+def _refuse(verb):
+    def refuse(self, name, *value):
+        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
+    return refuse
+
+
+Task.__setattr__, Task.__delattr__ = _refuse("assign to"), _refuse("delete")
 
 
 class TaskGraph:

@@ -135,6 +135,15 @@ class TestRun:
         assert err == ("error: profile 'no-such-profile' is neither a file, a builtin "
                        "(sd820, sd820-robot, tx1-cloud), nor in SIMRT_PROFILE_DIR\n")
 
+    @pytest.mark.parametrize("weights, message", [
+        ("x=1", "weights: bad item 'x': 1; keys are g, d, c and weights are integers >= 0"),
+        ("g=x", "bad --weights item 'g=x'; expected g=4,d=2,c=2"),
+    ])
+    def test_bad_weights_exit_2(self, capsys, conv_scenario, weights, message):
+        code, _, err = run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario,
+                               "--weights", weights)
+        assert (code, err) == (2, f"error: {message}\n")
+
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"tasks": [{"id": 1}]}')

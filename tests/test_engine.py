@@ -609,74 +609,73 @@ def test_benchmark_tracer_finds_every_hook(monkeypatch):
         assert tracer.restore()
 
 
-class TestHeapTraffic:
-    """Releases and events due at the current instant stay off the event
-    heap; only phases that take time are pushed."""
+def _robot_run():
+    return (robot_pipeline(2, 25, 200, 3), builtin_profiles()["sd820-robot"],
+            Policy.advanced_over(BasicPolicy.THROUGHPUT), SimConfig(buffer_capacity=4))
 
-    def test_at_most_two_heap_pushes_per_task(self, monkeypatch):
-        pushes = 0
-        original = heapq.heappush
 
-        def counting(heap, item):
-            nonlocal pushes
-            pushes += 1
-            original(heap, item)
-
-        scenario = convolution_batch(2000)
-        monkeypatch.setattr(heapq, "heappush", counting)
-        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
-        monkeypatch.undo()
-        assert metrics.completed == len(scenario)
-        assert 0 < pushes <= 2 * len(scenario)
+class TestEventHeap:
+    """Every phase boundary and cloud completion waits on one heap, which holds
+    each busy unit's next boundary and each cloud task in flight, no more."""
 
     @pytest.mark.parametrize("case", ["dag-adv-energy-drops-cloud2", "robot"])
-    def test_one_heap_push_per_phase_that_takes_time(self, monkeypatch, case):
-        if case == "robot":
-            scenario, profile = robot_pipeline(2, 25, 200, 3), builtin_profiles()["sd820-robot"]
-            policy = Policy.advanced_over(BasicPolicy.THROUGHPUT)
-            config = SimConfig(buffer_capacity=4)
-        else:
-            scenario, profile, policy, config = golden_cases()[case]
-        pushes = 0
-        original = heapq.heappush
+    def test_one_event_per_busy_unit_and_cloud_task(self, monkeypatch, case):
+        scenario, profile, policy, config = (_robot_run() if case == "robot"
+                                             else golden_cases()[case])
+        engines, sizes = [], []
+        original_init = simrt.engine._Engine.__init__
 
-        def counting(heap, item):
-            nonlocal pushes
-            pushes += 1
-            original(heap, item)
+        def keep(self, *args):
+            original_init(self, *args)
+            engines.append(self)
 
-        monkeypatch.setattr(heapq, "heappush", counting)
+        def check(heap):
+            engine, = engines
+            local = [key for _, _, kind, key in heap if kind >= 0]
+            cloud = [key for _, _, kind, key in heap if kind < 0]
+            assert len(set(local)) == len(local)
+            assert all(engine.running[unit] is not None for unit in local)
+            assert len(set(cloud)) == len(cloud) <= engine.cloud_active
+            sizes.append(len(heap))
+
+        def checked(call):
+            def wrapper(heap, item):
+                result = call(heap, item)
+                check(heap)
+                return result
+            return wrapper
+
+        monkeypatch.setattr(simrt.engine._Engine, "__init__", keep)
+        monkeypatch.setattr(heapq, "heappush", checked(heapq.heappush))
+        monkeypatch.setattr(heapq, "heapreplace", checked(heapq.heapreplace))
         _, trace = simulate(scenario, profile, policy, config)
         monkeypatch.undo()
-        # each phase entered at a boundary the engine scheduled, and later than
-        # the task's previous record, took time, so its boundary was pushed
-        scheduled = {"xfer_in", "kernel", "xfer_out", "complete", "cloud_complete"}
-        previous = {}  # task id -> time of its latest record
-        timed = 0
-        for time_us, tid, _, _, phase in trace.records:
-            if phase in scheduled and time_us > previous[tid]:
-                timed += 1
-            previous[tid] = time_us
         assert "cloud_complete" in {r.phase for r in trace}
-        assert pushes == timed > 0
+        assert max(sizes) > 1
+
+    def test_records_at_one_instant_share_their_time_object(self):
+        scenario, profile, policy, config = _robot_run()
+        records = simulate(scenario, profile, policy, config).trace.records
+        assert len({id(r[0]) for r in records}) <= len({r[0] for r in records}) + len(scenario)
 
 
 class TestOffPlan:
     """A phase boundary that fires at another time than the task's phase
     plan says is a broken engine invariant, at every local boundary."""
 
-    @pytest.mark.parametrize("costs, phase", [
-        ({"xin": 50}, "kernel"),
-        ({"kernel": 0, "xout": 50}, "complete"),
-    ], ids=["kernel", "complete"])
-    def test_a_late_boundary_raises(self, monkeypatch, costs, phase):
-        original = heapq.heappush
-
-        def late(heap, item):
-            original(heap, (item[0] + 1, *item[1:]))
+    @pytest.mark.parametrize("costs", [{"xin": 50, "xout": 50}, {"kernel": 0}],
+                             ids=["timed", "zero-length"])
+    @pytest.mark.parametrize("kind, phase", enumerate(simrt.engine._BOUNDARY_PHASES),
+                             ids=simrt.engine._BOUNDARY_PHASES)
+    def test_a_late_boundary_raises(self, monkeypatch, costs, kind, phase):
+        def late(call):
+            def queue(heap, item):
+                return call(heap, (item[0] + 1, *item[1:]) if item[2] == kind else item)
+            return queue
 
         profile = single_unit_profile(**costs)
-        monkeypatch.setattr(heapq, "heappush", late)
+        monkeypatch.setattr(heapq, "heappush", late(heapq.heappush))
+        monkeypatch.setattr(heapq, "heapreplace", late(heapq.heapreplace))
         with pytest.raises(EngineError, match=f"entered {phase} at .* off its plan"):
             simulate(TaskGraph([rt(1)]), profile, Policy.latency())
 

@@ -204,6 +204,14 @@ class TestTaskInit:
             delattr(t, field)
         assert t == Task(1, "w")
 
+    def test_names_that_are_not_fields_cannot_be_assigned_or_deleted(self):
+        t = Task(1, "w")
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'relase_us'"):
+            t.relase_us = 5
+        with pytest.raises(dataclasses.FrozenInstanceError, match="'nope'"):
+            del t.nope
+        assert t == Task(1, "w")
+
     def test_keywords_defaults_and_replace(self):
         t = Task(workload="w", release_us=5, id=2)
         assert (t.id, t.workload, t.tags, t.deps, t.release_us) == (2, "w", TaskTags(),
@@ -231,6 +239,7 @@ class TestTaskInit:
                 back = pickle.loads(pickle.dumps(t, protocol))
                 assert type(back) is Task and back == t and repr(back) == repr(t)
             assert copy.copy(t) == t and copy.copy(t).deps is t.deps
+            assert copy.deepcopy(t) == t
 
 
 def _scenario(*tasks) -> str:
