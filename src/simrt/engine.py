@@ -17,7 +17,9 @@ event's kind is the index (0-3) of the boundary it crosses in its unit's
 phase plan: into xfer_in, kernel, xfer_out or complete; a cloud completion
 has a kind of its own. Events due at an instant fire in the order they were
 scheduled; a release fires only when no event is due at or before its time;
-releases fire in scenario order.
+releases fire in scenario order. A unit's next boundary that is already the
+next event by that rule (no other event due at or before it, no release
+first) is crossed at once, without the heap, and takes no sequence number.
 """
 
 import heapq
@@ -231,12 +233,20 @@ def _phase_table(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
     """unit -> {workload: ends of setup, xfer_in, kernel and xfer_out as offsets
     from the start, then the run's energy} per workload the policy can route to
     the unit; AMORTIZED pays no setup. Rejects a scenario that could route a task
-    somewhere it cannot run; each distinct (workload, route class) is checked once."""
+    somewhere it cannot run; each distinct (workload, route class) is checked once,
+    in the order the scenario first names it."""
+    if policy.advanced:
+        # classify reads only the tags, so one task stands for its (workload, tags) class
+        classes = {(t.workload, (tags := t.tags).real_time, tags.image_input): t
+                   for t in scenario}
+        routes = dict.fromkeys((workload, sched.classify(t))
+                               for (workload, *_), t in classes.items())
+    else:
+        routes = [(workload, RouteClass.BASIC)
+                  for workload in dict.fromkeys(t.workload for t in scenario)]
     table = {unit: {} for unit in state.units}
     needs_basic = False
-    for workload, route in dict.fromkeys(
-            (t.workload, sched.classify(t) if policy.advanced else RouteClass.BASIC)
-            for t in scenario):
+    for workload, route in routes:
         if route is RouteClass.CLOUD:
             if not profile.has_cloud:
                 raise UnresolvableCost(workload, UnitKind.CLOUD)
@@ -337,18 +347,28 @@ class _Engine:
                 raise EngineError(f"task {tid} entered {_BOUNDARY_PHASES[kind]} at {now}, "
                                   f"off its plan {start + plan[kind]}")
             append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
-            if kind == _COMPLETE:
+            # crossing a boundary pushes nothing, so the event is still the heap's head
+            # and its children hold the earliest other events
+            while kind != _COMPLETE:
+                if kind == _KERNEL:
+                    self._release_buffers_for(tid)
+                kind += 1
+                due = start + plan[kind]
+                if due > release_at or len(heap) > 1 and (
+                        heap[1][0] <= due or len(heap) > 2 and heap[2][0] <= due):
+                    replace(heap, (due, next(seq), kind, key))
+                    break
+                # the next boundary is the next event: cross it without the heap
+                if due != now:
+                    now = due
+                append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
+            else:  # the task completed, off the heap or crossed in place
                 pop(heap)
                 running[key] = None
                 self.last_end = now
                 self._after_completion(tid, label, plan[4], now)
-                self._try_start(key, now)
-                continue
-            if kind == _KERNEL:
-                self._release_buffers_for(tid)
-            # crossing a boundary pushes nothing, so the event is still the heap's head
-            kind += 1
-            replace(heap, (start + plan[kind], next(seq), kind, key))
+                if running[key] is None:
+                    self._try_start(key, now)
 
         leftover = [t for t, s in self.status.items() if s == _PENDING or t in self.dispatched_at]
         if leftover or self.buffer_refs:
@@ -376,7 +396,8 @@ class _Engine:
             self.first_dispatch = now
         if (unit := route.unit) is not None:
             self._append((now, tid, task.workload, self.labels[unit], PHASE_DISPATCH))
-            self._try_start(unit, now)
+            if self.running[unit] is None:
+                self._try_start(unit, now)
         elif route.target is RouteClass.CLOUD:
             self._append((now, tid, task.workload, LABEL_CLOUD, PHASE_DISPATCH))
             self._drain_cloud(now)
@@ -385,12 +406,13 @@ class _Engine:
             self._kick(now)
 
     def _kick(self, now: int) -> None:
+        running = self.running
         for unit in self.state.units:
-            self._try_start(unit, now)
+            if running[unit] is None:
+                self._try_start(unit, now)
 
     def _try_start(self, unit: UnitKind, now: int) -> None:
-        if self.running[unit] is not None:
-            return
+        """Start the next task on an idle unit, if it has one."""
         hp = self.state.hp_queue
         hp_head = hp[0] if hp else None
         tid = sched.on_unit_free(self.state, unit, self.tasks)

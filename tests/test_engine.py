@@ -11,9 +11,10 @@ import tracemalloc
 import pytest
 
 import simrt.engine
+import simrt.scheduler
 import simrt.tasks
 from simrt import (BasicPolicy, CycleDetected, DuplicateId, EngineError, InvalidConfig,
-                   PlatformProfile, Policy, SetupMode, SimConfig, Task,
+                   PlatformProfile, Policy, SchedulerState, SetupMode, SimConfig, Task,
                    TaskGraph, TaskTags, Trace, TraceRecord, UnitKind,
                    UnknownDependency, UnresolvableCost, audit, builtin_profiles,
                    compute_metrics, convolution_batch, dump_scenario, energy_of,
@@ -287,6 +288,40 @@ class TestValidationErrors:
         p = load_profile(json.dumps(doc))
         with pytest.raises(UnresolvableCost):
             simulate(TaskGraph([rt(1)]), p, Policy.latency())
+
+    @pytest.mark.parametrize("policy", ["latency", "advanced:latency"])
+    def test_the_scenario_order_names_the_first_unresolvable_pair(self, policy):
+        # "v" runs only on the DSP, "w" only on the CPU, and there is no cloud
+        p = load_profile(json.dumps({
+            "units": [{"kind": "CPU", "weight": 1}, {"kind": "DSP", "weight": 1}],
+            "workloads": [{"name": "w"}, {"name": "v"}],
+            "costs": {"w@CPU": {"kernel_us": 10, "energy_uj": 1},
+                      "v@DSP": {"kernel_us": 10, "energy_uj": 1}},
+        }))
+        policy = Policy.parse(policy)
+        # advanced: "v" may wait for the DSP at the high-priority head, and "w"
+        # has no cloud to go to
+        hp_then_cloud = [rt(1, "v", image=True), rt(2, "w", real_time=False), rt(3, "w")]
+        for tasks, first in [([rt(1, "v"), rt(2, "w")], ("v", UnitKind.CPU)),
+                             ([rt(1, "w"), rt(2, "v")], ("w", UnitKind.DSP)),
+                             (hp_then_cloud, ("w", UnitKind.CLOUD) if policy.advanced
+                              else ("v", UnitKind.CPU))]:
+            with pytest.raises(UnresolvableCost) as exc:
+                simulate(TaskGraph(tasks), p, policy)
+            assert (exc.value.workload, exc.value.unit) == first
+
+    def test_one_classify_per_workload_and_tags_class(self, monkeypatch):
+        scenario = robot_pipeline(2, 25, 200, 3)
+        profile = builtin_profiles()["sd820-robot"]
+        policy = Policy.advanced_over(BasicPolicy.THROUGHPUT)
+        classified = []
+        classify = simrt.scheduler.classify
+        monkeypatch.setattr(simrt.scheduler, "classify",
+                            lambda task: classified.append(task) or classify(task))
+        simrt.engine._phase_table(scenario, profile, policy, SchedulerState(profile),
+                                  SetupMode.AMORTIZED)
+        classes = {(t.workload, t.tags) for t in scenario}
+        assert len(classified) == len(classes) < len(scenario) / 10
 
     def test_cloud_route_requires_cloud_config(self):
         p = single_unit_profile()
@@ -615,8 +650,9 @@ def _robot_run():
 
 
 class TestEventHeap:
-    """Every phase boundary and cloud completion waits on one heap, which holds
-    each busy unit's next boundary and each cloud task in flight, no more."""
+    """Phase boundaries and cloud completions wait on one heap, which holds
+    each busy unit's next boundary and each cloud task in flight, no more; a
+    boundary that is already the next event is crossed without it."""
 
     @pytest.mark.parametrize("case", ["dag-adv-energy-drops-cloud2", "robot"])
     def test_one_event_per_busy_unit_and_cloud_task(self, monkeypatch, case):
@@ -653,6 +689,24 @@ class TestEventHeap:
         assert "cloud_complete" in {r.phase for r in trace}
         assert max(sizes) > 1
 
+    def test_a_boundary_that_is_the_next_event_skips_the_heap(self, monkeypatch):
+        # conv's deep FIFOs keep every unit busy, so most boundaries are next:
+        # a task that goes through the heap at each boundary makes 3 replaces
+        replaces = 0
+        original = heapq.heapreplace
+
+        def counting(heap, item):
+            nonlocal replaces
+            replaces += 1
+            return original(heap, item)
+
+        scenario = convolution_batch(2000)
+        monkeypatch.setattr(heapq, "heapreplace", counting)
+        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
+        monkeypatch.undo()
+        assert metrics.completed == len(scenario)
+        assert replaces <= 0.25 * len(scenario), replaces
+
     def test_records_at_one_instant_share_their_time_object(self):
         scenario, profile, policy, config = _robot_run()
         records = simulate(scenario, profile, policy, config).trace.records
@@ -661,7 +715,21 @@ class TestEventHeap:
 
 class TestOffPlan:
     """A phase boundary that fires at another time than the task's phase
-    plan says is a broken engine invariant, at every local boundary."""
+    plan says is a broken engine invariant, at every local boundary. The
+    engine crosses a boundary in place, off the heap, only when it is the
+    next event, so the run starts a producer's two dependents on two units
+    at the instant it completes: each of their boundaries ties with the
+    other unit's and comes off the heap."""
+
+    @staticmethod
+    def two_unit_profile(kernel=100, xin=0, xout=0):
+        return load_profile(json.dumps({
+            "units": [{"kind": "CPU", "weight": 1}, {"kind": "DSP", "weight": 1}],
+            "workloads": [{"name": "w"}],
+            "costs": {f"w@{kind}": {"xfer_in_us": xin, "kernel_us": kernel,
+                                    "xfer_out_us": xout, "energy_uj": 1}
+                      for kind in ("CPU", "DSP")},
+        }))
 
     @pytest.mark.parametrize("costs", [{"xin": 50, "xout": 50}, {"kernel": 0}],
                              ids=["timed", "zero-length"])
@@ -673,11 +741,12 @@ class TestOffPlan:
                 return call(heap, (item[0] + 1, *item[1:]) if item[2] == kind else item)
             return queue
 
-        profile = single_unit_profile(**costs)
+        profile = self.two_unit_profile(**costs)
+        scenario = TaskGraph([rt(1), rt(2, deps=[1]), rt(3, deps=[1])])
         monkeypatch.setattr(heapq, "heappush", late(heapq.heappush))
         monkeypatch.setattr(heapq, "heapreplace", late(heapq.heapreplace))
         with pytest.raises(EngineError, match=f"entered {phase} at .* off its plan"):
-            simulate(TaskGraph([rt(1)]), profile, Policy.latency())
+            simulate(scenario, profile, Policy.latency())
 
 
 class TestDependencyIndex:

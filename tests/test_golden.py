@@ -2,6 +2,8 @@
 
 Together the cases cover every policy, both setup modes, buffer drops and
 skip cascades, bounded cloud slots, a weights override and `fpga_as_gpu`.
+`hp-rekick-*` pins the high-priority re-kick: once a unit takes the head,
+the next head starts on another idle unit that can run it.
 The `grid-*` cases pin equal-time event order: zero-length phases on
 several units at one instant, dependents released at the instant their
 dependency completes, and releases on phase boundaries and cloud
@@ -49,6 +51,18 @@ def robot_dag(seed: int, n: int = 400) -> TaskGraph:
         if role != "cloud":
             job.append(tid)
     return TaskGraph(tasks)
+
+
+def hp_bursts(seed: int, n: int = 240) -> TaskGraph:
+    """Real-time image consumers with no producers, released in bursts on
+    sd820-robot: every task waits in the high-priority queue, where DSP-only
+    camera stages and stages that run on every unit mix at the head."""
+    rng = random.Random(seed)
+    names = ("undistort", "optical_flow", "update", "planning", "conv1")
+    return TaskGraph(Task(id=tid, workload=rng.choice(names),
+                          tags=TaskTags(real_time=True, image_input=True),
+                          release_us=(tid - 1) // 6 * 4000)
+                     for tid in range(1, n + 1))
 
 
 def fpga_profile():
@@ -130,6 +144,9 @@ def _cases() -> dict:
             robot_dag(5), b["sd820-robot"], Policy.parse("advanced:energy"),
             SimConfig(setup_mode=per_offload, seed=5, buffer_capacity=1,
                       cloud_slots=2)),
+        "hp-rekick-adv-throughput": (
+            hp_bursts(6), b["sd820-robot"], Policy.parse("advanced:throughput"),
+            SimConfig()),
         "random-adv-latency-cloud1": (
             random_scenario(random.Random(20), max_tasks=60),
             random_profile(random.Random(11)), Policy.parse("advanced:latency"),
@@ -161,6 +178,7 @@ GOLDEN = {
     "grid-adv-latency-per-offload-cloud1": "0cff0c2242ecbd728f96b67fb8b969562f889b25e6322a7587f779cd23335364",
     "grid-adv-throughput-cloud-zero-latency": "b57efee8a3421ec956b29c2ba17303eb1de1ebe68f35b984b6459e2b6440a4ab",
     "grid-throughput-zero-phases": "e10bf22fb072c8bf773235706d7c3b35b8a24d708ba243140a92c32f96d0a521",
+    "hp-rekick-adv-throughput": "6b7e582e39c4334561dec66d582b47eff8974782c63bdbfa91e65c731a127e9d",
     "random-adv-latency-cloud1": "8ad9025df79397f989ffedc4b9abe6a5334479a81f806bb6da7ce98941a65c9d",
     "robot-adv-latency-per-offload": "01d0c49afb543f61e2eccdfc41f3e6b5c757cd247cdc189ebbba02bd33a76ca4",
     "robot-adv-throughput-buf4": "df1c71f4a0881b8cf861fa0c9d7bde14364f6bbdd582f4e8eaee27622433471d",
