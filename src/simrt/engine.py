@@ -54,8 +54,6 @@ LABEL_CLOUD = "CLOUD"
 
 _NO_RELEASE = (float("inf"), None)  # (time, task id) after the last release
 
-_PENDING, _STARTED, _SKIPPED = range(3)  # a finished task stays _STARTED
-
 
 class TraceRecord(NamedTuple):
     time_us: int
@@ -181,10 +179,11 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     for time_us, tid, workload, unit, phase in _records_of(trace):
         if phase == PHASE_DISPATCH:
             dispatch_t[tid] = time_us
-        elif phase == PHASE_COMPLETE:
-            completes.append((tid, workload, unit, time_us))
-        elif phase == PHASE_CLOUD_COMPLETE:
-            completes.append((tid, workload, LABEL_CLOUD, time_us))
+        elif phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE:
+            if tid not in dispatch_t:
+                raise AuditError(f"task {tid}: {phase} at {time_us} has no earlier dispatch")
+            completes.append((tid, workload, unit if phase == PHASE_COMPLETE else LABEL_CLOUD,
+                              time_us))
         elif phase == PHASE_DROP:
             drops += 1
 
@@ -295,10 +294,12 @@ class _Engine:
         self.heap = []  # (time, sequence, kind, unit or task id)
         self._seq = itertools.count()
 
-        # validate_graph's shared index: the tables are only read, counts copied
+        # validate_graph's shared index: only read, never changed
         self.tasks, self.dependents, dep_counts = index
-        self.status = dict.fromkeys(self.tasks, _PENDING)
-        self.deps_left = dep_counts.copy()
+        # task id -> dependencies not yet complete, while the task is neither
+        # dispatched nor skipped; a dispatched task is in dispatched_at until it completes
+        self.pending = dict.fromkeys(self.tasks, 0)
+        self.pending.update(dep_counts)
         # producer id -> live consumer count; one entry per image buffer in use
         self.buffer_refs: dict = {}
 
@@ -320,7 +321,7 @@ class _Engine:
     def run(self) -> SimResult:
         heap, seq, running = self.heap, self._seq, self.running
         pop, replace, append = heapq.heappop, heapq.heapreplace, self._append
-        status, deps_left = self.status, self.deps_left
+        pending = self.pending
         releases = iter(sorted(((t.release_us, t.id) for t in self.scenario),
                                key=itemgetter(0)))
         release_at, release_tid = next(releases, _NO_RELEASE)
@@ -333,7 +334,7 @@ class _Engine:
             elif release_tid is not None:
                 now, tid = release_at, release_tid
                 release_at, release_tid = next(releases, _NO_RELEASE)
-                if status[tid] == _PENDING and not deps_left.get(tid):
+                if pending.get(tid) == 0:
                     self._dispatch(tid, now)
                 continue
             else:
@@ -370,11 +371,10 @@ class _Engine:
                 if running[key] is None:
                     self._try_start(key, now)
 
-        leftover = [t for t, s in self.status.items() if s == _PENDING or t in self.dispatched_at]
-        if leftover or self.buffer_refs:
+        if pending or self.dispatched_at or self.buffer_refs:
             raise EngineError(
-                f"simulation did not quiesce: pending={leftover} "
-                f"buffers_in_use={len(self.buffer_refs)}")
+                f"simulation did not quiesce: pending={list(pending)} "
+                f"running={list(self.dispatched_at)} buffers_in_use={len(self.buffer_refs)}")
         end = self.last_end
         makespan = end - self.first_dispatch if end is not None else 0
         idle_watts = sum(u.idle_watts for u in self.profile.units)
@@ -390,7 +390,7 @@ class _Engine:
     def _dispatch(self, tid: int, now: int) -> None:
         task = self.tasks[tid]
         route = sched.dispatch(self.state, task, self.policy)
-        self.status[tid] = _STARTED
+        del self.pending[tid]
         self.dispatched_at[tid] = now
         if self.first_dispatch is None:
             self.first_dispatch = now
@@ -454,16 +454,16 @@ class _Engine:
         if not (dependents := self.dependents.get(tid)):
             return
         self._acquire_buffer(tid, dependents, unit_label, now)
-        status, deps_left = self.status, self.deps_left
+        pending = self.pending
         for dep in dependents:
-            deps_left[dep] -= 1
-            if (status[dep] == _PENDING and deps_left[dep] == 0
-                    and self.tasks[dep].release_us <= now):
-                self._dispatch(dep, now)
+            if dep in pending:  # not skipped
+                pending[dep] -= 1
+                if not pending[dep] and self.tasks[dep].release_us <= now:
+                    self._dispatch(dep, now)
 
     def _acquire_buffer(self, tid: int, dependents: list, unit_label: str, now: int) -> None:
         consumers = [c for c in dependents
-                     if self.tasks[c].tags.image_input and self.status[c] != _SKIPPED]
+                     if self.tasks[c].tags.image_input and c in self.pending]
         if not consumers:
             return
         capacity = self.config.buffer_capacity
@@ -476,18 +476,15 @@ class _Engine:
                 self._skip(consumer)
 
     def _skip(self, tid: int) -> None:
-        stack = [tid]
+        pending, stack = self.pending, [tid]
         while stack:
             cur = stack.pop()
-            if self.status[cur] == _SKIPPED:
+            if pending.pop(cur, None) is None:  # skipped already, or dispatched
+                if cur in self.dispatched_at:
+                    raise EngineError(f"cannot skip task {cur}: already dispatched")
                 continue
-            if self.status[cur] != _PENDING:
-                raise EngineError(f"cannot skip task {cur}: already dispatched")
-            self.status[cur] = _SKIPPED
             self._release_buffers_for(cur)
-            for dep in self.dependents.get(cur, ()):
-                if self.status[dep] == _PENDING:
-                    stack.append(dep)
+            stack.extend(dep for dep in self.dependents.get(cur, ()) if dep in pending)
 
     def _drain_cloud(self, now: int) -> None:
         slots = self.config.cloud_slots

@@ -119,10 +119,13 @@ def offload_time(
     """The cost entry one dispatch pays.
 
     PER_OFFLOAD charges setup on every call; AMORTIZED never does, since
-    every unit is initialized before the clock starts.
+    every unit is initialized before the clock starts. An entry without a
+    kernel time, which only a hand-built profile can hold, raises MissingCost.
     """
     _check_setup_mode(setup_mode)
     entry = _cost(profile, workload, unit)
+    if entry.kernel_us is None:
+        raise MissingCost(workload, unit)
     return entry if setup_mode is SetupMode.PER_OFFLOAD else replace(entry, setup_us=0)
 
 
@@ -136,8 +139,11 @@ def energy_of(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
 
 
 def restrict(profile: PlatformProfile, kinds: Iterable[UnitKind]) -> PlatformProfile:
-    """Profile limited to the given unit kinds; used for pinned-unit runs."""
+    """Profile limited to the given unit kinds; used for pinned-unit runs.
+    A kind that is not a UnitKind, e.g. the string "CPU", raises InvalidConfig."""
     keep = set(kinds)
+    if bad := sorted(repr(k) for k in keep if not isinstance(k, UnitKind)):
+        raise InvalidConfig(f"restrict takes UnitKind members, got {', '.join(bad)}")
     units = tuple(u for u in profile.units if u.kind in keep)
     costs = {k: v for k, v in profile.costs.items() if k[1] in keep}
     has_cloud = UnitKind.CLOUD in keep and profile.has_cloud

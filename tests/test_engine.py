@@ -13,9 +13,9 @@ import pytest
 import simrt.engine
 import simrt.scheduler
 import simrt.tasks
-from simrt import (BasicPolicy, CycleDetected, DuplicateId, EngineError, InvalidConfig,
-                   PlatformProfile, Policy, SchedulerState, SetupMode, SimConfig, Task,
-                   TaskGraph, TaskTags, Trace, TraceRecord, UnitKind,
+from simrt import (AuditError, BasicPolicy, CycleDetected, DuplicateId, EngineError,
+                   InvalidConfig, PlatformProfile, Policy, SchedulerState, SetupMode,
+                   SimConfig, Task, TaskGraph, TaskTags, Trace, TraceRecord, UnitKind,
                    UnknownDependency, UnresolvableCost, audit, builtin_profiles,
                    compute_metrics, convolution_batch, dump_scenario, energy_of,
                    load_profile, load_scenario, restrict, robot_pipeline,
@@ -153,6 +153,75 @@ class TestBufferSemantics:
         assert not [r for r in trace if r.task_id in (2, 3) and r.phase == "setup"]
 
 
+def two_unit_profile():
+    """CPU and DSP, each running workload "w" in one 100 us kernel."""
+    return load_profile(json.dumps({
+        "units": [{"kind": "CPU", "weight": 1}, {"kind": "DSP", "weight": 1}],
+        "workloads": [{"name": "w"}],
+        "costs": {f"w@{k}": {"kernel_us": 100, "energy_uj": 10} for k in ("CPU", "DSP")},
+    }))
+
+
+def local_run(tid, unit, start):
+    """The records of a task that starts at once on an idle unit of two_unit_profile."""
+    return [(start, tid, "w", unit, "dispatch"), (start, tid, "w", unit, "setup"),
+            (start, tid, "w", unit, "xfer_in"), (start, tid, "w", unit, "kernel"),
+            (start + 100, tid, "w", unit, "xfer_out"), (start + 100, tid, "w", unit, "complete")]
+
+
+class TestTaskLifecycle:
+    """A task is pending until it is dispatched (its release has come and its
+    dependencies are complete) or skipped (an image it needs was dropped)."""
+
+    def run(self, tasks, capacity=1):
+        return simulate(TaskGraph(tasks), two_unit_profile(), Policy.latency(),
+                        SimConfig(buffer_capacity=capacity))
+
+    @pytest.mark.parametrize("release", [50, 100, 250])
+    def test_a_dependent_is_dispatched_once_when_both_conditions_hold(self, release):
+        # released before, at or after the instant its dependency completes
+        m, trace = self.run([rt(1), rt(2, deps=[1], release=release)])
+        start = max(release, 100)
+        assert trace.records == local_run(1, "DSP", 0) + local_run(2, "CPU", start)
+        assert (m.completed, m.skipped, m.makespan_us) == (2, 0, start + 100)
+
+    def test_a_diamond_child_behind_two_skipped_consumers_is_skipped_once(self, monkeypatch):
+        skipped = []
+        original = simrt.engine._Engine._release_buffers_for
+
+        def recording(engine, tid):
+            skipped.append(tid)
+            original(engine, tid)
+
+        monkeypatch.setattr(simrt.engine._Engine, "_release_buffers_for", recording)
+        m, trace = self.run([rt(1), rt(2, deps=[1], image=True), rt(3, deps=[1], image=True),
+                             rt(4, deps=[2, 3])], capacity=0)
+        assert trace.records == local_run(1, "DSP", 0) + [(100, 1, "w", "DSP", "drop")]
+        assert (m.completed, m.skipped, m.drops) == (1, 3, 1)
+        # task 1 crosses its kernel boundary; then each skipped task releases its inputs once
+        assert skipped == [1, 2, 4, 3]
+
+    def test_a_consumer_skipped_by_one_drop_releases_its_other_producers_buffer(self):
+        # 1 and 2 complete at 100: 1 takes the only buffer, 2's image is dropped, which
+        # skips 3 and frees 1's buffer, so the image 4 produces for 5 at 200 is kept
+        m, trace = self.run([rt(1), rt(2), rt(3, deps=[1, 2], image=True),
+                             rt(4, release=100), rt(5, deps=[4], image=True)])
+        assert trace.records == [
+            *local_run(1, "DSP", 0)[:4], *local_run(2, "CPU", 0)[:4],
+            (100, 1, "w", "DSP", "xfer_out"), (100, 2, "w", "CPU", "xfer_out"),
+            (100, 1, "w", "DSP", "complete"), (100, 2, "w", "CPU", "complete"),
+            (100, 2, "w", "CPU", "drop"), *local_run(4, "DSP", 100), *local_run(5, "CPU", 200)]
+        assert (m.completed, m.skipped, m.drops) == (4, 1, 1)
+
+    def test_a_producer_completing_after_its_consumer_was_skipped_keeps_no_buffer(self):
+        # 3 is skipped at 100; when its third producer 4 completes at 200, only 5
+        # still needs 4's image, so 4's buffer is freed when 5 starts its kernel
+        m, trace = self.run([rt(1), rt(2), rt(3, deps=[1, 2, 4], image=True),
+                             rt(4, release=100), rt(5, deps=[4], image=True)])
+        assert [r for r in trace.records if r[4] == "drop"] == [(100, 2, "w", "CPU", "drop")]
+        assert (m.completed, m.skipped, m.drops) == (4, 1, 1)
+
+
 class TestDeterminismAndOrdering:
     def test_identical_runs_emit_identical_traces(self):
         rng = random.Random(1)
@@ -259,6 +328,22 @@ class TestComputeMetrics:
         m, _ = simulate(TaskGraph([rt(1)]), p, Policy.latency())
         # 10 uJ active + 2 W for 1000 us = 2000 uJ idle
         assert m.total_energy_uj == 2010
+
+    @pytest.mark.parametrize("records, message", [
+        ([(5, 1, "convolution", "CPU", "complete")],
+         "task 1: complete at 5 has no earlier dispatch"),
+        ([(7, 2, "convolution", "CLOUD", "cloud_complete")],
+         "task 2: cloud_complete at 7 has no earlier dispatch"),
+        ([(0, 2, "convolution", "CPU", "dispatch"), (5, 1, "convolution", "CPU", "complete"),
+          (6, 1, "convolution", "CPU", "dispatch")],
+         "task 1: complete at 5 has no earlier dispatch"),
+    ], ids=["local", "cloud", "dispatched-later"])
+    def test_a_completion_without_an_earlier_dispatch_is_an_audit_error(self, records,
+                                                                        message):
+        with pytest.raises(AuditError) as exc:
+            compute_metrics(Trace(records), builtin_profiles()["sd820"], SimConfig(),
+                            TaskGraph([rt(1, "convolution"), rt(2, "convolution")]))
+        assert str(exc.value) == message
 
 
 class TestEnergyAdditivity:

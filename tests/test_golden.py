@@ -12,19 +12,28 @@ A change that moves a hash changes simulated behaviour; say why when you
 update one. Print the current hashes with
 
     PYTHONPATH=src python -m tests.test_golden
+
+A second, wider pin folds the first RANDCASES cases of `tests.randcases`
+into one SHA-256: each run's digest as above, or its error type and
+message. Print that digest for N cases, e.g. to compare two versions
+of the engine beyond the recorded count, with
+
+    PYTHONPATH=src python -m tests.test_golden 20000
 """
 
 import hashlib
 import json
 import random
+import sys
 
 import pytest
 
-from simrt import (Policy, SetupMode, SimConfig, Task, TaskGraph, TaskTags,
+from simrt import (Policy, SetupMode, SimConfig, SimrtError, Task, TaskGraph, TaskTags,
                    builtin_profiles, convolution_batch, load_profile,
                    robot_pipeline, simulate)
 
 from .helpers import random_profile, random_scenario
+from .randcases import random_case
 
 _IMAGE = ("undistort", "gaussian_blur", "feature_detect", "optical_flow")
 _BASIC = ("capture", "update", "propagate", "planning", "conv1", "fc6")
@@ -185,11 +194,28 @@ GOLDEN = {
 }
 
 
+RANDCASES = 1000
+RANDCASES_DIGEST = "679a22fba1bc0b6989b5808d44d2ee68d32c30408adb182bee9ad4fad1dfd276"
+
+
 def digest(case) -> str:
     scenario, profile, policy, config = case
     metrics, trace = simulate(scenario, profile, policy, config)
     text = trace.to_csv() + json.dumps(metrics.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+def randcases_digest(cases: int) -> str:
+    """SHA-256 over the first `cases` generated cases: per seed, the run's
+    `digest`, or the error type and message of a failed run."""
+    h = hashlib.sha256()
+    for seed in range(cases):
+        try:
+            text = digest(random_case(seed))
+        except SimrtError as exc:
+            text = f"{type(exc).__name__}: {exc}"
+        h.update(f"{seed} {text}\n".encode())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -199,6 +225,10 @@ def test_golden_digest(name):
 
 def test_golden_covers_every_case():
     assert set(GOLDEN) == set(_cases())
+
+
+def test_randcases_digest():
+    assert randcases_digest(RANDCASES) == RANDCASES_DIGEST
 
 
 def test_cases_reach_drops_skips_and_cloud_slots():
@@ -233,5 +263,9 @@ def test_grid_cases_reach_equal_time_orderings(name):
 
 
 if __name__ == "__main__":
-    for name, case in sorted(_cases().items()):
-        print(f'    "{name}": "{digest(case)}",')
+    if len(sys.argv) > 1:
+        cases = int(sys.argv[1])
+        print(f"{cases} randcases: {randcases_digest(cases)}")
+    else:
+        for name, case in sorted(_cases().items()):
+            print(f'    "{name}": "{digest(case)}",')

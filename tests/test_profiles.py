@@ -4,9 +4,10 @@ import random
 import pytest
 
 from simrt import (BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError,
-                   Policy, SetupMode, SimConfig, SimrtError, UnitKind, builtin_profiles,
-                   energy_of, load_profile, load_scenario, offload_time, preference_matrix,
-                   restrict)
+                   PlatformProfile, Policy, SetupMode, SimConfig, SimrtError, Task, TaskGraph,
+                   UnitKind, builtin_profiles, energy_of, load_profile, load_scenario,
+                   offload_time, preference_matrix, restrict, simulate)
+from simrt.profiles import CostEntry, UnitSpec
 from simrt.builtins import BUILTIN_PROFILE_TEXTS
 
 from .helpers import WORKLOADS, random_profile
@@ -395,6 +396,21 @@ class TestOffloadTime:
             with pytest.raises(MissingCost):
                 energy_of(p, workload, kind)
 
+    @pytest.mark.parametrize("mode", list(SetupMode))
+    def test_an_entry_without_a_kernel_time_is_a_missing_cost(self, mode):
+        # only a hand-built profile can hold the dataclass default kernel_us=None
+        p = PlatformProfile(name="hand", units=(UnitSpec(UnitKind.CPU),), workloads=("w",),
+                            costs={("w", UnitKind.CPU): CostEntry(energy_uj=1)})
+        with pytest.raises(MissingCost) as exc:
+            offload_time(p, "w", UnitKind.CPU, mode)
+        assert (exc.value.workload, exc.value.unit) == ("w", UnitKind.CPU)
+        assert str(exc.value) == "no resolvable cost for workload 'w' on unit CPU"
+        assert energy_of(p, "w", UnitKind.CPU) == 1
+        with pytest.raises(MissingCost) as exc:
+            simulate(TaskGraph([Task(id=1, workload="w")]), p, Policy.parse("throughput"),
+                     SimConfig(setup_mode=mode))
+        assert str(exc.value) == "no resolvable cost for workload 'w' on unit CPU"
+
     @pytest.mark.parametrize("mode", ["per_offload", "amortized", None])
     def test_rejects_a_setup_mode_that_is_not_a_setup_mode(self, mode):
         p = builtin_profiles()["sd820"]
@@ -480,6 +496,22 @@ class TestRestrict:
         assert [u.kind for u in cpu_only.units] == [UnitKind.CPU]
         assert not cpu_only.has_cloud
         assert all(kind is UnitKind.CPU for (_, kind) in cpu_only.costs)
+
+    @pytest.mark.parametrize("kinds, message", [
+        (["CPU"], "restrict takes UnitKind members, got 'CPU'"),
+        ((UnitKind.GPU, "mGPU", "CPU", UnitKind.CPU),
+         "restrict takes UnitKind members, got 'CPU', 'mGPU'"),
+        ([UnitKind.CPU, None], "restrict takes UnitKind members, got None"),
+    ], ids=["string", "strings-and-kinds", "none"])
+    def test_a_kind_that_is_not_a_unit_kind_is_rejected(self, kinds, message):
+        with pytest.raises(InvalidConfig) as exc:
+            restrict(builtin_profiles()["tx1-cloud"], kinds)
+        assert str(exc.value) == message
+
+    def test_an_empty_selection_is_the_empty_profile(self):
+        empty = restrict(builtin_profiles()["sd820"], [])
+        assert (empty.name, empty.units, empty.costs, empty.has_cloud) == (
+            "sd820[]", (), {}, False)
 
 
 def _sparse_doc(rng: random.Random) -> dict:
