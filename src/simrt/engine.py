@@ -20,6 +20,8 @@ scheduled; a release fires only when no event is due at or before its time;
 releases fire in scenario order. A unit's next boundary that is already the
 next event by that rule (no other event due at or before it, no release
 first) is crossed at once, without the heap, and takes no sequence number.
+A unit that completes takes its next task in the same step, and that task's
+first boundary follows the same rule.
 """
 
 import heapq
@@ -321,7 +323,8 @@ class _Engine:
     def run(self) -> SimResult:
         heap, seq, running = self.heap, self._seq, self.running
         pop, replace, append = heapq.heappop, heapq.heapreplace, self._append
-        pending = self.pending
+        pending, buffer_refs, tasks, table = self.pending, self.buffer_refs, self.tasks, self.table
+        state, hp, queues = self.state, self.state.hp_queue, self.state.queues
         releases = iter(sorted(((t.release_us, t.id) for t in self.scenario),
                                key=itemgetter(0)))
         release_at, release_tid = next(releases, _NO_RELEASE)
@@ -350,8 +353,31 @@ class _Engine:
             append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
             # crossing a boundary pushes nothing, so the event is still the heap's head
             # and its children hold the earliest other events
-            while kind != _COMPLETE:
-                if kind == _KERNEL:
+            while True:
+                if kind == _COMPLETE:  # off the heap or crossed in place
+                    running[key] = None
+                    self.last_end = now
+                    # what the completion schedules is due at or after now, with a
+                    # later sequence number, so the event stays the head
+                    self._after_completion(tid, label, plan[4], now)
+                    hp_head = hp[0] if hp else None
+                    if running[key] is not None or not (hp or queues[key]) or (
+                            tid := sched.on_unit_free(state, key, tasks)) is None:
+                        pop(heap)
+                        break
+                    # the unit takes its next task in this step, and the task's
+                    # first boundary (kind 0) goes through the rule below
+                    workload = tasks[tid].workload
+                    plan = table[key][workload]
+                    append((now, tid, workload, label, PHASE_SETUP))
+                    running[key] = (tid, label, workload, now, plan)
+                    start, kind = now, -1
+                    if tid == hp_head and hp:
+                        # the new high-priority head may be runnable on another idle unit
+                        replace(heap, (now + plan[0], next(seq), 0, key))
+                        self._kick(now)
+                        break
+                elif kind == _KERNEL and buffer_refs:
                     self._release_buffers_for(tid)
                 kind += 1
                 due = start + plan[kind]
@@ -363,13 +389,6 @@ class _Engine:
                 if due != now:
                     now = due
                 append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
-            else:  # the task completed, off the heap or crossed in place
-                pop(heap)
-                running[key] = None
-                self.last_end = now
-                self._after_completion(tid, label, plan[4], now)
-                if running[key] is None:
-                    self._try_start(key, now)
 
         if pending or self.dispatched_at or self.buffer_refs:
             raise EngineError(
@@ -406,18 +425,21 @@ class _Engine:
             self._kick(now)
 
     def _kick(self, now: int) -> None:
-        running = self.running
-        for unit in self.state.units:
-            if running[unit] is None:
+        """Offer work to each idle unit that can run the high-priority head or
+        has a queued task; a start can change the head, so it is read per unit."""
+        running, state, tasks = self.running, self.state, self.tasks
+        hp, queues, runnable = state.hp_queue, state.queues, state.runnable
+        for unit in state.units:
+            if running[unit] is None and (
+                    queues[unit] or hp and tasks[hp[0]].workload in runnable[unit]):
                 self._try_start(unit, now)
 
     def _try_start(self, unit: UnitKind, now: int) -> None:
-        """Start the next task on an idle unit, if it has one."""
+        """Start the next task on an idle unit that has one: the high-priority
+        head when it can run it, else its FIFO head."""
         hp = self.state.hp_queue
         hp_head = hp[0] if hp else None
         tid = sched.on_unit_free(self.state, unit, self.tasks)
-        if tid is None:
-            return
         workload = self.tasks[tid].workload
         plan = self.table[unit][workload]
         label = self.labels[unit]

@@ -141,9 +141,10 @@ def energy_of(profile: PlatformProfile, workload: str, unit: UnitKind) -> int:
 def restrict(profile: PlatformProfile, kinds: Iterable[UnitKind]) -> PlatformProfile:
     """Profile limited to the given unit kinds; used for pinned-unit runs.
     A kind that is not a UnitKind, e.g. the string "CPU", raises InvalidConfig."""
-    keep = set(kinds)
-    if bad := sorted(repr(k) for k in keep if not isinstance(k, UnitKind)):
+    kinds = list(kinds)
+    if bad := sorted({repr(k) for k in kinds if not isinstance(k, UnitKind)}):
         raise InvalidConfig(f"restrict takes UnitKind members, got {', '.join(bad)}")
+    keep = set(kinds)
     units = tuple(u for u in profile.units if u.kind in keep)
     costs = {k: v for k, v in profile.costs.items() if k[1] in keep}
     has_cloud = UnitKind.CLOUD in keep and profile.has_cloud
@@ -163,7 +164,8 @@ def preference_matrix(profile: PlatformProfile) -> dict:
 
     Performance is argmin of kernel time, energy argmin of per-run energy,
     over the local units with a declared cost. Ties break on unit
-    declaration order, the order `min` sees them in.
+    declaration order, the order `min` sees them in. An entry without a
+    kernel time, which only a hand-built profile can hold, raises MissingCost.
     """
     costs = profile.costs
     matrix = {}
@@ -171,6 +173,9 @@ def preference_matrix(profile: PlatformProfile) -> dict:
         units = [u.kind for u in profile.units if (name, u.kind) in costs]
         if not units:
             continue
+        for unit in units:
+            if costs[name, unit].kernel_us is None:
+                raise MissingCost(name, unit)
         perf = min(units, key=lambda u: costs[name, u].kernel_us)
         energy = min(units, key=lambda u: costs[name, u].energy_uj)
         matrix[name] = (perf, energy)

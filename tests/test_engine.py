@@ -169,6 +169,14 @@ def local_run(tid, unit, start):
             (start + 100, tid, "w", unit, "xfer_out"), (start + 100, tid, "w", unit, "complete")]
 
 
+def in_step(start, *runs):
+    """The records of tasks, each (task id, workload, unit), that start together at
+    `start` on units of two_unit_profile's costs and cross each boundary in turn."""
+    return [(start + 100 * (phase in ("xfer_out", "complete")), tid, workload, unit, phase)
+            for phase in ("setup", "xfer_in", "kernel", "xfer_out", "complete")
+            for tid, workload, unit in runs]
+
+
 class TestTaskLifecycle:
     """A task is pending until it is dispatched (its release has come and its
     dependencies are complete) or skipped (an image it needs was dropped)."""
@@ -198,8 +206,9 @@ class TestTaskLifecycle:
                              rt(4, deps=[2, 3])], capacity=0)
         assert trace.records == local_run(1, "DSP", 0) + [(100, 1, "w", "DSP", "drop")]
         assert (m.completed, m.skipped, m.drops) == (1, 3, 1)
-        # task 1 crosses its kernel boundary; then each skipped task releases its inputs once
-        assert skipped == [1, 2, 4, 3]
+        # no buffer is ever held, so task 1's kernel boundary releases nothing and
+        # is not recorded; each skipped task releases its inputs once
+        assert skipped == [2, 4, 3]
 
     def test_a_consumer_skipped_by_one_drop_releases_its_other_producers_buffer(self):
         # 1 and 2 complete at 100: 1 takes the only buffer, 2's image is dropped, which
@@ -220,6 +229,48 @@ class TestTaskLifecycle:
                              rt(4, release=100), rt(5, deps=[4], image=True)])
         assert [r for r in trace.records if r[4] == "drop"] == [(100, 2, "w", "CPU", "drop")]
         assert (m.completed, m.skipped, m.drops) == (4, 1, 1)
+
+
+    def test_a_dependent_dispatched_onto_the_freed_unit_starts_there(self):
+        # at 100 the DSP completes 1, which dispatches 3 to the idle DSP at once
+        m, trace = self.run([rt(1), rt(2), rt(3, deps=[1])])
+        assert trace.records == [
+            *local_run(1, "DSP", 0)[:4], *local_run(2, "CPU", 0)[:4],
+            (100, 1, "w", "DSP", "xfer_out"), (100, 2, "w", "CPU", "xfer_out"),
+            (100, 1, "w", "DSP", "complete"), *local_run(3, "DSP", 100)[:2],
+            (100, 2, "w", "CPU", "complete"), *local_run(3, "DSP", 100)[2:]]
+        assert (m.completed, m.makespan_us) == (3, 200)
+
+    def test_a_unit_that_takes_the_hp_head_hands_the_next_head_to_an_idle_unit(self):
+        # "v" runs only on the DSP, so the idle CPU waits behind HP head 2; at 100
+        # the DSP completes 1 and takes 2, and 3, the new head, starts on the CPU
+        profile = load_profile(json.dumps({
+            "units": [{"kind": "CPU", "weight": 1}, {"kind": "DSP", "weight": 1}],
+            "workloads": [{"name": "w"}, {"name": "v"}],
+            "costs": {f"{w}@{k}": {"kernel_us": 100, "energy_uj": 10}
+                      for w, k in (("w", "CPU"), ("w", "DSP"), ("v", "DSP"))},
+        }))
+        m, trace = simulate(TaskGraph([rt(1), rt(2, "v", image=True), rt(3, image=True)]),
+                            profile, Policy.advanced_over(BasicPolicy.LATENCY))
+        assert trace.records == [
+            *local_run(1, "DSP", 0)[:4], (0, 2, "v", "HP", "dispatch"),
+            (0, 3, "w", "HP", "dispatch"),
+            (100, 1, "w", "DSP", "xfer_out"), (100, 1, "w", "DSP", "complete"),
+            *in_step(100, (2, "v", "DSP"), (3, "w", "CPU"))]
+        assert (m.completed, m.makespan_us) == (3, 200)
+
+    def test_a_next_task_whose_first_boundary_ties_another_event_waits_its_turn(self):
+        # at 100 the DSP takes 3 while the CPU's completion of 2 is due at 100 too,
+        # so 3 enters xfer_in only after the CPU has completed 2 and taken 4
+        m, trace = self.run([rt(1), rt(2), rt(3), rt(4)])
+        assert trace.records == [
+            *local_run(1, "DSP", 0)[:4], *local_run(2, "CPU", 0)[:4],
+            (0, 3, "w", "DSP", "dispatch"), (0, 4, "w", "CPU", "dispatch"),
+            (100, 1, "w", "DSP", "xfer_out"), (100, 2, "w", "CPU", "xfer_out"),
+            (100, 1, "w", "DSP", "complete"), (100, 3, "w", "DSP", "setup"),
+            (100, 2, "w", "CPU", "complete"), (100, 4, "w", "CPU", "setup"),
+            *in_step(100, (3, "w", "DSP"), (4, "w", "CPU"))[2:]]
+        assert (m.completed, m.makespan_us) == (4, 200)
 
 
 class TestDeterminismAndOrdering:
@@ -589,6 +640,32 @@ class TestHighPriorityRekick:
         starts = {r.task_id: (r.time_us, r.unit) for r in trace if r.phase == "setup"}
         assert starts[3] == (1320, "CPU")
 
+    def test_a_kick_offers_work_only_for_the_current_head(self, monkeypatch):
+        # at 100 the DSP takes HP head 2 and kicks: the CPU takes 3, which makes 4,
+        # runnable on neither idle unit, the head; so the mGPU is not asked
+        profile = load_profile(json.dumps({
+            "units": [{"kind": k, "weight": 1} for k in ("CPU", "mGPU", "DSP")],
+            "workloads": [{"name": w} for w in ("z", "w", "v")],
+            "costs": {f"{w}@{k}": {"kernel_us": 100, "energy_uj": 10} for w, k in (
+                ("z", "DSP"), ("w", "CPU"), ("w", "mGPU"), ("v", "CPU"), ("v", "DSP"))},
+        }))
+        calls = 0
+        original = simrt.scheduler.on_unit_free
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(simrt.scheduler, "on_unit_free", counting)
+        _, trace = simulate(TaskGraph([rt(1, "z", image=True), rt(2, "z", image=True),
+                                       rt(3, "w", image=True), rt(4, "v", image=True)]),
+                            profile, Policy.advanced_over(BasicPolicy.LATENCY))
+        monkeypatch.undo()
+        starts = {r.task_id: (r.time_us, r.unit) for r in trace if r.phase == "setup"}
+        assert starts == {1: (0, "DSP"), 2: (100, "DSP"), 3: (100, "CPU"), 4: (200, "DSP")}
+        assert calls == len(starts)
+
     def test_audits_pass_with_partially_runnable_hp_heads(self):
         rng = random.Random(77)
         for _ in range(40):
@@ -750,10 +827,25 @@ class TestEventHeap:
             original_init(self, *args)
             engines.append(self)
 
+        completing = None  # unit label whose completion is being handled, if any
+        original_after = simrt.engine._Engine._after_completion
+
+        def handling(self, tid, label, energy_uj, now):
+            nonlocal completing
+            completing = label
+            try:
+                original_after(self, tid, label, energy_uj, now)
+            finally:
+                completing = None
+
         def check(heap):
             engine, = engines
-            local = [key for _, _, kind, key in heap if kind >= 0]
-            cloud = [key for _, _, kind, key in heap if kind < 0]
+            # a local completion's event stays the head while the completion is handled
+            _, _, kind, key = heap[0]
+            stale = kind >= 0 and engine.labels[key] == completing
+            events = heap[1:] if stale else heap
+            local = [key for _, _, kind, key in events if kind >= 0]
+            cloud = [key for _, _, kind, key in events if kind < 0]
             assert len(set(local)) == len(local)
             assert all(engine.running[unit] is not None for unit in local)
             assert len(set(cloud)) == len(cloud) <= engine.cloud_active
@@ -767,6 +859,7 @@ class TestEventHeap:
             return wrapper
 
         monkeypatch.setattr(simrt.engine._Engine, "__init__", keep)
+        monkeypatch.setattr(simrt.engine._Engine, "_after_completion", handling)
         monkeypatch.setattr(heapq, "heappush", checked(heapq.heappush))
         monkeypatch.setattr(heapq, "heapreplace", checked(heapq.heapreplace))
         _, trace = simulate(scenario, profile, policy, config)
@@ -791,6 +884,41 @@ class TestEventHeap:
         monkeypatch.undo()
         assert metrics.completed == len(scenario)
         assert replaces <= 0.25 * len(scenario), replaces
+
+    def test_a_busy_unit_takes_its_next_task_off_the_heap(self, monkeypatch):
+        # conv's deep FIFOs keep every unit busy, so a completing unit starts its
+        # next task in place: only each unit's first task goes on the heap
+        calls = 0
+
+        def counting(call):
+            def wrapper(*args):
+                nonlocal calls
+                calls += 1
+                return call(*args)
+            return wrapper
+
+        scenario = convolution_batch(2000)
+        monkeypatch.setattr(heapq, "heappush", counting(heapq.heappush))
+        monkeypatch.setattr(heapq, "heappop", counting(heapq.heappop))
+        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
+        monkeypatch.undo()
+        assert metrics.completed == len(scenario)
+        assert calls <= 10, calls
+
+    def test_every_on_unit_free_call_starts_a_task(self, monkeypatch):
+        # a unit is asked for its next task only when the HP queue or its FIFO holds one
+        calls = 0
+        original = simrt.scheduler.on_unit_free
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(simrt.scheduler, "on_unit_free", counting)
+        _, trace = simulate(*_robot_run())
+        monkeypatch.undo()
+        assert calls == sum(r[4] == "setup" for r in trace.records) == 768
 
     def test_records_at_one_instant_share_their_time_object(self):
         scenario, profile, policy, config = _robot_run()

@@ -488,6 +488,17 @@ class TestPreferenceMatrix:
             assert got_perf.value == perf, workload
             assert got_energy.value == energy, workload
 
+    def test_an_entry_without_a_kernel_time_is_a_missing_cost(self):
+        # only a hand-built profile can hold the dataclass default kernel_us=None
+        p = PlatformProfile(name="hand", units=(UnitSpec(UnitKind.CPU), UnitSpec(UnitKind.DSP)),
+                            workloads=("w",),
+                            costs={("w", UnitKind.CPU): CostEntry(energy_uj=1),
+                                   ("w", UnitKind.DSP): CostEntry(kernel_us=5)})
+        with pytest.raises(MissingCost) as exc:
+            preference_matrix(p)
+        assert (exc.value.workload, exc.value.unit) == ("w", UnitKind.CPU)
+        assert str(exc.value) == "no resolvable cost for workload 'w' on unit CPU"
+
 
 class TestRestrict:
     def test_restrict_to_single_unit(self):
@@ -502,7 +513,8 @@ class TestRestrict:
         ((UnitKind.GPU, "mGPU", "CPU", UnitKind.CPU),
          "restrict takes UnitKind members, got 'CPU', 'mGPU'"),
         ([UnitKind.CPU, None], "restrict takes UnitKind members, got None"),
-    ], ids=["string", "strings-and-kinds", "none"])
+        ([[1], UnitKind.CPU], "restrict takes UnitKind members, got [1]"),
+    ], ids=["string", "strings-and-kinds", "none", "unhashable"])
     def test_a_kind_that_is_not_a_unit_kind_is_rejected(self, kinds, message):
         with pytest.raises(InvalidConfig) as exc:
             restrict(builtin_profiles()["tx1-cloud"], kinds)
