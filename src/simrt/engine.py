@@ -36,8 +36,8 @@ from . import scheduler as sched
 from .errors import AuditError, EngineError, InvalidConfig, InvalidScenario, UnresolvableCost
 from .profiles import (PlatformProfile, SetupMode, UnitKind, _check_setup_mode,
                        energy_of, offload_time)
-from .scheduler import (Policy, RouteClass, SchedulerState, _check_flag, _check_weights,
-                        _is_int_at_least)
+from .scheduler import (_CLOUD, Policy, RouteClass, SchedulerState, _check_flag,
+                        _check_weights, _is_int_at_least)
 from .tasks import TaskGraph, validate_graph
 
 PHASE_DISPATCH = "dispatch"
@@ -417,7 +417,7 @@ class _Engine:
             self._append((now, tid, task.workload, self.labels[unit], PHASE_DISPATCH))
             if self.running[unit] is None:
                 self._try_start(unit, now)
-        elif route.target is RouteClass.CLOUD:
+        elif route.target is _CLOUD:
             self._append((now, tid, task.workload, LABEL_CLOUD, PHASE_DISPATCH))
             self._drain_cloud(now)
         else:
@@ -529,4 +529,8 @@ def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
     The result is a pure function of the arguments: identical inputs and
     seed produce identical metrics and a byte-identical trace.
     """
+    if not isinstance(policy, Policy):
+        raise InvalidConfig(f"policy must be a Policy, got {policy!r}")
+    if not isinstance(config, SimConfig):
+        raise InvalidConfig(f"config must be a SimConfig, got {config!r}")
     return _Engine(scenario, validate_graph(scenario), profile, policy, config).run()

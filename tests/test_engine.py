@@ -22,7 +22,7 @@ from simrt import (AuditError, BasicPolicy, CycleDetected, DuplicateId, EngineEr
                    simulate, validate_graph)
 
 from .helpers import ALL_POLICIES, random_profile, random_scenario
-from .test_golden import _cases as golden_cases
+from .test_golden import _cases as golden_cases, robot_dag
 
 
 def single_unit_profile(kind="CPU", kernel=100, setup=0, xin=0, xout=0,
@@ -791,6 +791,72 @@ class TestCostTableCallCounts:
             # whether a declared pair resolves
             assert (count > 0 or name == "resolvable") and count <= 2 * pairs, name
             assert large_counts[name] <= count, name
+
+
+class _CountingProxy:
+    """Stands in for an Enum class and counts the attribute reads made through it."""
+
+    def __init__(self, cls, counts: list):
+        self._cls, self._counts = cls, counts
+
+    def __getattr__(self, name):
+        self._counts[0] += 1
+        return getattr(self._cls, name)
+
+
+class TestEnumReadCounts:
+    """A member read through its Enum class is slow on CPython, so per-task
+    dispatch reads module constants: the class-level RouteClass and UnitKind
+    reads a run makes do not grow with its task count."""
+
+    def counted_reads(self, monkeypatch, scenario, profile, policy, config) -> int:
+        counts = [0]
+        for module, name in ((simrt.scheduler, "RouteClass"), (simrt.engine, "RouteClass"),
+                             (simrt.engine, "UnitKind")):
+            monkeypatch.setattr(module, name, _CountingProxy(getattr(module, name), counts))
+        simulate(scenario, profile, policy, config)
+        monkeypatch.undo()
+        return counts[0]
+
+    def test_robot_pipeline_reads_flat_in_task_count(self, monkeypatch):
+        profile = builtin_profiles()["sd820-robot"]
+        policy = Policy.advanced_over(BasicPolicy.THROUGHPUT)
+        small, large = robot_pipeline(2, 25, 200, 3), robot_pipeline(4, 25, 200, 3)
+        assert len(large) > 1.9 * len(small)
+        reads = [self.counted_reads(monkeypatch, scenario, profile, policy, SimConfig())
+                 for scenario in (small, large)]
+        assert reads[0] == reads[1], reads
+
+    def test_cloud_and_drops_reads_flat_in_task_count(self, monkeypatch):
+        profile = builtin_profiles()["sd820-robot"]
+        policy = Policy.advanced_over(BasicPolicy.ENERGY)
+        config = SimConfig(setup_mode=SetupMode.PER_OFFLOAD, seed=5, buffer_capacity=2,
+                           cloud_slots=2)
+        small, large = robot_dag(5, 200), robot_dag(5, 400)
+        for scenario in (small, large):
+            metrics, _ = simulate(scenario, profile, policy, config)
+            assert metrics.drops > 0 and "CLOUD" in metrics.avg_latency_ms
+        reads = [self.counted_reads(monkeypatch, scenario, profile, policy, config)
+                 for scenario in (small, large)]
+        assert reads[0] == reads[1], reads
+
+
+class TestSimulateArguments:
+    """simulate checks its policy and config once per call, naming the argument."""
+
+    @pytest.mark.parametrize("policy", ["throughput", "advanced:energy", None,
+                                        BasicPolicy.THROUGHPUT])
+    def test_rejects_a_policy_that_is_not_a_policy(self, policy):
+        with pytest.raises(InvalidConfig) as exc:
+            simulate(convolution_batch(3), builtin_profiles()["sd820"], policy)
+        assert str(exc.value) == f"policy must be a Policy, got {policy!r}"
+
+    @pytest.mark.parametrize("config", [None, {"seed": 1}, SetupMode.AMORTIZED])
+    def test_rejects_a_config_that_is_not_a_simconfig(self, config):
+        with pytest.raises(InvalidConfig) as exc:
+            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy.throughput(),
+                     config)
+        assert str(exc.value) == f"config must be a SimConfig, got {config!r}"
 
 
 def test_benchmark_tracer_finds_every_hook(monkeypatch):

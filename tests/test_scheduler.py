@@ -274,3 +274,19 @@ class TestPolicyParsing:
         for text in ("fastest", "advanced:bogus", "advanced:", "advanced:advanced:energy"):
             with pytest.raises(ParseError, match="unknown policy"):
                 Policy.parse(text)
+
+
+class TestPolicyFields:
+    """Policy rejects fields of the wrong type instead of simulating another policy."""
+
+    @pytest.mark.parametrize("basic", ["throughput", None, 1, RouteClass.BASIC])
+    def test_basic_must_be_a_basic_policy(self, basic):
+        with pytest.raises(InvalidConfig) as exc:
+            Policy(basic)
+        assert str(exc.value) == f"basic must be a BasicPolicy, got {basic!r}"
+
+    @pytest.mark.parametrize("advanced", [1, 0, "yes", None])
+    def test_advanced_must_be_a_bool(self, advanced):
+        with pytest.raises(InvalidConfig) as exc:
+            Policy(BasicPolicy.THROUGHPUT, advanced=advanced)
+        assert str(exc.value) == f"advanced must be True or False, got {advanced!r}"
