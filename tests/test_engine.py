@@ -15,13 +15,14 @@ import simrt.scheduler
 import simrt.tasks
 from simrt import (AuditError, BasicPolicy, CycleDetected, DuplicateId, EngineError,
                    InvalidConfig, PlatformProfile, Policy, SchedulerState, SetupMode,
-                   SimConfig, Task, TaskGraph, TaskTags, Trace, TraceRecord, UnitKind,
-                   UnknownDependency, UnresolvableCost, audit, builtin_profiles,
+                   SimConfig, SimrtError, Task, TaskGraph, TaskTags, Trace, TraceRecord,
+                   UnitKind, UnknownDependency, UnresolvableCost, audit, builtin_profiles,
                    compute_metrics, convolution_batch, dump_scenario, energy_of,
                    load_profile, load_scenario, restrict, robot_pipeline,
                    simulate, validate_graph)
 
 from .helpers import ALL_POLICIES, random_profile, random_scenario
+from .randcases import hp_case
 from .test_golden import _cases as golden_cases, robot_dag
 
 
@@ -666,6 +667,30 @@ class TestHighPriorityRekick:
         assert starts == {1: (0, "DSP"), 2: (100, "DSP"), 3: (100, "CPU"), 4: (200, "DSP")}
         assert calls == len(starts)
 
+    def test_on_unit_free_is_asked_only_when_it_hands_out_a_task(self, monkeypatch):
+        # the loop starts a completing unit in place only on its own FIFO head;
+        # a unit that can run the high-priority head goes to the one HP start path
+        cases = [hp_case(seed) for seed in range(300)]
+        cases.append(golden_cases()["dag-adv-energy-drops-cloud2"])
+        answers = []
+        original = simrt.scheduler.on_unit_free
+
+        def recording(*args):
+            answers.append(original(*args))
+            return answers[-1]
+
+        monkeypatch.setattr(simrt.scheduler, "on_unit_free", recording)
+        starts = 0
+        for case in cases:
+            try:
+                _, trace = simulate(*case)
+            except SimrtError:
+                continue
+            starts += sum(r[4] == "setup" for r in trace.records)
+        monkeypatch.undo()
+        assert None not in answers
+        assert len(answers) == starts > 2000
+
     def test_audits_pass_with_partially_runnable_hp_heads(self):
         rng = random.Random(77)
         for _ in range(40):
@@ -842,7 +867,19 @@ class TestEnumReadCounts:
 
 
 class TestSimulateArguments:
-    """simulate checks its policy and config once per call, naming the argument."""
+    """simulate checks its arguments' types once per call, naming the argument."""
+
+    @pytest.mark.parametrize("scenario", [None, [], [rt(1)], "conv"])
+    def test_rejects_a_scenario_that_is_not_a_task_graph(self, scenario):
+        with pytest.raises(InvalidConfig) as exc:
+            simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
+        assert str(exc.value) == f"scenario must be a TaskGraph, got {scenario!r}"
+
+    @pytest.mark.parametrize("profile", ["sd820", None, {"units": []}])
+    def test_rejects_a_profile_that_is_not_a_platform_profile(self, profile):
+        with pytest.raises(InvalidConfig) as exc:
+            simulate(convolution_batch(3), profile, Policy.throughput())
+        assert str(exc.value) == f"profile must be a PlatformProfile, got {profile!r}"
 
     @pytest.mark.parametrize("policy", ["throughput", "advanced:energy", None,
                                         BasicPolicy.THROUGHPUT])

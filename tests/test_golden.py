@@ -15,8 +15,10 @@ update one. Print the current hashes with
 
 A second, wider pin folds the first RANDCASES cases of `tests.randcases`
 into one SHA-256: each run's digest as above, or its error type and
-message. Print that digest for N cases, e.g. to compare two versions
-of the engine beyond the recorded count, with
+message. A third folds the first HP_CASES cases of its high-priority
+family the same way. Every run of either that simulates must also pass
+`audit_all`. Print both digests for N cases, e.g. to compare two versions
+of the engine beyond the recorded counts, with
 
     PYTHONPATH=src python -m tests.test_golden 20000
 """
@@ -28,12 +30,12 @@ import sys
 
 import pytest
 
-from simrt import (Policy, SetupMode, SimConfig, SimrtError, Task, TaskGraph, TaskTags,
-                   builtin_profiles, convolution_batch, load_profile,
+from simrt import (AuditError, Policy, SetupMode, SimConfig, SimrtError, Task, TaskGraph,
+                   TaskTags, audit, builtin_profiles, convolution_batch, load_profile,
                    robot_pipeline, simulate)
 
 from .helpers import random_profile, random_scenario
-from .randcases import random_case
+from .randcases import hp_case, random_case
 
 _IMAGE = ("undistort", "gaussian_blur", "feature_detect", "optical_flow")
 _BASIC = ("capture", "update", "propagate", "planning", "conv1", "fc6")
@@ -196,26 +198,49 @@ GOLDEN = {
 
 RANDCASES = 1000
 RANDCASES_DIGEST = "679a22fba1bc0b6989b5808d44d2ee68d32c30408adb182bee9ad4fad1dfd276"
+HP_CASES = 2000
+HP_CASES_DIGEST = "0b8976743d6b159da10fb1a2451fd2bfd3375b63b88a6fa27d2b121513d324cc"
 
 
-def digest(case) -> str:
-    scenario, profile, policy, config = case
-    metrics, trace = simulate(scenario, profile, policy, config)
+def _hash(metrics, trace) -> str:
     text = trace.to_csv() + json.dumps(metrics.to_dict(), sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def randcases_digest(cases: int) -> str:
-    """SHA-256 over the first `cases` generated cases: per seed, the run's
-    `digest`, or the error type and message of a failed run."""
+def digest(case) -> str:
+    return _hash(*simulate(*case))
+
+
+def _fold(case_of, cases: int) -> str:
+    """SHA-256 over `case_of(seed)` for the first `cases` seeds: per seed, the
+    run's `digest`, or the error type and message of a failed run. A run
+    that simulates must pass `audit_all`."""
     h = hashlib.sha256()
     for seed in range(cases):
+        scenario, profile, policy, config = case_of(seed)
         try:
-            text = digest(random_case(seed))
+            metrics, trace = simulate(scenario, profile, policy, config)
         except SimrtError as exc:
             text = f"{type(exc).__name__}: {exc}"
+        else:
+            try:
+                audit.audit_all(trace, scenario, profile, weights=config.weights,
+                                fpga_as_gpu=config.fpga_as_gpu)
+            except AuditError as exc:
+                raise AuditError(f"{case_of.__name__}({seed}): {exc}") from exc
+            text = _hash(metrics, trace)
         h.update(f"{seed} {text}\n".encode())
     return h.hexdigest()
+
+
+def randcases_digest(cases: int) -> str:
+    """`_fold` over the first `cases` cases of `tests.randcases.random_case`."""
+    return _fold(random_case, cases)
+
+
+def hp_cases_digest(cases: int) -> str:
+    """`_fold` over the first `cases` cases of `tests.randcases.hp_case`."""
+    return _fold(hp_case, cases)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -229,6 +254,12 @@ def test_golden_covers_every_case():
 
 def test_randcases_digest():
     assert randcases_digest(RANDCASES) == RANDCASES_DIGEST
+
+
+def test_hp_cases_digest():
+    # pins the high-priority re-kick: a start of the HP head that does not offer
+    # the next head to the other idle units fails audit_work_conservation here
+    assert hp_cases_digest(HP_CASES) == HP_CASES_DIGEST
 
 
 def test_cases_reach_drops_skips_and_cloud_slots():
@@ -266,6 +297,7 @@ if __name__ == "__main__":
     if len(sys.argv) > 1:
         cases = int(sys.argv[1])
         print(f"{cases} randcases: {randcases_digest(cases)}")
+        print(f"{cases} hp cases: {hp_cases_digest(cases)}")
     else:
         for name, case in sorted(_cases().items()):
             print(f'    "{name}": "{digest(case)}",')
