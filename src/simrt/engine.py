@@ -12,14 +12,15 @@ dependents.
 Event ordering is total and reproducible, so a run is a pure function of
 (scenario, profile, policy, config) and two runs emit byte-identical traces.
 Releases sit in one list stably sorted by release time; phase boundaries and
-cloud completions go on one heap ordered by (time, sequence). A local
-event's kind is the index (0-3) of the boundary it crosses in its unit's
-phase plan: into xfer_in, kernel, xfer_out or complete; a cloud completion
-has a kind of its own. Events due at an instant fire in the order they were
-scheduled; a release fires only when no event is due at or before its time;
-releases fire in scenario order. A unit's next boundary that is already the
-next event by that rule (no other event due at or before it, no release
-first) is crossed at once, without the heap, and takes no sequence number.
+cloud completions go on one heap ordered by (time, sequence), and every
+event leaves the heap before it is handled. A local event's kind is the
+index (0-3) of the boundary it crosses in its unit's phase plan: into
+xfer_in, kernel, xfer_out or complete; a cloud completion has a kind of its
+own. Events due at an instant fire in the order they were scheduled; a
+release fires only when no event is due at or before its time; releases
+fire in scenario order. A unit's next boundary that is already the next
+event by that rule (no other event due at or before it, no release first)
+is crossed at once, without the heap, and takes no sequence number.
 A unit that completes takes its own FIFO head in the same step, and that
 task's first boundary follows the same rule; a start of the high-priority
 head queues its first boundary, then offers the next head to idle units.
@@ -121,6 +122,8 @@ class SimConfig:
         _check_setup_mode(self.setup_mode)
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:  # random.Random seeds with abs(seed): -7 would repeat 7
+            raise InvalidConfig(f"seed must be >= 0, got {self.seed}")
         for flag in ("cloud_in_makespan", "fpga_as_gpu", "record_trace"):
             _check_flag(flag, getattr(self, flag))
         if self.buffer_capacity is not None and not _is_int_at_least(self.buffer_capacity, 0):
@@ -323,7 +326,7 @@ class _Engine:
 
     def run(self) -> SimResult:
         heap, seq, running = self.heap, self._seq, self.running
-        pop, replace, append = heapq.heappop, heapq.heapreplace, self._append
+        pop, push, append = heapq.heappop, heapq.heappush, self._append
         pending, buffer_refs, tasks, table = self.pending, self.buffer_refs, self.tasks, self.table
         state, hp, queues = self.state, self.state.hp_queue, self.state.queues
         releases = iter(sorted(((t.release_us, t.id) for t in self.scenario),
@@ -332,7 +335,7 @@ class _Engine:
         now = 0
         while True:
             if heap and heap[0][0] <= release_at:
-                time_us, _, kind, key = heap[0]
+                time_us, _, kind, key = pop(heap)
                 if time_us != now:  # records at one instant share one time object
                     now = time_us
             elif release_tid is not None:
@@ -344,7 +347,6 @@ class _Engine:
             else:
                 break
             if kind == _CLOUD_EVENT:
-                pop(heap)
                 self._on_cloud_complete(key, now)
                 continue
             tid, label, workload, start, plan = running[key]
@@ -352,21 +354,15 @@ class _Engine:
                 raise EngineError(f"task {tid} entered {_BOUNDARY_PHASES[kind]} at {now}, "
                                   f"off its plan {start + plan[kind]}")
             append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
-            # crossing a boundary pushes nothing, so the event is still the heap's head
-            # and its children hold the earliest other events
             while True:
                 if kind == _COMPLETE:  # off the heap or crossed in place
                     running[key] = None
                     self.last_end = now
-                    # what the completion schedules is due at or after now, with a
-                    # later sequence number, so the event stays the head
                     self._after_completion(tid, label, plan[4], now)
                     if hp and not running[key] and tasks[hp[0]].workload in state.runnable[key]:
-                        pop(heap)
                         self._try_start(key, now)  # the one start of the high-priority head
                         break
                     if running[key] is not None or not queues[key]:
-                        pop(heap)
                         break
                     # the unit takes its own FIFO head in this step, inline as a call per
                     # start costs conv ~10% of its tasks/s; kind 0 takes the rule below
@@ -380,9 +376,8 @@ class _Engine:
                     self._release_buffers_for(tid)
                 kind += 1
                 due = start + plan[kind]
-                if due > release_at or len(heap) > 1 and (
-                        heap[1][0] <= due or len(heap) > 2 and heap[2][0] <= due):
-                    replace(heap, (due, next(seq), kind, key))
+                if due > release_at or heap and heap[0][0] <= due:
+                    push(heap, (due, next(seq), kind, key))
                     break
                 # the next boundary is the next event: cross it without the heap
                 if due != now:

@@ -162,6 +162,7 @@ _INT = frozenset({int})
 # both values are checked to be bools, since {(1, 0): ...} matches (True, False)
 _TAGS = {(rt, img): TaskTags(rt, img) for rt in (True, False) for img in (True, False)}
 _NO_DEPS = frozenset()  # shared by every loaded task without deps
+_CSV_SPECIAL = frozenset(',"\r\n')  # a workload name goes unquoted into the trace CSV
 
 
 def load_scenario(text: str | bytes) -> TaskGraph:
@@ -195,6 +196,11 @@ def load_scenario(text: str | bytes) -> TaskGraph:
             raise ParseError("'id' must be a non-negative integer", f"tasks[{i}]")
         if type(workload) is not str or not workload:
             raise ParseError("'workload' must be a non-empty string", f"tasks[{i}]")
+        if (name := names.get(workload)) is None:  # a new name is checked once
+            if not _CSV_SPECIAL.isdisjoint(workload):
+                raise ParseError("'workload' must not contain a comma, a double quote, "
+                                 "CR or LF", f"tasks[{i}]")
+            name = names[workload] = workload
         real_time, image_input = obj.get("real_time", True), obj.get("image_input", False)
         if type(real_time) is not bool:
             raise ParseError("'real_time' must be a boolean", f"tasks[{i}]")
@@ -207,7 +213,7 @@ def load_scenario(text: str | bytes) -> TaskGraph:
             raise ParseError("'release_us' must be a non-negative integer", f"tasks[{i}]")
         if release > MAX_UNIT_NUMBER:
             raise ParseError(f"'release_us' must be at most {MAX_UNIT_NUMBER:g}", f"tasks[{i}]")
-        tasks.append(Task(tid, names.setdefault(workload, workload), _TAGS[real_time, image_input],
+        tasks.append(Task(tid, name, _TAGS[real_time, image_input],
                           frozenset(deps) if deps else _NO_DEPS, release))
         entries[i] = None  # the parsed dict is garbage once its Task exists
     graph = TaskGraph(tasks)

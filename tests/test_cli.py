@@ -144,6 +144,11 @@ class TestRun:
                                "--weights", weights)
         assert (code, err) == (2, f"error: {message}\n")
 
+    def test_negative_seed_exits_2(self, capsys, conv_scenario):
+        code, out, err = run_cli(capsys, "run", "-p", "sd820", "-s", conv_scenario,
+                                 "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
     def test_malformed_scenario_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"tasks": [{"id": 1}]}')
@@ -670,7 +675,7 @@ _FLAG_VALUES = {
                  "advanced:throughput,energy", "latency\x00", "advanced:throughput"],
     "--weights": ["g=\u00b2", "g=\u0663", "g=0,d=0,c=0", "g=-1", "g=1_000", "x=1", "g", "=",
                   ",", "g=99999999999999999999", "g=1,g=2", "g= 3 ,c=1", "d=0"],
-    "--seed": ["-1", "x", "1e3", "", "9" * 5000, "99999999999999999999", "0x10", " 7 "],
+    "--seed": ["-1", "x", "1e3", "", "9" * 5000, "99999999999999999999", "0x10", " 7 ", "+7"],
     "--setup-mode": ["per-offload", "PER_OFFLOAD", "bogus", "", "amortized"],
     "--buffer-capacity": ["-1", "0", "x", "1.5", "99999999999999999999", "9" * 5000],
     "--cloud-slots": ["0", "-3", "1", "x", "99999999999999999999", ""],

@@ -714,13 +714,25 @@ class TestSimConfigValidation:
         {"cloud_in_makespan": "no"}, {"cloud_in_makespan": 0}, {"fpga_as_gpu": "yes"},
         {"fpga_as_gpu": 1}, {"setup_mode": "per_offload"}, {"setup_mode": "bogus"},
         {"setup_mode": None}, {"seed": None}, {"seed": 1.5}, {"seed": "x"}, {"seed": True},
+        {"seed": -7},
     ])
     def test_rejects_out_of_range_fields(self, kwargs):
         with pytest.raises(InvalidConfig):
             SimConfig(**kwargs)
 
     def test_accepts_boundary_values(self):
-        SimConfig(buffer_capacity=0, cloud_slots=1, weights={"g": 0, "d": 2, "c": 1})
+        SimConfig(buffer_capacity=0, cloud_slots=1, weights={"g": 0, "d": 2, "c": 1}, seed=0)
+
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be >= 0, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        (None, "seed must be an integer, got None"),
+    ])
+    def test_seed_messages(self, seed, message):
+        # random.Random seeds with abs(seed), so a negative seed would repeat a positive one
+        with pytest.raises(InvalidConfig) as exc:
+            SimConfig(seed=seed)
+        assert str(exc.value) == message
 
     def test_first_bad_field_is_reported(self):
         with pytest.raises(InvalidConfig) as exc:
@@ -930,83 +942,58 @@ class TestEventHeap:
             original_init(self, *args)
             engines.append(self)
 
-        completing = None  # unit label whose completion is being handled, if any
-        original_after = simrt.engine._Engine._after_completion
+        original_push = heapq.heappush
 
-        def handling(self, tid, label, energy_uj, now):
-            nonlocal completing
-            completing = label
-            try:
-                original_after(self, tid, label, energy_uj, now)
-            finally:
-                completing = None
-
-        def check(heap):
+        def checked(heap, item):
+            original_push(heap, item)
             engine, = engines
-            # a local completion's event stays the head while the completion is handled
-            _, _, kind, key = heap[0]
-            stale = kind >= 0 and engine.labels[key] == completing
-            events = heap[1:] if stale else heap
-            local = [key for _, _, kind, key in events if kind >= 0]
-            cloud = [key for _, _, kind, key in events if kind < 0]
+            local = [key for _, _, kind, key in heap if kind >= 0]
+            cloud = [key for _, _, kind, key in heap if kind < 0]
             assert len(set(local)) == len(local)
             assert all(engine.running[unit] is not None for unit in local)
             assert len(set(cloud)) == len(cloud) <= engine.cloud_active
             sizes.append(len(heap))
 
-        def checked(call):
-            def wrapper(heap, item):
-                result = call(heap, item)
-                check(heap)
-                return result
-            return wrapper
-
         monkeypatch.setattr(simrt.engine._Engine, "__init__", keep)
-        monkeypatch.setattr(simrt.engine._Engine, "_after_completion", handling)
-        monkeypatch.setattr(heapq, "heappush", checked(heapq.heappush))
-        monkeypatch.setattr(heapq, "heapreplace", checked(heapq.heapreplace))
+        monkeypatch.setattr(heapq, "heappush", checked)
         _, trace = simulate(scenario, profile, policy, config)
         monkeypatch.undo()
         assert "cloud_complete" in {r.phase for r in trace}
         assert max(sizes) > 1
 
-    def test_a_boundary_that_is_the_next_event_skips_the_heap(self, monkeypatch):
-        # conv's deep FIFOs keep every unit busy, so most boundaries are next:
-        # a task that goes through the heap at each boundary makes 3 replaces
-        replaces = 0
-        original = heapq.heapreplace
+    @staticmethod
+    def queued_kinds(monkeypatch, scenario, profile, policy) -> list:
+        """The kind of each event the run puts on the heap, in order."""
+        kinds = []
 
-        def counting(heap, item):
-            nonlocal replaces
-            replaces += 1
-            return original(heap, item)
+        def counting(call):
+            def wrapper(heap, item):
+                kinds.append(item[2])
+                return call(heap, item)
+            return wrapper
 
-        scenario = convolution_batch(2000)
-        monkeypatch.setattr(heapq, "heapreplace", counting)
-        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
+        monkeypatch.setattr(heapq, "heappush", counting(heapq.heappush))
+        monkeypatch.setattr(heapq, "heapreplace", counting(heapq.heapreplace))
+        metrics, _ = simulate(scenario, profile, policy)
         monkeypatch.undo()
         assert metrics.completed == len(scenario)
-        assert replaces <= 0.25 * len(scenario), replaces
+        return kinds
+
+    def test_a_boundary_that_is_the_next_event_skips_the_heap(self, monkeypatch):
+        # conv's deep FIFOs keep every unit busy, so most boundaries are next:
+        # a task that goes through the heap at each boundary queues 4 events
+        scenario = convolution_batch(2000)
+        kinds = self.queued_kinds(monkeypatch, scenario, builtin_profiles()["sd820"],
+                                  Policy.throughput())
+        assert len(kinds) <= 0.25 * len(scenario), len(kinds)
 
     def test_a_busy_unit_takes_its_next_task_off_the_heap(self, monkeypatch):
         # conv's deep FIFOs keep every unit busy, so a completing unit starts its
-        # next task in place: only each unit's first task goes on the heap
-        calls = 0
-
-        def counting(call):
-            def wrapper(*args):
-                nonlocal calls
-                calls += 1
-                return call(*args)
-            return wrapper
-
-        scenario = convolution_batch(2000)
-        monkeypatch.setattr(heapq, "heappush", counting(heapq.heappush))
-        monkeypatch.setattr(heapq, "heappop", counting(heapq.heappop))
-        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
-        monkeypatch.undo()
-        assert metrics.completed == len(scenario)
-        assert calls <= 10, calls
+        # next task in place: only each unit's first task queues its first boundary
+        profile = builtin_profiles()["sd820"]
+        kinds = self.queued_kinds(monkeypatch, convolution_batch(2000), profile,
+                                  Policy.throughput())
+        assert kinds.count(0) == len(profile.units), kinds
 
     def test_every_on_unit_free_call_starts_a_task(self, monkeypatch):
         # a unit is asked for its next task only when the HP queue or its FIFO holds one
@@ -1060,9 +1047,40 @@ class TestOffPlan:
         profile = self.two_unit_profile(**costs)
         scenario = TaskGraph([rt(1), rt(2, deps=[1]), rt(3, deps=[1])])
         monkeypatch.setattr(heapq, "heappush", late(heapq.heappush))
-        monkeypatch.setattr(heapq, "heapreplace", late(heapq.heapreplace))
         with pytest.raises(EngineError, match=f"entered {phase} at .* off its plan"):
             simulate(scenario, profile, Policy.latency())
+
+
+class TestInvariantChecks:
+    """The engine's own consistency checks raise EngineError when an invariant
+    breaks; each is reached here by breaking it through a wrapper."""
+
+    def test_a_task_lost_from_its_queue_fails_the_quiescence_check(self, monkeypatch):
+        original = simrt.scheduler.dispatch
+
+        def losing(state, task, policy):
+            route = original(state, task, policy)
+            if task.id == 2:
+                state.queues[route.unit].remove(task.id)
+            return route
+
+        monkeypatch.setattr(simrt.scheduler, "dispatch", losing)
+        with pytest.raises(EngineError) as exc:
+            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy.energy())
+        assert str(exc.value) == ("simulation did not quiesce: pending=[] running=[2] "
+                                  "buffers_in_use=0")
+
+    def test_skipping_a_dispatched_task_raises(self, monkeypatch):
+        original = simrt.engine._Engine._dispatch
+
+        def skipping(self, tid, now):
+            original(self, tid, now)
+            self._skip(tid)
+
+        monkeypatch.setattr(simrt.engine._Engine, "_dispatch", skipping)
+        with pytest.raises(EngineError) as exc:
+            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy.energy())
+        assert str(exc.value) == "cannot skip task 1: already dispatched"
 
 
 class TestDependencyIndex:

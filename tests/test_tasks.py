@@ -264,6 +264,10 @@ _REJECTIONS = [
     (_scenario({"id": 1}), "missing 'workload'", "tasks[0]"),
     (_scenario({"id": 1, "workload": ""}), "'workload' must be a non-empty string", "tasks[0]"),
     (_scenario({"id": 1, "workload": 7}), "'workload' must be a non-empty string", "tasks[0]"),
+    # a workload name is written unquoted into the trace CSV
+    *[(_scenario(_OK, {"id": 2, "workload": f"a{c}b"}),
+       "'workload' must not contain a comma, a double quote, CR or LF", "tasks[1]")
+      for c in ',"\r\n'],
     (_scenario({"id": True, "workload": "w"}), "'id' must be a non-negative integer", "tasks[0]"),
     (_scenario({"id": -1, "workload": "w"}), "'id' must be a non-negative integer", "tasks[0]"),
     (_scenario({"id": 1.0, "workload": "w"}), "'id' must be a non-negative integer", "tasks[0]"),
