@@ -300,7 +300,7 @@ class _Engine:
         self.heap = []  # (time, sequence, kind, unit or task id)
         self._seq = itertools.count()
 
-        # validate_graph's shared index: only read, never changed
+        # the dependency index the graph built when it was made: only read, never changed
         self.tasks, self.dependents, dep_counts = index
         # task id -> dependencies not yet complete, while the task is neither
         # dispatched nor skipped; a dispatched task is in dispatched_at until it completes

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable
 
 from .errors import BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError
-from .tasks import MAX_UNIT_NUMBER, check_object, parse_document
+from .tasks import _CSV_SPECIAL, MAX_UNIT_NUMBER, check_object, parse_document
 
 
 class UnitKind(Enum):
@@ -262,6 +262,8 @@ def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
         wname = obj.get("name")
         if not isinstance(wname, str) or not wname:
             raise ParseError("'name' must be a non-empty string", loc)
+        if not _CSV_SPECIAL.isdisjoint(wname):
+            raise ParseError("'name' must not contain a comma, a double quote, CR or LF", loc)
         if wname in ops_of:
             raise ParseError(f"workload {wname!r} declared twice", loc)
         ops = ops_of[wname] = obj.get("ops")

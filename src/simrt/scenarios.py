@@ -3,7 +3,7 @@ single-inference local-versus-cloud comparison.
 
 Generation is deterministic: the same parameters always produce the same
 graph, with task ids assigned in release order per stream. The graphs are
-valid by construction; `simulate` checks every graph it runs.
+valid by construction, and each `TaskGraph` checks itself when it is built.
 """
 
 from dataclasses import dataclass

@@ -58,22 +58,19 @@ Task.__setattr__, Task.__delattr__ = _refuse("assign to"), _refuse("delete")
 
 
 class TaskGraph:
-    """Ordered, immutable collection of tasks forming a dependency DAG."""
+    """Ordered, immutable collection of tasks forming a dependency DAG,
+    checked when it is built."""
 
     def __init__(self, tasks: Iterable[Task]):
         self._tasks = tuple(tasks)
-        by_id = {}
-        for t in self._tasks:
-            by_id.setdefault(t.id, t)
-        self._by_id = by_id
-        self._index = None  # set by the first validate_graph that passes
+        self._index = validate_graph(self)  # raises unless the tasks form a DAG
 
     @property
     def tasks(self) -> tuple:
         return self._tasks
 
     def task(self, task_id: int) -> Task:
-        return self._by_id[task_id]
+        return self._index[0][task_id]
 
     def __iter__(self) -> Iterator[Task]:
         return iter(self._tasks)
@@ -85,27 +82,26 @@ class TaskGraph:
 def validate_graph(graph: TaskGraph) -> tuple:
     """Raise DuplicateId, UnknownDependency or CycleDetected, or return the
     graph's read-only index: (task by id, dependent ids by id, dep count by
-    id), the last two only for tasks that have any. The first check that
-    passes keeps the index on the graph; later calls return it at once."""
-    if graph._index is None:
-        graph._index = _dependency_index(graph)
-    return graph._index
+    id), the last two only for tasks that have any. Only TaskGraph's
+    constructor builds it; every later call returns the index it kept."""
+    return getattr(graph, "_index", None) or _dependency_index(graph)  # unset in __init__
 
 
 def _dependency_index(graph: TaskGraph) -> tuple:
-    """Check a graph and build the index validate_graph returns."""
-    ids = graph._by_id
-    if len(ids) < len(graph.tasks):
-        seen: set = set()  # set.add returns None, so this finds the first repeat
-        raise DuplicateId(next(t.id for t in graph.tasks if t.id in seen or seen.add(t.id)))
-    dependents, dep_counts = {}, {}
+    """Build the index validate_graph returns in one pass over the graph's
+    tasks, then check it; the errors come in the order validate_graph names."""
+    ids, dependents, dep_counts = {}, {}, {}
     for t in graph.tasks:
+        if t.id in ids:  # the first repeat in graph order
+            raise DuplicateId(t.id)
+        ids[t.id] = t
         if t.deps:
-            if not t.deps <= ids.keys():
-                raise UnknownDependency(t.id, min(t.deps - ids.keys()))
             dep_counts[t.id] = len(t.deps)
             for dep in t.deps:
                 dependents.setdefault(dep, []).append(t.id)
+    for t in graph.tasks:  # per task, so deps given as a list or tuple raise TypeError
+        if t.deps and not t.deps <= ids.keys():
+            raise UnknownDependency(t.id, min(t.deps - ids.keys()))
 
     # Kahn: count down each task's unfinished deps; what never reaches zero
     # lies on or behind a cycle
@@ -122,7 +118,7 @@ def _dependency_index(graph: TaskGraph) -> tuple:
         path: dict = {}  # task id -> position on the walk
         while node not in path:
             path[node] = len(path)
-            node = min(dep for dep in graph.task(node).deps if deps_left.get(dep))
+            node = min(dep for dep in ids[node].deps if deps_left.get(dep))
         raise CycleDetected(list(path)[path[node]:])
     return ids, dependents, dep_counts
 
@@ -216,9 +212,7 @@ def load_scenario(text: str | bytes) -> TaskGraph:
         tasks.append(Task(tid, name, _TAGS[real_time, image_input],
                           frozenset(deps) if deps else _NO_DEPS, release))
         entries[i] = None  # the parsed dict is garbage once its Task exists
-    graph = TaskGraph(tasks)
-    validate_graph(graph)
-    return graph
+    return TaskGraph(tasks)
 
 
 def dump_scenario(graph: TaskGraph) -> str:

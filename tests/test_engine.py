@@ -770,7 +770,6 @@ class TestRecordTrace:
         scenario = robot_pipeline(10, 25, 200, 3)
         profile = builtin_profiles()["sd820-robot"]
         policy = Policy.parse("advanced:throughput")
-        validate_graph(scenario)  # the first check keeps an index; measure only the runs
 
         def run(record_trace):
             tracemalloc.start()
@@ -910,15 +909,23 @@ class TestSimulateArguments:
 
 def test_benchmark_tracer_finds_every_hook(monkeypatch):
     """`perfbench/run.py --trace 1` wraps simrt names it looks up with
-    `vars(owner)[attr]`; deleting or moving one must fail here, not there."""
+    `vars(owner)[attr]`; deleting or moving one must fail here, not there.
+    The graph check it times runs once in the load and once per simulate."""
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).parents[1] / "perfbench"))
     from spans import Tracer
 
+    text = dump_scenario(convolution_batch(3))
     tracer = Tracer()
     try:
         tracer.install()
+        graph = tracer.wrapped(simrt.load_scenario, "tasks.load_scenario")(text)
+        tracer.wrapped(simrt.simulate, "engine.simulate")(
+            graph, builtin_profiles()["sd820"], Policy.throughput())
     finally:
         assert tracer.restore()
+    by_root = tracer.totals()["tasks.validate_graph"]["by_root"]
+    assert {root: calls for root, (calls, _) in by_root.items()} == {
+        "tasks.load_scenario": 1, "engine.simulate": 1}
 
 
 def _robot_run():
@@ -1084,8 +1091,8 @@ class TestInvariantChecks:
 
 
 class TestDependencyIndex:
-    """A graph is checked once: its first validate_graph keeps the dependency
-    index that every later run on the graph reads and never changes."""
+    """A graph is checked once, when it is built: it keeps the dependency
+    index that every run on the graph reads and never changes."""
 
     def test_one_full_check_per_graph(self, monkeypatch):
         text = dump_scenario(convolution_batch(200))
@@ -1126,11 +1133,8 @@ class TestDependencyIndex:
         ([rt(1), rt(2, deps=[1, 9])], UnknownDependency),
     ])
     def test_hand_built_invalid_graph_is_rejected(self, tasks, error):
-        graph = TaskGraph(tasks)
-        for _ in range(2):  # a failed check keeps nothing, so it fails again
-            with pytest.raises(error):
-                simulate(graph, single_unit_profile(), Policy.throughput())
-        assert graph._index is None
+        with pytest.raises(error):  # so no run ever sees it
+            TaskGraph(tasks)
 
     def test_threads_checking_and_running_one_graph_agree(self):
         scenario, profile, policy, config = golden_cases()["dag-adv-energy-drops-cloud2"]

@@ -200,6 +200,14 @@ _PROFILE_REJECTIONS = [
     (_workloads({}), ParseError, "workloads[0]: 'name' must be a non-empty string"),
     (_workloads({"name": ""}), ParseError, "workloads[0]: 'name' must be a non-empty string"),
     (_workloads({"name": 3}), ParseError, "workloads[0]: 'name' must be a non-empty string"),
+    (_workloads({"name": "a,b"}), ParseError,
+     "workloads[0]: 'name' must not contain a comma, a double quote, CR or LF"),
+    (_workloads({"name": 'a"b'}), ParseError,
+     "workloads[0]: 'name' must not contain a comma, a double quote, CR or LF"),
+    (_workloads({"name": "a\rb"}), ParseError,
+     "workloads[0]: 'name' must not contain a comma, a double quote, CR or LF"),
+    (_workloads({"name": "a\nb"}), ParseError,
+     "workloads[0]: 'name' must not contain a comma, a double quote, CR or LF"),
     (_workloads({"name": "w"}, {"name": "w"}), ParseError,
      "workloads[1]: workload 'w' declared twice"),
     (_workloads({"name": "w", "ops": -1}), NegativeValue,

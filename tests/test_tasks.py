@@ -8,9 +8,9 @@ import tracemalloc
 
 import pytest
 
-from simrt import (CycleDetected, DuplicateId, ParseError, Task, TaskGraph,
-                   TaskTags, UnknownDependency, dump_scenario, load_scenario,
-                   robot_pipeline, validate_graph)
+from simrt import (CycleDetected, DuplicateId, ParseError, SimrtError, Task,
+                   TaskGraph, TaskTags, UnknownDependency, dump_scenario,
+                   load_scenario, robot_pipeline, validate_graph)
 
 from .oracle import kahn_has_topological_order
 
@@ -33,13 +33,13 @@ class TestValidateGraph:
         assert exc.value.cycle == [1]
 
     def test_three_cycle(self):
-        g = graph(task(1, deps=[3]), task(2, deps=[1]), task(3, deps=[2]))
+        tasks = [task(1, deps=[3]), task(2, deps=[1]), task(3, deps=[2])]
         with pytest.raises(CycleDetected) as exc:
-            validate_graph(g)
+            graph(*tasks)
         assert set(exc.value.cycle) == {1, 2, 3}
         # independent check that the relation really has no topological order
         assert not kahn_has_topological_order(
-            [t.id for t in g], {t.id: t.deps for t in g})
+            [t.id for t in tasks], {t.id: t.deps for t in tasks})
 
     def test_duplicate_id(self):
         with pytest.raises(DuplicateId):
@@ -60,18 +60,37 @@ class TestValidateGraph:
                 deps_of[i] = frozenset(
                     d for d in range(1, n + 1)
                     if d != i and rng.random() < 0.25)
-            g = graph(*(task(i, deps=deps_of[i]) for i in range(1, n + 1)))
+            tasks = [task(i, deps=deps_of[i]) for i in range(1, n + 1)]
             expected_ok = kahn_has_topological_order(list(deps_of), deps_of)
             if expected_ok:
-                validate_graph(g)
+                validate_graph(graph(*tasks))
             else:
                 with pytest.raises(CycleDetected) as exc:
-                    validate_graph(g)
+                    graph(*tasks)
                 # the named cycle is real: each task depends on the next
                 cycle = exc.value.cycle
                 assert len(set(cycle)) == len(cycle)
                 for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                     assert b in deps_of[a]
+
+    @pytest.mark.parametrize("tasks, error, message", [
+        ([task(1, deps=[2]), task(2, deps=[1])], CycleDetected, "dependency cycle: 1 -> 2"),
+        ([task(1), task(2), task(1)], DuplicateId, "duplicate task id 1"),
+        ([task(1), task(2, deps=[1, 9])], UnknownDependency,
+         "task 2 depends on unknown task 9"),
+        # all three rules broken, the repeat last: the repeat is named
+        ([task(1, deps=[2]), task(2, deps=[1, 8]), task(4), task(4)], DuplicateId,
+         "duplicate task id 4"),
+        # a cycle, then unknown deps: the first such task in graph order (not
+        # the smallest id) and its smallest unknown dep are named
+        ([task(1, deps=[2]), task(2, deps=[1]), task(6, deps=[9, 7, 1]), task(3, deps=[4])],
+         UnknownDependency, "task 6 depends on unknown task 7"),
+    ])
+    def test_the_constructor_checks_in_order(self, tasks, error, message):
+        with pytest.raises(SimrtError) as exc:
+            TaskGraph(tasks)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
 
 class TestScenarioFiles:
