@@ -2,11 +2,11 @@
 
 A profile holds the units available on a platform, the workloads it knows
 how to run, and a cost entry per (workload, unit) pair: setup time, input
-transfer, kernel execution, output copy-back, and energy. When no measured
-kernel time is given, load_profile derives it from an operation count and
-a unit's theoretical throughput, so a loaded profile is a complete cost
-table. Cloud execution is modeled with a fixed per-inference energy and a
-latency drawn uniformly from a closed interval.
+transfer, kernel execution, output copy-back, and energy. A profile rejects
+an entry without a kernel time, so it is a complete cost table; load_profile
+derives a kernel time that is not given from an operation count and a
+unit's theoretical throughput. Cloud execution is modeled with a fixed
+per-inference energy and a latency drawn uniformly from a closed interval.
 """
 
 from dataclasses import dataclass, replace
@@ -65,7 +65,7 @@ class UnitSpec:
 class CostEntry:
     setup_us: int = 0
     xfer_in_us: int = 0
-    kernel_us: int | None = None  # None only until load_profile derives it
+    kernel_us: int | None = None  # a PlatformProfile holds no entry without one
     xfer_out_us: int = 0
     energy_uj: int = 0
 
@@ -82,6 +82,11 @@ class PlatformProfile:
     costs: dict  # (workload name, UnitKind) -> CostEntry
     cloud_latency_us: tuple | None = None
     cloud_energy_uj: int | None = None
+
+    def __post_init__(self):  # a complete cost table: every entry has a kernel time
+        for (workload, unit), entry in self.costs.items():
+            if entry.kernel_us is None:
+                raise MissingCost(workload, unit)
 
     def unit(self, kind: UnitKind) -> UnitSpec | None:
         for u in self.units:
@@ -119,13 +124,10 @@ def offload_time(
     """The cost entry one dispatch pays.
 
     PER_OFFLOAD charges setup on every call; AMORTIZED never does, since
-    every unit is initialized before the clock starts. An entry without a
-    kernel time, which only a hand-built profile can hold, raises MissingCost.
+    every unit is initialized before the clock starts.
     """
     _check_setup_mode(setup_mode)
     entry = _cost(profile, workload, unit)
-    if entry.kernel_us is None:
-        raise MissingCost(workload, unit)
     return entry if setup_mode is SetupMode.PER_OFFLOAD else replace(entry, setup_us=0)
 
 
@@ -164,8 +166,7 @@ def preference_matrix(profile: PlatformProfile) -> dict:
 
     Performance is argmin of kernel time, energy argmin of per-run energy,
     over the local units with a declared cost. Ties break on unit
-    declaration order, the order `min` sees them in. An entry without a
-    kernel time, which only a hand-built profile can hold, raises MissingCost.
+    declaration order, the order `min` sees them in.
     """
     costs = profile.costs
     matrix = {}
@@ -173,9 +174,6 @@ def preference_matrix(profile: PlatformProfile) -> dict:
         units = [u.kind for u in profile.units if (name, u.kind) in costs]
         if not units:
             continue
-        for unit in units:
-            if costs[name, unit].kernel_us is None:
-                raise MissingCost(name, unit)
         perf = min(units, key=lambda u: costs[name, u].kernel_us)
         energy = min(units, key=lambda u: costs[name, u].energy_uj)
         matrix[name] = (perf, energy)
@@ -222,11 +220,10 @@ def _reject_constant(name: str):  # NaN, Infinity, -Infinity
 def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
     """Parse and validate a platform profile JSON document.
 
-    Every declared cost entry must be resolvable: an explicit kernel time,
-    or an operation count paired with the unit's theoretical throughput,
-    from which the kernel time is derived here, rounded up to the next
-    microsecond. Unknown keys are rejected, and no number may exceed
-    MAX_UNIT_NUMBER.
+    A missing kernel time is derived from the workload's operation count and
+    the unit's theoretical throughput, rounded up to the next microsecond;
+    PlatformProfile raises MissingCost for one that cannot be. Unknown keys
+    are rejected, and no number may exceed MAX_UNIT_NUMBER.
     The cloud is configured only by the 'cloud' section, never as a unit.
     """
     doc = parse_document(text, "profile", _PROFILE_KEYS, parse_constant=_reject_constant)
@@ -308,9 +305,8 @@ def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
         if entry.kernel_us is None:
             ops, gops = ops_of[wname], units[kind].gops
             rate = 0 if gops is None else round(gops * 1_000_000_000)  # ops/s
-            if ops is None or not rate:
-                raise MissingCost(wname, kind)
-            costs[wname, kind] = replace(entry, kernel_us=-(-ops * 1_000_000 // rate))
+            if ops is not None and rate:
+                costs[wname, kind] = replace(entry, kernel_us=-(-ops * 1_000_000 // rate))
     return PlatformProfile(
         name=doc.get("name", name),
         units=tuple(units.values()),

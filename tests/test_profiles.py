@@ -1,12 +1,13 @@
+import dataclasses
 import json
 import random
 
 import pytest
 
 from simrt import (BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError,
-                   PlatformProfile, Policy, SetupMode, SimConfig, SimrtError, Task, TaskGraph,
-                   UnitKind, builtin_profiles, energy_of, load_profile, load_scenario,
-                   offload_time, preference_matrix, restrict, simulate)
+                   PlatformProfile, Policy, SetupMode, SimConfig, SimrtError, UnitKind,
+                   builtin_profiles, energy_of, load_profile, load_scenario, offload_time,
+                   preference_matrix, restrict)
 from simrt.profiles import CostEntry, UnitSpec
 from simrt.builtins import BUILTIN_PROFILE_TEXTS
 
@@ -406,17 +407,11 @@ class TestOffloadTime:
 
     @pytest.mark.parametrize("mode", list(SetupMode))
     def test_an_entry_without_a_kernel_time_is_a_missing_cost(self, mode):
-        # only a hand-built profile can hold the dataclass default kernel_us=None
-        p = PlatformProfile(name="hand", units=(UnitSpec(UnitKind.CPU),), workloads=("w",),
+        # under either setup mode, the profile offload_time would read cannot be built
+        with pytest.raises(MissingCost) as exc:
+            PlatformProfile(name="hand", units=(UnitSpec(UnitKind.CPU),), workloads=("w",),
                             costs={("w", UnitKind.CPU): CostEntry(energy_uj=1)})
-        with pytest.raises(MissingCost) as exc:
-            offload_time(p, "w", UnitKind.CPU, mode)
         assert (exc.value.workload, exc.value.unit) == ("w", UnitKind.CPU)
-        assert str(exc.value) == "no resolvable cost for workload 'w' on unit CPU"
-        assert energy_of(p, "w", UnitKind.CPU) == 1
-        with pytest.raises(MissingCost) as exc:
-            simulate(TaskGraph([Task(id=1, workload="w")]), p, Policy.parse("throughput"),
-                     SimConfig(setup_mode=mode))
         assert str(exc.value) == "no resolvable cost for workload 'w' on unit CPU"
 
     @pytest.mark.parametrize("mode", ["per_offload", "amortized", None])
@@ -497,13 +492,12 @@ class TestPreferenceMatrix:
             assert got_energy.value == energy, workload
 
     def test_an_entry_without_a_kernel_time_is_a_missing_cost(self):
-        # only a hand-built profile can hold the dataclass default kernel_us=None
-        p = PlatformProfile(name="hand", units=(UnitSpec(UnitKind.CPU), UnitSpec(UnitKind.DSP)),
+        # the profile that preference_matrix would read cannot be built
+        with pytest.raises(MissingCost) as exc:
+            PlatformProfile(name="hand", units=(UnitSpec(UnitKind.CPU), UnitSpec(UnitKind.DSP)),
                             workloads=("w",),
                             costs={("w", UnitKind.CPU): CostEntry(energy_uj=1),
                                    ("w", UnitKind.DSP): CostEntry(kernel_us=5)})
-        with pytest.raises(MissingCost) as exc:
-            preference_matrix(p)
         assert (exc.value.workload, exc.value.unit) == ("w", UnitKind.CPU)
         assert str(exc.value) == "no resolvable cost for workload 'w' on unit CPU"
 
@@ -608,3 +602,49 @@ class TestCompleteCostTable:
                     for kind in kinds:
                         expected = (w, kind) in pairs and kind in kept
                         assert profile.resolvable(w, kind) is expected, (profile.name, w, kind)
+
+
+class TestEveryProfileIsComplete:
+    """PlatformProfile rejects an entry without a kernel time however it is
+    built, naming the first such entry in cost-key order."""
+
+    MESSAGE = "no resolvable cost for workload 'v' on unit DSP"
+
+    def test_the_first_kernel_less_entry_in_cost_key_order_is_named(self):
+        with pytest.raises(MissingCost) as exc:
+            PlatformProfile(name="hand", units=(UnitSpec(UnitKind.CPU), UnitSpec(UnitKind.DSP)),
+                            workloads=("w", "v"),
+                            costs={("w", UnitKind.CPU): CostEntry(kernel_us=5),
+                                   ("v", UnitKind.DSP): CostEntry(),
+                                   ("w", UnitKind.DSP): CostEntry(energy_uj=1)})
+        assert (exc.value.workload, exc.value.unit) == ("v", UnitKind.DSP)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_the_loader_names_the_first_underivable_entry_in_cost_key_order(self):
+        # neither workload has ops, so neither kernel time can be derived
+        text = _p(units=[{"kind": "CPU", "gops": 1}, {"kind": "DSP", "gops": 1}],
+                  workloads=[{"name": "w"}, {"name": "v"}],
+                  costs={"w@CPU": {"kernel_us": 5}, "v@DSP": {}, "w@DSP": {"kernel_us": None}})
+        with pytest.raises(MissingCost) as exc:
+            load_profile(text)
+        assert (exc.value.workload, exc.value.unit) == ("v", UnitKind.DSP)
+        assert str(exc.value) == self.MESSAGE
+
+    def test_replacing_costs_with_a_kernel_less_entry_raises(self):
+        p = builtin_profiles()["sd820"]
+        costs = {**p.costs, ("convolution", UnitKind.DSP): CostEntry(energy_uj=1)}
+        with pytest.raises(MissingCost) as exc:
+            dataclasses.replace(p, costs=costs)
+        assert str(exc.value) == "no resolvable cost for workload 'convolution' on unit DSP"
+
+    @pytest.mark.parametrize("name", sorted(BUILTIN_PROFILE_TEXTS))
+    def test_builtin_and_restricted_entries_have_int_kernels_and_total_sums(self, name):
+        p = builtin_profiles()[name]
+        kinds = [u.kind for u in p.units] + [UnitKind.CLOUD]
+        profiles = [p] + [restrict(p, [kind]) for kind in kinds]
+        for profile in profiles:
+            for key, e in profile.costs.items():
+                assert type(e.kernel_us) is int, (profile.name, key)
+                assert e.total_us == e.setup_us + e.xfer_in_us + e.kernel_us + e.xfer_out_us
+        # the one-kind restrictions split p's entries between them
+        assert sum(len(profile.costs) for profile in profiles) == 2 * len(p.costs)
