@@ -200,11 +200,16 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
 
     latencies: dict = {}
     energy_memo: dict = {}  # (workload, unit label) -> per-run energy
+    kinds = {u.kind.value: u.kind for u in profile.units} | {LABEL_CLOUD: UnitKind.CLOUD}
     energy_uj = 0
     for tid, workload, unit, t in completes:
         latencies.setdefault(unit, []).append(t - dispatch_t[tid])
         if (workload, unit) not in energy_memo:
-            kind = UnitKind.CLOUD if unit == LABEL_CLOUD else UnitKind.parse(unit)
+            kind = kinds.get(unit)
+            if not (profile.has_cloud if kind is UnitKind.CLOUD
+                    else (workload, kind) in profile.costs):
+                raise AuditError(f"task {tid}: completes on {unit!r}, where profile "
+                                 f"{profile.name!r} cannot run {workload!r}")
             energy_memo[workload, unit] = energy_of(profile, workload, kind)
         energy_uj += energy_memo[workload, unit]
 
@@ -315,7 +320,7 @@ class _Engine:
 
         # run metrics, accumulated as events happen; compute_metrics re-derives them
         self.dispatched_at: dict = {}  # task id -> dispatch time, until it completes
-        self.first_dispatch = self.last_end = None  # last_end: latest completion in the makespan
+        self.last_end = None  # latest completion in the makespan
         self.cloud_energy = None  # looked up at the first cloud completion: it is flat
         # completing label -> [latency sum, completions], in the avg_latency_ms order
         self.latency = {label: [0, 0] for label in
@@ -329,8 +334,10 @@ class _Engine:
         pop, push, append = heapq.heappop, heapq.heappush, self._append
         pending, buffer_refs, tasks, table = self.pending, self.buffer_refs, self.tasks, self.table
         state, hp, queues = self.state, self.state.hp_queue, self.state.queues
-        releases = iter(sorted(((t.release_us, t.id) for t in self.scenario),
-                               key=itemgetter(0)))
+        releases = sorted(((t.release_us, t.id) for t in self.scenario), key=itemgetter(0))
+        # a task without dependencies is dispatched at its release, any other after a completion
+        first_dispatch = next((r for r, tid in releases if not pending[tid]), None)
+        releases = iter(releases)
         release_at, release_tid = next(releases, _NO_RELEASE)
         now = 0
         while True:
@@ -389,7 +396,7 @@ class _Engine:
                 f"simulation did not quiesce: pending={list(pending)} "
                 f"running={list(self.dispatched_at)} buffers_in_use={len(self.buffer_refs)}")
         end = self.last_end
-        makespan = end - self.first_dispatch if end is not None else 0
+        makespan = end - first_dispatch if end is not None else 0
         idle_watts = sum(u.idle_watts for u in self.profile.units)
         completed = sum(count for _, count in self.latency.values())
         return SimResult(Metrics(
@@ -405,8 +412,6 @@ class _Engine:
         route = sched.dispatch(self.state, task, self.policy)
         del self.pending[tid]
         self.dispatched_at[tid] = now
-        if self.first_dispatch is None:
-            self.first_dispatch = now
         if (unit := route.unit) is not None:
             self._append((now, tid, task.workload, self.labels[unit], PHASE_DISPATCH))
             if self.running[unit] is None:

@@ -51,22 +51,6 @@ class Policy:
         _check_flag("advanced", self.advanced)
 
     @classmethod
-    def latency(cls) -> "Policy":
-        return cls(BasicPolicy.LATENCY)
-
-    @classmethod
-    def throughput(cls) -> "Policy":
-        return cls(BasicPolicy.THROUGHPUT)
-
-    @classmethod
-    def energy(cls) -> "Policy":
-        return cls(BasicPolicy.ENERGY)
-
-    @classmethod
-    def advanced_over(cls, basic: BasicPolicy) -> "Policy":
-        return cls(basic, advanced=True)
-
-    @classmethod
     def parse(cls, text: str) -> "Policy":
         text = text.strip().lower() if isinstance(text, str) else text
         basic = text.removeprefix("advanced:") if isinstance(text, str) else None

@@ -9,12 +9,12 @@ from simrt import (BasicPolicy, Policy, Task, TaskGraph, TaskTags,
 WORKLOADS = ("alpha", "beta", "gamma")
 
 ALL_POLICIES = (
-    Policy.latency(),
-    Policy.throughput(),
-    Policy.energy(),
-    Policy.advanced_over(BasicPolicy.LATENCY),
-    Policy.advanced_over(BasicPolicy.THROUGHPUT),
-    Policy.advanced_over(BasicPolicy.ENERGY),
+    Policy(BasicPolicy.LATENCY),
+    Policy(BasicPolicy.THROUGHPUT),
+    Policy(BasicPolicy.ENERGY),
+    Policy(BasicPolicy.LATENCY, advanced=True),
+    Policy(BasicPolicy.THROUGHPUT, advanced=True),
+    Policy(BasicPolicy.ENERGY, advanced=True),
 )
 
 _UNIT_POOLS = (

@@ -79,12 +79,12 @@ def test_01_local_vs_cloud_inference_table():
             if spec.name == "inference-cloud":
                 continue
             profile = restrict(tx1, spec.pinned_units)
-            metrics, _ = simulate(spec.graph, profile, Policy.latency())
+            metrics, _ = simulate(spec.graph, profile, Policy(BasicPolicy.LATENCY))
             energy_uj, latency_us = expected[spec.name]
             assert metrics.total_energy_uj == energy_uj
             assert metrics.makespan_us == latency_us
         cloud = [s for s in inference_comparison() if s.name == "inference-cloud"][0]
-        policy = Policy.advanced_over(BasicPolicy.THROUGHPUT)
+        policy = Policy(BasicPolicy.THROUGHPUT, advanced=True)
         for seed in range(1000):
             metrics, _ = simulate(cloud.graph, tx1, policy, SimConfig(seed=seed))
             assert metrics.total_energy_uj == 10_000
@@ -106,7 +106,7 @@ def test_02_tag_routing_exhaustive():
                             tags=TaskTags(real_time, image_input))
                 assert classify(task) is want
                 state = SchedulerState(profile)
-                route = dispatch(state, task, Policy.advanced_over(basic))
+                route = dispatch(state, task, Policy(basic, advanced=True))
                 assert route.target is want
                 if want is RouteClass.CLOUD:
                     assert list(state.cloud_queue) == [1]
@@ -142,7 +142,8 @@ def test_04_policy_tradeoff_ordering():
         profile = builtin_profiles()["sd820"]
         batch = convolution_batch(1000)
         results = {}
-        for policy in (Policy.throughput(), Policy.latency(), Policy.energy()):
+        for policy in (Policy(BasicPolicy.THROUGHPUT), Policy(BasicPolicy.LATENCY),
+                       Policy(BasicPolicy.ENERGY)):
             metrics, _ = simulate(batch, profile, policy)
             assert metrics.completed == 1000
             results[policy.basic] = metrics
@@ -240,9 +241,9 @@ def test_09_buffer_drop_advantage():
     with gate("09 image-drop advantage of tag-aware dispatch", 5.0):
         scenario, profile = drop_benchmark()
         config = SimConfig(buffer_capacity=2)
-        plain, _ = simulate(scenario, profile, Policy.throughput(), config)
+        plain, _ = simulate(scenario, profile, Policy(BasicPolicy.THROUGHPUT), config)
         aware, _ = simulate(scenario, profile,
-                            Policy.advanced_over(BasicPolicy.THROUGHPUT), config)
+                            Policy(BasicPolicy.THROUGHPUT, advanced=True), config)
         assert plain.drops >= 1
         assert aware.drops == 0
         assert aware.completed == len(scenario)
@@ -254,7 +255,7 @@ def test_10_robot_pipeline_calibration():
         scenario = robot_pipeline(10, 25, 200, 3)
         config = SimConfig(seed=0, buffer_capacity=4)
         metrics, trace = simulate(scenario, profile,
-                                  Policy.advanced_over(BasicPolicy.THROUGHPUT),
+                                  Policy(BasicPolicy.THROUGHPUT, advanced=True),
                                   config)
         assert metrics.drops == 0
         assert metrics.skipped == 0
@@ -292,20 +293,21 @@ def test_11_trace_audits_across_suite():
         tx1 = builtin_profiles()["tx1-cloud"]
         for spec in inference_comparison():
             profile = restrict(tx1, spec.pinned_units) if spec.pinned_units else tx1
-            policy = (Policy.advanced_over(BasicPolicy.THROUGHPUT)
-                      if spec.pinned_units is None else Policy.latency())
+            policy = (Policy(BasicPolicy.THROUGHPUT, advanced=True)
+                      if spec.pinned_units is None else Policy(BasicPolicy.LATENCY))
             _, trace = simulate(spec.graph, profile, policy, SimConfig(seed=5))
             audit.audit_all(trace, spec.graph, profile)
 
         sd820 = builtin_profiles()["sd820"]
         batch = convolution_batch(1000)
-        for policy in (Policy.throughput(), Policy.latency(), Policy.energy()):
+        for policy in (Policy(BasicPolicy.THROUGHPUT), Policy(BasicPolicy.LATENCY),
+                       Policy(BasicPolicy.ENERGY)):
             _, trace = simulate(batch, sd820, policy)
             audit.audit_all(trace, batch, sd820)
 
         scenario, profile = drop_benchmark()
-        for policy in (Policy.throughput(),
-                       Policy.advanced_over(BasicPolicy.THROUGHPUT)):
+        for policy in (Policy(BasicPolicy.THROUGHPUT),
+                       Policy(BasicPolicy.THROUGHPUT, advanced=True)):
             _, trace = simulate(scenario, profile, policy,
                                 SimConfig(buffer_capacity=2))
             audit.audit_all(trace, scenario, profile)
@@ -313,7 +315,7 @@ def test_11_trace_audits_across_suite():
         robot = robot_pipeline(10, 25, 200, 3)
         robot_profile = builtin_profiles()["sd820-robot"]
         _, trace = simulate(robot, robot_profile,
-                            Policy.advanced_over(BasicPolicy.THROUGHPUT),
+                            Policy(BasicPolicy.THROUGHPUT, advanced=True),
                             SimConfig(buffer_capacity=4))
         audit.audit_all(trace, robot, robot_profile)
 

@@ -13,7 +13,7 @@ import simrt.builtins
 import simrt.cli
 import simrt.engine
 import simrt.profiles
-from simrt import (AuditError, EngineError, Policy, SimConfig, SimrtError,
+from simrt import (AuditError, BasicPolicy, EngineError, Policy, SimConfig, SimrtError,
                    builtin_profiles, convolution_batch, dump_scenario, load_profile,
                    load_scenario, preference_matrix, robot_pipeline, simulate)
 from simrt.cli import main
@@ -56,8 +56,8 @@ class TestRun:
         assert doc["seed"] == 0
         with open(conv_scenario) as fh:
             scenario = load_scenario(fh.read())
-        metrics, _ = simulate(scenario, builtin_profiles()["sd820"], Policy.latency(),
-                              SimConfig())
+        metrics, _ = simulate(scenario, builtin_profiles()["sd820"],
+                              Policy(BasicPolicy.LATENCY), SimConfig())
         assert doc["results"][0]["metrics"] == metrics.to_dict()
 
     def test_audit_leaves_the_json_unchanged(self, capsys, tmp_path):
@@ -266,7 +266,7 @@ class TestTrace:
         with open(conv_scenario) as fh:
             scenario = load_scenario(fh.read())
         _, trace = simulate(scenario, builtin_profiles()["sd820"],
-                            Policy.latency(), SimConfig())
+                            Policy(BasicPolicy.LATENCY), SimConfig())
         assert out_path.read_text() == trace.to_csv()
 
     def test_breakdown_shows_setup_dominating_per_offload(self, capsys, tmp_path,

@@ -52,20 +52,20 @@ def rt(tid, workload="w", deps=(), release=0, image=False, real_time=True):
 class TestSingleTaskRuns:
     def test_alexnet_on_gpu(self):
         p = restrict(builtin_profiles()["tx1-cloud"], {UnitKind.GPU})
-        m, _ = simulate(TaskGraph([rt(1, "alexnet")]), p, Policy.latency())
+        m, _ = simulate(TaskGraph([rt(1, "alexnet")]), p, Policy(BasicPolicy.LATENCY))
         assert m.makespan_us == 33_000
         assert m.total_energy_uj == 132_000
 
     def test_alexnet_on_cpu(self):
         p = restrict(builtin_profiles()["tx1-cloud"], {UnitKind.CPU})
-        m, _ = simulate(TaskGraph([rt(1, "alexnet")]), p, Policy.latency())
+        m, _ = simulate(TaskGraph([rt(1, "alexnet")]), p, Policy(BasicPolicy.LATENCY))
         assert m.makespan_us == 400_000
         assert m.total_energy_uj == 800_000
 
     def test_alexnet_on_cloud(self):
         p = builtin_profiles()["tx1-cloud"]
         g = TaskGraph([rt(1, "alexnet", real_time=False)])
-        m, trace = simulate(g, p, Policy.advanced_over(BasicPolicy.THROUGHPUT),
+        m, trace = simulate(g, p, Policy(BasicPolicy.THROUGHPUT, advanced=True),
                             SimConfig(seed=3))
         assert m.total_energy_uj == 10_000
         assert 2_000_000 <= m.makespan_us <= 5_000_000
@@ -73,7 +73,7 @@ class TestSingleTaskRuns:
         assert phases == ["dispatch", "cloud_submit", "cloud_complete"]
 
     def test_empty_scenario(self):
-        m, trace = simulate(TaskGraph([]), single_unit_profile(), Policy.latency())
+        m, trace = simulate(TaskGraph([]), single_unit_profile(), Policy(BasicPolicy.LATENCY))
         assert m.makespan_us == 0
         assert m.throughput_tasks_per_ms == 0.0
         assert m.total_energy_uj == 0
@@ -107,7 +107,7 @@ class TestBufferSemantics:
             rt(3, "prod"),
             rt(4, "cons", deps=[3], image=True),
         ])
-        m, trace = simulate(g, self.probe_profile(), Policy.latency(),
+        m, trace = simulate(g, self.probe_profile(), Policy(BasicPolicy.LATENCY),
                             SimConfig(buffer_capacity=1))
         assert m.drops == 1
         drop = [r for r in trace if r.phase == "drop"]
@@ -124,7 +124,7 @@ class TestBufferSemantics:
             rt(3, "prod", release=800),
             rt(4, "cons", deps=[3], image=True),
         ])
-        m, trace = simulate(g, self.probe_profile(), Policy.latency(),
+        m, trace = simulate(g, self.probe_profile(), Policy(BasicPolicy.LATENCY),
                             SimConfig(buffer_capacity=1))
         assert m.drops == 0
         assert m.completed == 4
@@ -147,7 +147,7 @@ class TestBufferSemantics:
             rt(2, "cons", deps=[1], image=True),
             rt(3, "post", deps=[2]),
         ])
-        m, trace = simulate(g, p, Policy.latency(), SimConfig(buffer_capacity=0))
+        m, trace = simulate(g, p, Policy(BasicPolicy.LATENCY), SimConfig(buffer_capacity=0))
         assert m.drops == 1
         assert m.completed == 1  # only the producer ran
         assert m.skipped == 2
@@ -183,7 +183,7 @@ class TestTaskLifecycle:
     dependencies are complete) or skipped (an image it needs was dropped)."""
 
     def run(self, tasks, capacity=1):
-        return simulate(TaskGraph(tasks), two_unit_profile(), Policy.latency(),
+        return simulate(TaskGraph(tasks), two_unit_profile(), Policy(BasicPolicy.LATENCY),
                         SimConfig(buffer_capacity=capacity))
 
     @pytest.mark.parametrize("release", [50, 100, 250])
@@ -252,7 +252,7 @@ class TestTaskLifecycle:
                       for w, k in (("w", "CPU"), ("w", "DSP"), ("v", "DSP"))},
         }))
         m, trace = simulate(TaskGraph([rt(1), rt(2, "v", image=True), rt(3, image=True)]),
-                            profile, Policy.advanced_over(BasicPolicy.LATENCY))
+                            profile, Policy(BasicPolicy.LATENCY, advanced=True))
         assert trace.records == [
             *local_run(1, "DSP", 0)[:4], (0, 2, "v", "HP", "dispatch"),
             (0, 3, "w", "HP", "dispatch"),
@@ -289,7 +289,7 @@ class TestDeterminismAndOrdering:
 
     def test_freed_unit_takes_task_released_at_same_instant(self):
         g = TaskGraph([rt(1), rt(2, release=100)])
-        m, trace = simulate(g, single_unit_profile(kernel=100), Policy.latency())
+        m, trace = simulate(g, single_unit_profile(kernel=100), Policy(BasicPolicy.LATENCY))
         t = {(r.task_id, r.phase): r.time_us for r in trace}
         assert t[(1, "complete")] == 100
         assert t[(2, "setup")] == 100
@@ -298,7 +298,7 @@ class TestDeterminismAndOrdering:
     def test_cloud_slots_serialize_submissions(self):
         p = single_unit_profile(cloud={"latency_us": [1000, 1000], "energy_uj": 2})
         g = TaskGraph([rt(i, real_time=False) for i in (1, 2, 3)])
-        m, trace = simulate(g, p, Policy.advanced_over(BasicPolicy.LATENCY),
+        m, trace = simulate(g, p, Policy(BasicPolicy.LATENCY, advanced=True),
                             SimConfig(cloud_slots=1))
         submits = [r.time_us for r in trace if r.phase == "cloud_submit"]
         assert submits == [0, 1000, 2000]
@@ -307,7 +307,7 @@ class TestDeterminismAndOrdering:
     def test_unlimited_cloud_slots_run_in_parallel(self):
         p = single_unit_profile(cloud={"latency_us": [1000, 1000], "energy_uj": 2})
         g = TaskGraph([rt(i, real_time=False) for i in (1, 2, 3)])
-        m, trace = simulate(g, p, Policy.advanced_over(BasicPolicy.LATENCY))
+        m, trace = simulate(g, p, Policy(BasicPolicy.LATENCY, advanced=True))
         assert [r.time_us for r in trace if r.phase == "cloud_submit"] == [0, 0, 0]
         assert m.makespan_us == 1000
 
@@ -316,9 +316,9 @@ class TestDeterminismAndOrdering:
                                 cloud={"latency_us": [9000, 9000], "energy_uj": 2})
         g = TaskGraph([rt(1), rt(2, real_time=False)])
         cfg = SimConfig(cloud_in_makespan=False)
-        m, _ = simulate(g, p, Policy.advanced_over(BasicPolicy.LATENCY), cfg)
+        m, _ = simulate(g, p, Policy(BasicPolicy.LATENCY, advanced=True), cfg)
         assert m.makespan_us == 500
-        m2, _ = simulate(g, p, Policy.advanced_over(BasicPolicy.LATENCY))
+        m2, _ = simulate(g, p, Policy(BasicPolicy.LATENCY, advanced=True))
         assert m2.makespan_us == 9000
 
 
@@ -335,7 +335,7 @@ class TestOccupancy:
         p = load_profile(json.dumps(doc))
         g = TaskGraph([rt(1), rt(2)])
         for mode in SetupMode:
-            _, trace = simulate(g, p, Policy.latency(), SimConfig(setup_mode=mode))
+            _, trace = simulate(g, p, Policy(BasicPolicy.LATENCY), SimConfig(setup_mode=mode))
             t = {(r.task_id, r.phase): r.time_us for r in trace}
             for tid in (1, 2):
                 occupancy = t[(tid, "complete")] - t[(tid, "setup")]
@@ -377,7 +377,7 @@ class TestComputeMetrics:
             "costs": {"w@CPU": {"kernel_us": 1000, "energy_uj": 10}},
         }
         p = load_profile(json.dumps(doc))
-        m, _ = simulate(TaskGraph([rt(1)]), p, Policy.latency())
+        m, _ = simulate(TaskGraph([rt(1)]), p, Policy(BasicPolicy.LATENCY))
         # 10 uJ active + 2 W for 1000 us = 2000 uJ idle
         assert m.total_energy_uj == 2010
 
@@ -396,6 +396,22 @@ class TestComputeMetrics:
             compute_metrics(Trace(records), builtin_profiles()["sd820"], SimConfig(),
                             TaskGraph([rt(1, "convolution"), rt(2, "convolution")]))
         assert str(exc.value) == message
+
+    @pytest.mark.parametrize("profile, label, phase", [
+        ("sd820", "XPU", "complete"),
+        ("sd820", "GPU", "complete"),
+        ("sd820-robot", "DSP", "complete"),
+        ("sd820", "CLOUD", "cloud_complete"),
+    ], ids=["unknown-label", "undeclared-unit", "no-cost-entry", "no-cloud"])
+    def test_a_completion_where_the_profile_cannot_run_it_is_an_audit_error(
+            self, profile, label, phase):
+        records = [(0, 1, "convolution", label, "dispatch"),
+                   (5, 1, "convolution", label, phase)]
+        with pytest.raises(AuditError) as exc:
+            compute_metrics(Trace(records), builtin_profiles()[profile], SimConfig(),
+                            convolution_batch(1))
+        assert str(exc.value) == (f"task 1: completes on {label!r}, where profile "
+                                  f"{profile!r} cannot run 'convolution'")
 
 
 class TestEnergyAdditivity:
@@ -424,7 +440,7 @@ class TestValidationErrors:
         }
         p = load_profile(json.dumps(doc))
         with pytest.raises(UnresolvableCost):
-            simulate(TaskGraph([rt(1)]), p, Policy.latency())
+            simulate(TaskGraph([rt(1)]), p, Policy(BasicPolicy.LATENCY))
 
     @pytest.mark.parametrize("policy", ["latency", "advanced:latency"])
     def test_the_scenario_order_names_the_first_unresolvable_pair(self, policy):
@@ -450,7 +466,7 @@ class TestValidationErrors:
     def test_one_classify_per_workload_and_tags_class(self, monkeypatch):
         scenario = robot_pipeline(2, 25, 200, 3)
         profile = builtin_profiles()["sd820-robot"]
-        policy = Policy.advanced_over(BasicPolicy.THROUGHPUT)
+        policy = Policy(BasicPolicy.THROUGHPUT, advanced=True)
         classified = []
         classify = simrt.scheduler.classify
         monkeypatch.setattr(simrt.scheduler, "classify",
@@ -464,12 +480,12 @@ class TestValidationErrors:
         p = single_unit_profile()
         g = TaskGraph([rt(1, real_time=False)])
         with pytest.raises(UnresolvableCost):
-            simulate(g, p, Policy.advanced_over(BasicPolicy.LATENCY))
+            simulate(g, p, Policy(BasicPolicy.LATENCY, advanced=True))
 
     def test_plain_policy_accepts_non_real_time_locally(self):
         p = single_unit_profile()
         g = TaskGraph([rt(1, real_time=False)])
-        m, _ = simulate(g, p, Policy.latency())
+        m, _ = simulate(g, p, Policy(BasicPolicy.LATENCY))
         assert m.completed == 1
 
     def test_no_local_units_for_basic_route(self):
@@ -483,10 +499,10 @@ class TestValidationErrors:
         p = load_profile(json.dumps(doc))
         with pytest.raises(InvalidScenario):
             simulate(TaskGraph([rt(1)]), p,
-                     Policy.advanced_over(BasicPolicy.LATENCY))
+                     Policy(BasicPolicy.LATENCY, advanced=True))
         # while a pure cloud scenario on the same profile works
         m, _ = simulate(TaskGraph([rt(1, real_time=False)]), p,
-                        Policy.advanced_over(BasicPolicy.LATENCY))
+                        Policy(BasicPolicy.LATENCY, advanced=True))
         assert m.completed == 1
 
 
@@ -503,7 +519,7 @@ class TestAudits:
     def test_audit_catches_exclusivity_violation(self):
         p = single_unit_profile(kernel=100)
         g = TaskGraph([rt(1), rt(2)])
-        _, trace = simulate(g, p, Policy.latency())
+        _, trace = simulate(g, p, Policy(BasicPolicy.LATENCY))
         # shift the second task's start before the first completes
         bad = [TraceRecord(r.time_us - 60, r.task_id, r.workload, r.unit, r.phase)
                if r.task_id == 2 and r.phase in ("setup", "xfer_in", "kernel")
@@ -514,7 +530,7 @@ class TestAudits:
     def test_audit_catches_causality_violation(self):
         p = single_unit_profile(kernel=100)
         g = TaskGraph([rt(1), rt(2, deps=[1])])
-        _, trace = simulate(g, p, Policy.latency())
+        _, trace = simulate(g, p, Policy(BasicPolicy.LATENCY))
         bad = [TraceRecord(0, r.task_id, r.workload, r.unit, r.phase)
                if r.task_id == 2 and r.phase == "setup" else r
                for r in trace]
@@ -523,7 +539,7 @@ class TestAudits:
 
     def test_audit_catches_phase_order_faults(self):
         p = single_unit_profile(kernel=100, setup=10, xin=5, xout=5)
-        _, trace = simulate(TaskGraph([rt(1)]), p, Policy.latency())
+        _, trace = simulate(TaskGraph([rt(1)]), p, Policy(BasicPolicy.LATENCY))
         rows = list(trace)  # dispatch, setup, xfer_in, kernel, xfer_out, complete
         audit.audit_phase_order(Trace(rows))
         late_setup = rows[1]._replace(time_us=rows[2].time_us + 1)
@@ -538,7 +554,7 @@ class TestAudits:
     def test_audit_catches_idle_unit_with_queued_work(self):
         p = single_unit_profile(kernel=100)
         g = TaskGraph([rt(1), rt(2)])
-        _, trace = simulate(g, p, Policy.latency())
+        _, trace = simulate(g, p, Policy(BasicPolicy.LATENCY))
         # drop task 2's setup so it looks forever queued while CPU idles
         bad = [r for r in trace if not (r.task_id == 2 and r.phase == "setup")]
         with pytest.raises(audit.AuditError):
@@ -555,14 +571,14 @@ class TestAudits:
 
     def test_audit_rejects_a_task_the_scenario_lacks(self):
         p = single_unit_profile()
-        _, trace = simulate(TaskGraph([rt(2)]), p, Policy.latency())
+        _, trace = simulate(TaskGraph([rt(2)]), p, Policy(BasicPolicy.LATENCY))
         with pytest.raises(audit.AuditError, match=r"^task 2 is not in the scenario$"):
             audit.audit_all(trace, TaskGraph([rt(1)]), p)
 
     def test_a_run_without_a_trace_cannot_be_audited(self):
         p, scenario = single_unit_profile(), TaskGraph([rt(1)])
         config = SimConfig(record_trace=False)
-        _, trace = simulate(scenario, p, Policy.latency(), config)
+        _, trace = simulate(scenario, p, Policy(BasicPolicy.LATENCY), config)
         assert trace is None
         message = r"^no trace to read: the run was made with record_trace=False$"
         with pytest.raises(audit.AuditError, match=message):
@@ -635,7 +651,7 @@ class TestHighPriorityRekick:
         p = builtin_profiles()["sd820-robot"]
         g = TaskGraph([rt(1, "undistort", image=True), rt(2, "undistort", image=True),
                        rt(3, "conv1", image=True)])
-        _, trace = simulate(g, p, Policy.advanced_over(BasicPolicy.THROUGHPUT))
+        _, trace = simulate(g, p, Policy(BasicPolicy.THROUGHPUT, advanced=True))
         audit.audit_all(trace, g, p)
         # the DSP takes task 2 at 1320; task 3, the new head, runs on the idle CPU
         starts = {r.task_id: (r.time_us, r.unit) for r in trace if r.phase == "setup"}
@@ -661,7 +677,7 @@ class TestHighPriorityRekick:
         monkeypatch.setattr(simrt.scheduler, "on_unit_free", counting)
         _, trace = simulate(TaskGraph([rt(1, "z", image=True), rt(2, "z", image=True),
                                        rt(3, "w", image=True), rt(4, "v", image=True)]),
-                            profile, Policy.advanced_over(BasicPolicy.LATENCY))
+                            profile, Policy(BasicPolicy.LATENCY, advanced=True))
         monkeypatch.undo()
         starts = {r.task_id: (r.time_us, r.unit) for r in trace if r.phase == "setup"}
         assert starts == {1: (0, "DSP"), 2: (100, "DSP"), 3: (100, "CPU"), 4: (200, "DSP")}
@@ -700,7 +716,7 @@ class TestHighPriorityRekick:
                      if rng.random() < 0.7 else rt(i, "alpha", release=rng.randint(0, 3000))
                      for i in range(1, rng.randint(2, 30))]
             scenario = TaskGraph(tasks)
-            policy = Policy.advanced_over(rng.choice(list(BasicPolicy)))
+            policy = Policy(rng.choice(list(BasicPolicy)), advanced=True)
             _, trace = simulate(scenario, profile, policy)
             audit.audit_all(trace, scenario, profile)
 
@@ -749,7 +765,7 @@ class TestSimConfigValidation:
         weights["g"] = "x"
         with pytest.raises(InvalidConfig, match="bad item 'g': 'x'"):
             simulate(convolution_batch(3), builtin_profiles()["sd820"],
-                     Policy.throughput(), config)
+                     Policy(BasicPolicy.THROUGHPUT), config)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"weights": {"g": -1}}, "weights: bad item 'g': -1"),
@@ -757,7 +773,7 @@ class TestSimConfigValidation:
     ])
     def test_audit_rejects_a_bad_argument_not_the_trace(self, kwargs, message):
         scenario, profile = convolution_batch(1), builtin_profiles()["sd820"]
-        _, trace = simulate(scenario, profile, Policy.throughput())
+        _, trace = simulate(scenario, profile, Policy(BasicPolicy.THROUGHPUT))
         with pytest.raises(InvalidConfig, match=message):
             audit.audit_all(trace, scenario, profile, **kwargs)
 
@@ -809,7 +825,7 @@ class TestCostTableCallCounts:
         monkeypatch.setattr(PlatformProfile, "resolvable",
                             counting("resolvable", PlatformProfile.resolvable))
         simulate(scenario, builtin_profiles()["sd820-robot"],
-                 Policy.advanced_over(BasicPolicy.THROUGHPUT),
+                 Policy(BasicPolicy.THROUGHPUT, advanced=True),
                  SimConfig(buffer_capacity=4))
         monkeypatch.undo()
         return counts
@@ -856,7 +872,7 @@ class TestEnumReadCounts:
 
     def test_robot_pipeline_reads_flat_in_task_count(self, monkeypatch):
         profile = builtin_profiles()["sd820-robot"]
-        policy = Policy.advanced_over(BasicPolicy.THROUGHPUT)
+        policy = Policy(BasicPolicy.THROUGHPUT, advanced=True)
         small, large = robot_pipeline(2, 25, 200, 3), robot_pipeline(4, 25, 200, 3)
         assert len(large) > 1.9 * len(small)
         reads = [self.counted_reads(monkeypatch, scenario, profile, policy, SimConfig())
@@ -865,7 +881,7 @@ class TestEnumReadCounts:
 
     def test_cloud_and_drops_reads_flat_in_task_count(self, monkeypatch):
         profile = builtin_profiles()["sd820-robot"]
-        policy = Policy.advanced_over(BasicPolicy.ENERGY)
+        policy = Policy(BasicPolicy.ENERGY, advanced=True)
         config = SimConfig(setup_mode=SetupMode.PER_OFFLOAD, seed=5, buffer_capacity=2,
                            cloud_slots=2)
         small, large = robot_dag(5, 200), robot_dag(5, 400)
@@ -883,13 +899,13 @@ class TestSimulateArguments:
     @pytest.mark.parametrize("scenario", [None, [], [rt(1)], "conv"])
     def test_rejects_a_scenario_that_is_not_a_task_graph(self, scenario):
         with pytest.raises(InvalidConfig) as exc:
-            simulate(scenario, builtin_profiles()["sd820"], Policy.throughput())
+            simulate(scenario, builtin_profiles()["sd820"], Policy(BasicPolicy.THROUGHPUT))
         assert str(exc.value) == f"scenario must be a TaskGraph, got {scenario!r}"
 
     @pytest.mark.parametrize("profile", ["sd820", None, {"units": []}])
     def test_rejects_a_profile_that_is_not_a_platform_profile(self, profile):
         with pytest.raises(InvalidConfig) as exc:
-            simulate(convolution_batch(3), profile, Policy.throughput())
+            simulate(convolution_batch(3), profile, Policy(BasicPolicy.THROUGHPUT))
         assert str(exc.value) == f"profile must be a PlatformProfile, got {profile!r}"
 
     @pytest.mark.parametrize("policy", ["throughput", "advanced:energy", None,
@@ -902,8 +918,8 @@ class TestSimulateArguments:
     @pytest.mark.parametrize("config", [None, {"seed": 1}, SetupMode.AMORTIZED])
     def test_rejects_a_config_that_is_not_a_simconfig(self, config):
         with pytest.raises(InvalidConfig) as exc:
-            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy.throughput(),
-                     config)
+            simulate(convolution_batch(3), builtin_profiles()["sd820"],
+                     Policy(BasicPolicy.THROUGHPUT), config)
         assert str(exc.value) == f"config must be a SimConfig, got {config!r}"
 
 
@@ -920,7 +936,7 @@ def test_benchmark_tracer_finds_every_hook(monkeypatch):
         tracer.install()
         graph = tracer.wrapped(simrt.load_scenario, "tasks.load_scenario")(text)
         tracer.wrapped(simrt.simulate, "engine.simulate")(
-            graph, builtin_profiles()["sd820"], Policy.throughput())
+            graph, builtin_profiles()["sd820"], Policy(BasicPolicy.THROUGHPUT))
     finally:
         assert tracer.restore()
     by_root = tracer.totals()["tasks.validate_graph"]["by_root"]
@@ -930,7 +946,7 @@ def test_benchmark_tracer_finds_every_hook(monkeypatch):
 
 def _robot_run():
     return (robot_pipeline(2, 25, 200, 3), builtin_profiles()["sd820-robot"],
-            Policy.advanced_over(BasicPolicy.THROUGHPUT), SimConfig(buffer_capacity=4))
+            Policy(BasicPolicy.THROUGHPUT, advanced=True), SimConfig(buffer_capacity=4))
 
 
 class TestEventHeap:
@@ -991,7 +1007,7 @@ class TestEventHeap:
         # a task that goes through the heap at each boundary queues 4 events
         scenario = convolution_batch(2000)
         kinds = self.queued_kinds(monkeypatch, scenario, builtin_profiles()["sd820"],
-                                  Policy.throughput())
+                                  Policy(BasicPolicy.THROUGHPUT))
         assert len(kinds) <= 0.25 * len(scenario), len(kinds)
 
     def test_a_busy_unit_takes_its_next_task_off_the_heap(self, monkeypatch):
@@ -999,7 +1015,7 @@ class TestEventHeap:
         # next task in place: only each unit's first task queues its first boundary
         profile = builtin_profiles()["sd820"]
         kinds = self.queued_kinds(monkeypatch, convolution_batch(2000), profile,
-                                  Policy.throughput())
+                                  Policy(BasicPolicy.THROUGHPUT))
         assert kinds.count(0) == len(profile.units), kinds
 
     def test_every_on_unit_free_call_starts_a_task(self, monkeypatch):
@@ -1055,7 +1071,7 @@ class TestOffPlan:
         scenario = TaskGraph([rt(1), rt(2, deps=[1]), rt(3, deps=[1])])
         monkeypatch.setattr(heapq, "heappush", late(heapq.heappush))
         with pytest.raises(EngineError, match=f"entered {phase} at .* off its plan"):
-            simulate(scenario, profile, Policy.latency())
+            simulate(scenario, profile, Policy(BasicPolicy.LATENCY))
 
 
 class TestInvariantChecks:
@@ -1073,7 +1089,7 @@ class TestInvariantChecks:
 
         monkeypatch.setattr(simrt.scheduler, "dispatch", losing)
         with pytest.raises(EngineError) as exc:
-            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy.energy())
+            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy(BasicPolicy.ENERGY))
         assert str(exc.value) == ("simulation did not quiesce: pending=[] running=[2] "
                                   "buffers_in_use=0")
 
@@ -1086,7 +1102,7 @@ class TestInvariantChecks:
 
         monkeypatch.setattr(simrt.engine._Engine, "_dispatch", skipping)
         with pytest.raises(EngineError) as exc:
-            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy.energy())
+            simulate(convolution_batch(3), builtin_profiles()["sd820"], Policy(BasicPolicy.ENERGY))
         assert str(exc.value) == "cannot skip task 1: already dispatched"
 
 

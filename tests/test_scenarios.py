@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from simrt import (InvalidRate, Policy, SimConfig, UnitKind, builtin_profiles,
+from simrt import (BasicPolicy, InvalidRate, Policy, SimConfig, UnitKind, builtin_profiles,
                    convolution_batch, dump_scenario, inference_comparison,
                    robot_pipeline, simulate, validate_graph)
 
@@ -33,10 +33,10 @@ class TestConvolutionBatch:
         g = convolution_batch(4)
         profile = builtin_profiles()["sd820"]
         config = SimConfig(weights={"g": 2, "d": 1, "c": 1})
-        _, trace = simulate(g, profile, Policy.latency(), config)
+        _, trace = simulate(g, profile, Policy(BasicPolicy.LATENCY), config)
         dispatched = [r.unit for r in trace if r.phase == "dispatch"]
         assert dispatched == ["mGPU", "mGPU", "DSP", "CPU"]
-        assert_dispatch_equivalence(trace, g, profile, Policy.latency(),
+        assert_dispatch_equivalence(trace, g, profile, Policy(BasicPolicy.LATENCY),
                                     weights=config.weights)
 
     def test_negative_count_rejected(self):

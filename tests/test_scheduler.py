@@ -7,7 +7,7 @@ from simrt import (BasicPolicy, InvalidConfig, InvalidScenario, Policy, RouteCla
                    SchedulerState, Task, TaskTags, UnitKind, builtin_profiles, classify,
                    dispatch, dispatch_latency, load_profile, on_unit_free)
 
-from .helpers import random_profile
+from .helpers import ALL_POLICIES, random_profile
 
 
 def three_unit_profile(w_g=4, w_d=2, w_c=2, gpu="mGPU"):
@@ -85,12 +85,12 @@ def drive_basic(policy, profile, n, weights=None):
 
 class TestThroughputFill:
     def test_fills_gpu_then_cpu_then_dsp_then_overflows_to_cpu(self):
-        got = drive_basic(Policy.throughput(), three_unit_profile(4, 2, 2), 12)
+        got = drive_basic(Policy(BasicPolicy.THROUGHPUT), three_unit_profile(4, 2, 2), 12)
         assert got == ["mGPU"] * 4 + ["CPU"] * 2 + ["DSP"] * 2 + ["CPU"] * 4
 
     def test_empty_queues_prefer_gpu(self):
         state = SchedulerState(three_unit_profile())
-        assert dispatch(state, mk_task(1), Policy.throughput()).unit is UnitKind.MGPU
+        assert dispatch(state, mk_task(1), Policy(BasicPolicy.THROUGHPUT)).unit is UnitKind.MGPU
 
     def test_single_unit_profile_overflows_to_it(self):
         doc = {
@@ -98,18 +98,18 @@ class TestThroughputFill:
             "workloads": [{"name": "w"}],
             "costs": {"w@GPU": {"kernel_us": 10, "energy_uj": 1}},
         }
-        got = drive_basic(Policy.throughput(), load_profile(json.dumps(doc)), 3)
+        got = drive_basic(Policy(BasicPolicy.THROUGHPUT), load_profile(json.dumps(doc)), 3)
         assert got == ["GPU"] * 3
 
 
 class TestEnergyFill:
     def test_fills_dsp_then_gpu_then_cpu_then_overflows_to_dsp(self):
-        got = drive_basic(Policy.energy(), three_unit_profile(4, 2, 2), 12)
+        got = drive_basic(Policy(BasicPolicy.ENERGY), three_unit_profile(4, 2, 2), 12)
         assert got == ["DSP"] * 2 + ["mGPU"] * 4 + ["CPU"] * 2 + ["DSP"] * 4
 
     def test_empty_queues_prefer_dsp(self):
         state = SchedulerState(three_unit_profile())
-        assert dispatch(state, mk_task(1), Policy.energy()).unit is UnitKind.DSP
+        assert dispatch(state, mk_task(1), Policy(BasicPolicy.ENERGY)).unit is UnitKind.DSP
 
 
 class TestDispatch:
@@ -122,21 +122,21 @@ class TestDispatch:
     def test_advanced_routes_non_real_time_to_cloud_queue(self):
         state = SchedulerState(three_unit_profile())
         route = dispatch(state, mk_task(1, real_time=False),
-                         Policy.advanced_over(BasicPolicy.THROUGHPUT))
+                         Policy(BasicPolicy.THROUGHPUT, advanced=True))
         assert route.target is RouteClass.CLOUD
         assert list(state.cloud_queue) == [1]
 
     def test_advanced_routes_real_time_image_to_hp_queue(self):
         state = SchedulerState(three_unit_profile())
         route = dispatch(state, mk_task(1, image_input=True),
-                         Policy.advanced_over(BasicPolicy.THROUGHPUT))
+                         Policy(BasicPolicy.THROUGHPUT, advanced=True))
         assert route.target is RouteClass.HIGH_PRIORITY
         assert list(state.hp_queue) == [1]
 
     def test_basic_policy_ignores_tags(self):
         state = SchedulerState(three_unit_profile(), weights={"g": 1, "d": 1, "c": 1})
         route = dispatch(state, mk_task(1, real_time=False, image_input=True),
-                         Policy.latency())
+                         Policy(BasicPolicy.LATENCY))
         assert route.target is RouteClass.BASIC
         assert route.unit is UnitKind.MGPU
         assert list(state.queues[UnitKind.MGPU]) == [1]
@@ -147,7 +147,7 @@ class TestDispatch:
                 for image_input in (False, True):
                     state = SchedulerState(three_unit_profile())
                     t = mk_task(1, real_time=real_time, image_input=image_input)
-                    dispatch(state, t, Policy.advanced_over(basic))
+                    dispatch(state, t, Policy(basic, advanced=True))
                     locations = ([list(state.cloud_queue), list(state.hp_queue)]
                                  + [list(q) for q in state.queues.values()])
                     assert sum(loc.count(1) for loc in locations) == 1
@@ -169,7 +169,7 @@ class TestDispatch:
                                        image_input=rng.random() < 0.5))
                 if not t.tags.real_time:
                     non_rt.add(i)
-                dispatch(state, t, Policy.advanced_over(basic))
+                dispatch(state, t, Policy(basic, advanced=True))
             local = set(state.hp_queue)
             for q in state.queues.values():
                 local |= set(q)
@@ -188,7 +188,7 @@ class TestOnUnitFree:
     def test_hp_head_takes_precedence(self):
         profile = three_unit_profile()
         state = SchedulerState(profile)
-        tasks = dispatch_all(state, Policy.advanced_over(BasicPolicy.THROUGHPUT),
+        tasks = dispatch_all(state, Policy(BasicPolicy.THROUGHPUT, advanced=True),
                              mk_task(1, image_input=True), mk_task(2))
         assert on_unit_free(state, UnitKind.MGPU, tasks) == 1
         assert on_unit_free(state, UnitKind.MGPU, tasks) == 2
@@ -205,7 +205,7 @@ class TestOnUnitFree:
         }
         state = SchedulerState(load_profile(json.dumps(doc)))
         # energy is dsp-first, so task 2 goes to the DSP queue
-        tasks = dispatch_all(state, Policy.advanced_over(BasicPolicy.ENERGY),
+        tasks = dispatch_all(state, Policy(BasicPolicy.ENERGY, advanced=True),
                              mk_task(1, image_input=True, workload="cv"),
                              mk_task(2, workload="plain"))
         # cv has no CPU entry: CPU must skip the head and take its own queue
@@ -215,7 +215,7 @@ class TestOnUnitFree:
 
     def test_fifo_order_on_own_queue(self):
         state = SchedulerState(three_unit_profile())
-        tasks = dispatch_all(state, Policy.throughput(), mk_task(1), mk_task(2))
+        tasks = dispatch_all(state, Policy(BasicPolicy.THROUGHPUT), mk_task(1), mk_task(2))
         assert on_unit_free(state, UnitKind.MGPU, tasks) == 1
         assert on_unit_free(state, UnitKind.MGPU, tasks) == 2
 
@@ -265,9 +265,21 @@ class TestStateArguments:
 
 class TestPolicyParsing:
     def test_parse_forms(self):
-        assert Policy.parse("latency") == Policy.latency()
-        assert Policy.parse("advanced:energy") == Policy.advanced_over(BasicPolicy.ENERGY)
+        for basic in BasicPolicy:
+            assert Policy.parse(basic.value) == Policy(basic)
+            assert Policy.parse(f"advanced:{basic.value}") == Policy(basic, advanced=True)
+        assert Policy.parse(" Advanced:ENERGY ") == Policy(BasicPolicy.ENERGY, advanced=True)
         assert str(Policy.parse("advanced:throughput")) == "advanced:throughput"
+
+    @pytest.mark.parametrize("policy", ALL_POLICIES, ids=str)
+    def test_text_and_fields_rebuild_the_policy(self, policy):
+        assert Policy.parse(str(policy)) == policy
+        assert Policy(policy.basic, advanced=policy.advanced) == policy
+
+    def test_parse_is_the_only_classmethod(self):
+        # the constructor and parse are the two ways to make a Policy
+        assert [name for name, attr in vars(Policy).items()
+                if isinstance(attr, classmethod)] == ["parse"]
 
     def test_parse_rejects_unknown(self):
         from simrt import ParseError
