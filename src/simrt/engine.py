@@ -214,8 +214,7 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
         energy_uj += energy_memo[workload, unit]
 
     idle_watts = sum(u.idle_watts for u in profile.units)
-    if idle_watts:
-        energy_uj += round(idle_watts * makespan)
+    energy_uj += round(idle_watts * makespan)
 
     unit_order = [u.kind.value for u in profile.units] + [LABEL_CLOUD]
     avg_latency = {
@@ -360,9 +359,9 @@ class _Engine:
             if start + plan[kind] != now:
                 raise EngineError(f"task {tid} entered {_BOUNDARY_PHASES[kind]} at {now}, "
                                   f"off its plan {start + plan[kind]}")
-            append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
-            while True:
-                if kind == _COMPLETE:  # off the heap or crossed in place
+            while True:  # record the boundary, off the heap or crossed in place
+                append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
+                if kind == _COMPLETE:
                     running[key] = None
                     self.last_end = now
                     self._after_completion(tid, label, plan[4], now)
@@ -389,14 +388,12 @@ class _Engine:
                 # the next boundary is the next event: cross it without the heap
                 if due != now:
                     now = due
-                append((now, tid, workload, label, _BOUNDARY_PHASES[kind]))
 
         if pending or self.dispatched_at or self.buffer_refs:
             raise EngineError(
                 f"simulation did not quiesce: pending={list(pending)} "
                 f"running={list(self.dispatched_at)} buffers_in_use={len(self.buffer_refs)}")
-        end = self.last_end
-        makespan = end - first_dispatch if end is not None else 0
+        makespan = self.last_end - first_dispatch if self.last_end is not None else 0
         idle_watts = sum(u.idle_watts for u in self.profile.units)
         completed = sum(count for _, count in self.latency.values())
         return SimResult(Metrics(
@@ -473,27 +470,24 @@ class _Engine:
         self.energy_uj += energy_uj
         if not (dependents := self.dependents.get(tid)):
             return
-        self._acquire_buffer(tid, dependents, unit_label, now)
-        pending = self.pending
+        pending, tasks, consumers = self.pending, self.tasks, []
+        for dep in dependents:  # a comprehension would make pending and tasks cells
+            if tasks[dep].tags.image_input and dep in pending:
+                consumers.append(dep)
+        if consumers:
+            capacity = self.config.buffer_capacity  # one image buffer, or a drop
+            if capacity is None or len(self.buffer_refs) < capacity:
+                self.buffer_refs[tid] = len(consumers)
+            else:
+                self._append((now, tid, tasks[tid].workload, unit_label, PHASE_DROP))
+                self.drops += 1
+                for consumer in consumers:
+                    self._skip(consumer)
         for dep in dependents:
             if dep in pending:  # not skipped
                 pending[dep] -= 1
-                if not pending[dep] and self.tasks[dep].release_us <= now:
+                if not pending[dep] and tasks[dep].release_us <= now:
                     self._dispatch(dep, now)
-
-    def _acquire_buffer(self, tid: int, dependents: list, unit_label: str, now: int) -> None:
-        consumers = [c for c in dependents
-                     if self.tasks[c].tags.image_input and c in self.pending]
-        if not consumers:
-            return
-        capacity = self.config.buffer_capacity
-        if capacity is None or len(self.buffer_refs) < capacity:
-            self.buffer_refs[tid] = len(consumers)
-        else:
-            self._append((now, tid, self.tasks[tid].workload, unit_label, PHASE_DROP))
-            self.drops += 1
-            for consumer in consumers:
-                self._skip(consumer)
 
     def _skip(self, tid: int) -> None:
         pending, stack = self.pending, [tid]

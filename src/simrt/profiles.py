@@ -3,10 +3,10 @@
 A profile holds the units available on a platform, the workloads it knows
 how to run, and a cost entry per (workload, unit) pair: setup time, input
 transfer, kernel execution, output copy-back, and energy. A profile rejects
-an entry without a kernel time, so it is a complete cost table; load_profile
-derives a kernel time that is not given from an operation count and a
-unit's theoretical throughput. Cloud execution is modeled with a fixed
-per-inference energy and a latency drawn uniformly from a closed interval.
+a value load_profile rejects and an entry without a kernel time, so it is a
+complete cost table; load_profile derives a kernel time that is not given
+from an operation count and a unit's theoretical throughput. Cloud execution
+has a fixed per-inference energy and a latency drawn uniformly from [lo, hi].
 """
 
 from dataclasses import dataclass, replace
@@ -83,7 +83,30 @@ class PlatformProfile:
     cloud_latency_us: tuple | None = None
     cloud_energy_uj: int | None = None
 
-    def __post_init__(self):  # a complete cost table: every entry has a kernel time
+    def __post_init__(self):  # load_profile's value rules, in its order, then MissingCost
+        for i, u in enumerate(self.units):  # test each value inline, word a failure by helper
+            if not (type(w := u.weight) is int and 0 <= w <= MAX_UNIT_NUMBER):
+                _check_non_negative(w, "weight", f"units[{i}]")
+            if (g := u.gops) is not None and not (
+                    type(g) in (int, float) and 0 < g <= MAX_UNIT_NUMBER):
+                _check_number(g, "gops", f"units[{i}]", positive=True)
+            if not (type(idle := u.idle_watts) in (int, float) and 0 <= idle <= MAX_UNIT_NUMBER):
+                _check_number(idle, "idle_watts", f"units[{i}]")
+        for (workload, unit), entry in self.costs.items():
+            for f in _COST_FIELDS:  # a None kernel time is MissingCost's, below
+                if not (type(v := getattr(entry, f)) is int and 0 <= v <= MAX_UNIT_NUMBER
+                        or v is None and f == "kernel_us"):
+                    _check_non_negative(v, f, f"costs[{f'{workload}@{unit}'!r}]")
+        if (interval := self.cloud_latency_us) is not None:
+            if type(interval) is not tuple or [type(v) for v in interval] != [int, int]:
+                raise BadInterval("cloud.latency_us must be [lo, hi] integers")
+            if min(interval) < 0:
+                raise NegativeValue("cloud.latency_us", list(interval))
+            if interval[0] > interval[1]:
+                raise BadInterval(f"cloud latency interval has lo > hi: {list(interval)}")
+            _check_number(interval[1], "latency_us", "cloud")  # only its ceiling is left
+        if (energy := self.cloud_energy_uj) is not None:
+            _check_non_negative(energy, "energy_uj", "cloud")
         for (workload, unit), entry in self.costs.items():
             if entry.kernel_us is None:
                 raise MissingCost(workload, unit)
@@ -206,7 +229,7 @@ def _check_non_negative(value, fieldname: str, loc: str):
 def _check_number(value, fieldname: str, loc: str, positive: bool = False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"'{fieldname}' must be a number", loc)
-    if value < 0 or positive and value == 0:
+    if not (value > 0 if positive else value >= 0):  # NaN fails too
         raise NegativeValue(f"{loc}.{fieldname}", value)
     if value > MAX_UNIT_NUMBER:
         raise ParseError(f"'{fieldname}' must be at most {MAX_UNIT_NUMBER:g}", loc)
@@ -289,17 +312,9 @@ def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
     cloud_latency_us = cloud_energy_uj = None
     if "cloud" in doc:
         obj = check_object(doc["cloud"], _CLOUD_KEYS, "cloud", "'cloud'")
-        interval = obj.get("latency_us")
-        if (not isinstance(interval, list) or len(interval) != 2
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in interval)):
-            raise BadInterval("cloud.latency_us must be [lo, hi] integers")
-        lo, hi = cloud_latency_us = tuple(interval)
-        if lo < 0 or hi < 0:
-            raise NegativeValue("cloud.latency_us", interval)
-        if lo > hi:
-            raise BadInterval(f"cloud latency interval has lo > hi: [{lo}, {hi}]")
-        _check_number(hi, "latency_us", "cloud")  # only its ceiling is left to check
-        cloud_energy_uj = _check_non_negative(obj.get("energy_uj", 0), "energy_uj", "cloud")
+        interval = obj.get("latency_us")  # PlatformProfile checks it; a non-list fails as ()
+        cloud_latency_us = tuple(interval) if isinstance(interval, list) else ()
+        cloud_energy_uj = obj.get("energy_uj", 0)
 
     for (wname, kind), entry in costs.items():  # after the cloud, in cost-key order
         if entry.kernel_us is None:

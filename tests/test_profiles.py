@@ -4,10 +4,12 @@ import random
 
 import pytest
 
-from simrt import (BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError,
-                   PlatformProfile, Policy, SetupMode, SimConfig, SimrtError, UnitKind,
-                   builtin_profiles, energy_of, load_profile, load_scenario, offload_time,
-                   preference_matrix, restrict)
+from simrt import (BadInterval, BasicPolicy, InvalidConfig, MissingCost, NegativeValue,
+                   ParseError, PlatformProfile, Policy, SetupMode, SimConfig, SimrtError,
+                   UnitKind, builtin_profiles, convolution_batch, energy_of,
+                   inference_comparison, load_profile, load_scenario, offload_time,
+                   preference_matrix, restrict, robot_pipeline, simulate)
+from simrt.audit import audit_all
 from simrt.profiles import CostEntry, UnitSpec
 from simrt.builtins import BUILTIN_PROFILE_TEXTS
 
@@ -648,3 +650,76 @@ class TestEveryProfileIsComplete:
                 assert e.total_us == e.setup_us + e.xfer_in_us + e.kernel_us + e.xfer_out_us
         # the one-kind restrictions split p's entries between them
         assert sum(len(profile.costs) for profile in profiles) == 2 * len(p.costs)
+
+
+_BAD_INTS = [-1, 2.5, True, "x", 10**13]
+_BAD_REALS = [-1, True, "x", 10**13, float("nan")]
+
+
+def _one_field(rng: random.Random, p: PlatformProfile):
+    """One unit, cost-entry or cloud field of p: (bad value, good value, the
+    location and the field name that an error must name, rebuild), where
+    rebuild(value) is p with that field replaced through dataclasses.replace."""
+    target = rng.choice(["unit", "cost", "cloud"])
+    if target == "unit":
+        i = rng.randrange(len(p.units))
+        field, bad, good = rng.choice([
+            ("weight", rng.choice(_BAD_INTS), rng.randint(1, 8)),
+            ("gops", rng.choice(_BAD_REALS + [0]),
+             rng.choice([None, rng.randint(1, 500), rng.uniform(0.5, 500)])),
+            ("idle_watts", rng.choice(_BAD_REALS), rng.choice([0, 2, rng.uniform(0, 5)])),
+        ])
+
+        def rebuild(value):
+            units = list(p.units)
+            units[i] = dataclasses.replace(units[i], **{field: value})
+            return dataclasses.replace(p, units=tuple(units))
+        return bad, good, (f"units[{i}]", field), rebuild
+    if target == "cost":
+        workload, unit = key = rng.choice(list(p.costs))
+        field = rng.choice([f.name for f in dataclasses.fields(CostEntry)])
+        entry = p.costs[key]
+        return rng.choice(_BAD_INTS), rng.randint(0, 10**4), (f"{workload}@{unit}", field), (
+            lambda value: dataclasses.replace(
+                p, costs={**p.costs, key: dataclasses.replace(entry, **{field: value})}))
+    if rng.random() < 0.5:
+        return rng.choice(_BAD_INTS), rng.randint(0, 10**6), ("cloud", "energy_uj"), (
+            lambda value: dataclasses.replace(p, cloud_energy_uj=value))
+    lo = rng.randint(0, 10**4)
+    hi = lo + rng.randint(0, 10**4)
+    bad = rng.choice(_BAD_INTS)
+    bad = rng.choice([(hi + 1, hi), (bad, hi), (lo, bad), bad, [lo, hi], (lo,)])
+    return bad, (lo, hi), ("cloud", "latency"), (
+        lambda value: dataclasses.replace(p, cloud_latency_us=value))
+
+
+class TestHandBuiltProfiles:
+    """A PlatformProfile holds only values that load_profile accepts, however it
+    was built: a seeded fuzz replaces one unit, cost-entry or cloud field of a
+    builtin with a bad value, which must fail with a SimrtError naming the field,
+    and with a good value, whose profile must simulate and pass the audits."""
+
+    def scenario(self, name: str):
+        if name == "tx1-cloud":
+            return [s.graph for s in inference_comparison() if s.name == "inference-cloud"][0]
+        if name == "sd820-robot":  # its workloads reach every unit only under tags
+            return robot_pipeline(1, 1, 1, 1, 1)
+        return convolution_batch(3)
+
+    def test_bad_values_fail_and_good_values_simulate(self):
+        rng = random.Random(26)
+        builtins = builtin_profiles()
+        for case in range(300):
+            name = rng.choice(sorted(builtins))
+            bad, good, (loc, field), rebuild = _one_field(rng, builtins[name])
+            with pytest.raises(SimrtError) as exc:
+                rebuild(bad)
+            assert loc in str(exc.value) and field in str(exc.value), (case, bad, exc.value)
+
+            profile = rebuild(good)
+            scenario = self.scenario(name)
+            policy = Policy(rng.choice(list(BasicPolicy)),
+                            advanced=name == "sd820-robot" or rng.random() < 0.5)
+            metrics, trace = simulate(scenario, profile, policy, SimConfig(seed=case))
+            audit_all(trace, scenario, profile)
+            assert metrics.makespan_us >= 0 and metrics.total_energy_uj >= 0, (case, good)
