@@ -3,7 +3,8 @@
 These replay an emitted trace against the scenario and profile it came
 from and raise AuditError on the first violation. They are intentionally
 independent of the engine internals: everything is reconstructed from the
-records alone.
+records alone. `audit_all` reads a trace once to decide it, and runs the
+four audits only to word a rejection.
 """
 
 from collections import deque
@@ -25,7 +26,11 @@ _NEXT_ALLOWED = {
     PHASE_XFER_OUT: (PHASE_COMPLETE,), PHASE_COMPLETE: (),
     PHASE_CLOUD_SUBMIT: (PHASE_CLOUD_COMPLETE,), PHASE_CLOUD_COMPLETE: (),
 }
+# phase -> the phase its task must have recorded last; the inverse of _NEXT_ALLOWED
+_PREVIOUS = {phase: prev for prev, nexts in _NEXT_ALLOWED.items() for phase in nexts}
 _NO_RECORD = (None, float("-inf"))
+_STEPS = frozenset((PHASE_XFER_IN, PHASE_KERNEL, PHASE_XFER_OUT))  # between start and end
+_ENDS = frozenset((PHASE_COMPLETE, PHASE_CLOUD_COMPLETE))
 _SHARED_LABELS = (LABEL_HP, LABEL_CLOUD)  # queues, not units a task occupies
 
 
@@ -179,9 +184,94 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
         check_idle(prev_time)
 
 
+def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
+            weights: dict | None, fpga_as_gpu: bool) -> bool:
+    """True only for a trace that all four audits accept, read in one pass;
+    False, or an exception, for any other, with no message worded. It asks
+    more than they do, which only a trace the engine did not make can fail:
+    times never fall across the trace, a start follows its dependencies'
+    completion records and no task is left queued or at the HP head."""
+    records = _records_of(trace)
+    state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
+    fifos, runnable = {}, {}  # unit label -> queued task ids, workloads it can run
+    for unit in state.units:  # loops, not comprehensions: no cells in this function
+        fifos[unit.value] = deque()
+        runnable[unit.value] = state.runnable[unit]
+    hp: deque = deque()  # (task id, workload)
+    last: dict = {}  # task id -> its last phase
+    running: dict = {}  # unit label -> its task, while it runs one
+    task_of, previous, steps, ends = scenario.task, _PREVIOUS, _STEPS, _ENDS
+    dispatch, setup, submit = PHASE_DISPATCH, PHASE_SETUP, PHASE_CLOUD_SUBMIT
+    complete, drop = PHASE_COMPLETE, PHASE_DROP
+    now = float("-inf")
+    changed = False  # a queue or busy flag changed at this instant
+    queued = ended = 0  # tasks in the unit FIFOs; tasks with a completion record
+    for time_us, tid, workload, unit, phase in records:
+        if time_us != now:
+            if not time_us > now:  # earlier, or unordered (NaN)
+                return False
+            if changed and (queued or hp):  # audit_work_conservation's step-end check
+                for label, fifo in fifos.items():
+                    if label not in running and (
+                            fifo or hp and hp[0][1] in runnable[label]):
+                        return False
+            changed = False
+            now = time_us
+        if phase in steps:  # xfer_in, kernel or xfer_out
+            if last[tid] != previous[phase]:
+                return False
+            last[tid] = phase
+        elif phase == dispatch:
+            if tid in last:
+                return False
+            last[tid] = phase
+            if unit == LABEL_HP:
+                hp.append((tid, workload))
+            elif unit != LABEL_CLOUD:
+                fifos[unit].append(tid)
+                queued += 1
+            changed = True
+        elif phase != drop:  # a drop is no phase of its task
+            if last[tid] != previous[phase]:
+                return False
+            last[tid] = phase
+            if phase == setup or phase == submit:
+                task = task_of(tid)
+                if time_us < task.release_us:
+                    return False
+                if deps := task.deps:
+                    for dep in sorted(deps):  # as audit_causality: ids that do not sort raise
+                        if last[dep] not in ends:
+                            return False
+                if phase == submit:
+                    continue
+                fifo = fifos[unit]
+                if hp and hp[0][0] == tid:
+                    hp.popleft()
+                elif fifo and fifo[0] == tid:
+                    fifo.popleft()
+                    queued -= 1
+                else:
+                    return False
+                running[unit] = tid  # on a busy unit, its task's completion cannot match
+            elif phase == complete and running.pop(unit) != tid:
+                return False
+            else:  # a completion, local or cloud
+                ended += 1
+            changed = True
+    return not (running or queued or hp) and ended == len(last)
+
+
 def audit_all(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
               weights: dict | None = None, fpga_as_gpu: bool = False) -> None:
-    """Run every audit; raises AuditError on the first violation."""
+    """Run every audit; raises AuditError on the first violation. One replay
+    decides a trace that passes; any other goes through the four audits in
+    turn, so the error raised is the first one they raise."""
+    try:
+        if _passes(trace, scenario, profile, weights, fpga_as_gpu):
+            return
+    except Exception:  # a trace the replay cannot read: the audits below decide it
+        pass
     audit_phase_order(trace)
     audit_unit_exclusivity(trace)
     audit_causality(trace, scenario)

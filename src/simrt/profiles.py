@@ -85,6 +85,11 @@ class PlatformProfile:
 
     def __post_init__(self):  # load_profile's value rules, in its order, then MissingCost
         for i, u in enumerate(self.units):  # test each value inline, word a failure by helper
+            if not isinstance(u.kind, UnitKind):
+                raise ParseError(f"unknown unit kind {u.kind!r}", f"units[{i}]")
+            if u.kind is UnitKind.CLOUD:
+                raise ParseError("CLOUD is configured by the 'cloud' section, not as a unit",
+                                 f"units[{i}]")
             if not (type(w := u.weight) is int and 0 <= w <= MAX_UNIT_NUMBER):
                 _check_non_negative(w, "weight", f"units[{i}]")
             if (g := u.gops) is not None and not (
@@ -92,11 +97,19 @@ class PlatformProfile:
                 _check_number(g, "gops", f"units[{i}]", positive=True)
             if not (type(idle := u.idle_watts) in (int, float) and 0 <= idle <= MAX_UNIT_NUMBER):
                 _check_number(idle, "idle_watts", f"units[{i}]")
+        kinds = [u.kind for u in self.units]
         for (workload, unit), entry in self.costs.items():
+            loc = f"costs[{f'{workload}@{unit}'!r}]"
+            if workload not in self.workloads:
+                raise ParseError(f"cost references undeclared workload {workload!r}", loc)
+            if not isinstance(unit, UnitKind):
+                raise ParseError(f"unknown unit kind {unit!r}", loc)
+            if unit not in kinds:
+                raise ParseError(f"cost references undeclared unit {unit}", loc)
             for f in _COST_FIELDS:  # a None kernel time is MissingCost's, below
                 if not (type(v := getattr(entry, f)) is int and 0 <= v <= MAX_UNIT_NUMBER
                         or v is None and f == "kernel_us"):
-                    _check_non_negative(v, f, f"costs[{f'{workload}@{unit}'!r}]")
+                    _check_non_negative(v, f, loc)
         if (interval := self.cloud_latency_us) is not None:
             if type(interval) is not tuple or [type(v) for v in interval] != [int, int]:
                 raise BadInterval("cloud.latency_us must be [lo, hi] integers")

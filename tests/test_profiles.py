@@ -723,3 +723,38 @@ class TestHandBuiltProfiles:
             metrics, trace = simulate(scenario, profile, policy, SimConfig(seed=case))
             audit_all(trace, scenario, profile)
             assert metrics.makespan_us >= 0 and metrics.total_energy_uj >= 0, (case, good)
+
+    def test_unit_kinds_and_cost_keys_are_checked(self):
+        # the loader's rules for a unit's kind and a cost key: unchecked, a string
+        # kind such as "CPU" fails only inside simulate, with AttributeError
+        for p in builtin_profiles().values():
+            kind, workload = p.units[0].kind, p.workloads[0]
+            absent = next(k for k in UnitKind if k is not UnitKind.CLOUD and not p.unit(k))
+            entry = CostEntry(kernel_us=1)
+
+            def with_unit(value):
+                units = (dataclasses.replace(p.units[0], kind=value),) + p.units[1:]
+                return lambda: dataclasses.replace(p, units=units)
+
+            def with_cost(key):
+                return lambda: dataclasses.replace(p, costs={**p.costs, key: entry})
+            cases = [
+                (with_unit(kind.value), f"units[0]: unknown unit kind {kind.value!r}"),
+                (with_unit(None), "units[0]: unknown unit kind None"),
+                (with_unit(UnitKind.CLOUD),
+                 "units[0]: CLOUD is configured by the 'cloud' section, not as a unit"),
+                (with_cost(("other", kind)),
+                 f"costs['other@{kind}']: cost references undeclared workload 'other'"),
+                (with_cost((workload, absent)),
+                 f"costs['{workload}@{absent}']: cost references undeclared unit {absent}"),
+                (with_cost((workload, kind.value)),
+                 f"costs['{workload}@{kind}']: unknown unit kind {kind.value!r}"),
+                (with_cost((workload, UnitKind.CLOUD)),
+                 f"costs['{workload}@CLOUD']: cost references undeclared unit CLOUD"),
+            ]
+            for build, message in cases:
+                with pytest.raises(ParseError) as exc:
+                    build()
+                assert str(exc.value) == message, (p.name, message)
+            assert with_unit(kind)() == p  # a declared kind and key still build
+            assert with_cost((workload, kind))().costs[workload, kind] == entry
