@@ -83,21 +83,16 @@ class PlatformProfile:
     cloud_latency_us: tuple | None = None
     cloud_energy_uj: int | None = None
 
-    def __post_init__(self):  # load_profile's value rules, in its order, then MissingCost
-        for i, u in enumerate(self.units):  # test each value inline, word a failure by helper
-            if not isinstance(u.kind, UnitKind):
-                raise ParseError(f"unknown unit kind {u.kind!r}", f"units[{i}]")
-            if u.kind is UnitKind.CLOUD:
-                raise ParseError("CLOUD is configured by the 'cloud' section, not as a unit",
-                                 f"units[{i}]")
-            if not (type(w := u.weight) is int and 0 <= w <= MAX_UNIT_NUMBER):
-                _check_non_negative(w, "weight", f"units[{i}]")
-            if (g := u.gops) is not None and not (
-                    type(g) in (int, float) and 0 < g <= MAX_UNIT_NUMBER):
-                _check_number(g, "gops", f"units[{i}]", positive=True)
-            if not (type(idle := u.idle_watts) in (int, float) and 0 <= idle <= MAX_UNIT_NUMBER):
-                _check_number(idle, "idle_watts", f"units[{i}]")
-        kinds = [u.kind for u in self.units]
+    def __post_init__(self):  # load_profile's rules, in its order, then MissingCost
+        if not isinstance(self.name, str):
+            raise ParseError("'name' must be a string", "profile")
+        kinds = []  # the kinds of the units checked so far
+        for i, u in enumerate(self.units):
+            _check_unit(u, f"units[{i}]", kinds)
+            kinds.append(u.kind)
+        _check_gpu_pair(kinds)
+        for i, workload in enumerate(self.workloads):
+            _check_workload(workload, f"workloads[{i}]", self.workloads[:i])
         for (workload, unit), entry in self.costs.items():
             loc = f"costs[{f'{workload}@{unit}'!r}]"
             if workload not in self.workloads:
@@ -106,10 +101,7 @@ class PlatformProfile:
                 raise ParseError(f"unknown unit kind {unit!r}", loc)
             if unit not in kinds:
                 raise ParseError(f"cost references undeclared unit {unit}", loc)
-            for f in _COST_FIELDS:  # a None kernel time is MissingCost's, below
-                if not (type(v := getattr(entry, f)) is int and 0 <= v <= MAX_UNIT_NUMBER
-                        or v is None and f == "kernel_us"):
-                    _check_non_negative(v, f, loc)
+            _check_entry(entry, loc)
         if (interval := self.cloud_latency_us) is not None:
             if type(interval) is not tuple or [type(v) for v in interval] != [int, int]:
                 raise BadInterval("cloud.latency_us must be [lo, hi] integers")
@@ -233,20 +225,52 @@ _DEFAULT_WEIGHTS = {
 }
 
 
-def _check_non_negative(value, fieldname: str, loc: str):
+def _check_non_negative(value, fieldname: str, loc: str) -> None:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError(f"{fieldname} must be an integer", loc)
-    return _check_number(value, fieldname, loc)
+    _check_number(value, fieldname, loc)
 
 
-def _check_number(value, fieldname: str, loc: str, positive: bool = False):
+def _check_number(value, fieldname: str, loc: str, positive: bool = False) -> None:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"'{fieldname}' must be a number", loc)
     if not (value > 0 if positive else value >= 0):  # NaN fails too
         raise NegativeValue(f"{loc}.{fieldname}", value)
     if value > MAX_UNIT_NUMBER:
         raise ParseError(f"'{fieldname}' must be at most {MAX_UNIT_NUMBER:g}", loc)
-    return value
+
+
+def _check_unit(unit: UnitSpec, loc: str, kinds) -> None:  # kinds: those declared before it
+    if not isinstance(unit.kind, UnitKind):
+        raise ParseError(f"unknown unit kind {unit.kind!r}", loc)
+    if unit.kind is UnitKind.CLOUD:
+        raise ParseError("CLOUD is configured by the 'cloud' section, not as a unit", loc)
+    _check_non_negative(unit.weight, "weight", loc)
+    if unit.gops is not None:
+        _check_number(unit.gops, "gops", loc, positive=True)
+    _check_number(unit.idle_watts, "idle_watts", loc)
+    if unit.kind in kinds:
+        raise ParseError(f"unit kind {unit.kind} declared twice", loc)
+
+
+def _check_gpu_pair(kinds) -> None:
+    if UnitKind.GPU in kinds and UnitKind.MGPU in kinds:
+        raise ParseError("profile may declare at most one of GPU and mGPU", "units")
+
+
+def _check_workload(name, loc: str, names) -> None:  # names: those declared before it
+    if not isinstance(name, str) or not name:
+        raise ParseError("'name' must be a non-empty string", loc)
+    if not _CSV_SPECIAL.isdisjoint(name):
+        raise ParseError("'name' must not contain a comma, a double quote, CR or LF", loc)
+    if name in names:
+        raise ParseError(f"workload {name!r} declared twice", loc)
+
+
+def _check_entry(entry: CostEntry, loc: str) -> None:
+    for f in _COST_FIELDS:  # a None kernel time is MissingCost's
+        if (value := getattr(entry, f)) is not None or f != "kernel_us":
+            _check_non_negative(value, f, loc)
 
 
 def _reject_constant(name: str):  # NaN, Infinity, -Infinity
@@ -275,30 +299,16 @@ def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
         if "kind" not in obj:
             raise ParseError("missing 'kind'", loc)
         kind = UnitKind.parse(obj["kind"])
-        if kind is UnitKind.CLOUD:
-            raise ParseError("CLOUD is configured by the 'cloud' section, not as a unit", loc)
-        weight = _check_non_negative(obj.get("weight", _DEFAULT_WEIGHTS[kind]), "weight", loc)
-        gops = obj.get("gops")
-        if gops is not None:
-            _check_number(gops, "gops", loc, positive=True)
-        idle = _check_number(obj.get("idle_watts", 0.0), "idle_watts", loc)
-        if kind in units:
-            raise ParseError(f"unit kind {kind} declared twice", loc)
-        units[kind] = UnitSpec(kind=kind, weight=weight, gops=gops, idle_watts=float(idle))
-    if UnitKind.GPU in units and UnitKind.MGPU in units:
-        raise ParseError("profile may declare at most one of GPU and mGPU", "units")
+        unit = UnitSpec(**{"weight": _DEFAULT_WEIGHTS.get(kind), **obj, "kind": kind})
+        _check_unit(unit, loc, units)
+        units[kind] = replace(unit, idle_watts=float(unit.idle_watts))
+    _check_gpu_pair(units)
 
     ops_of = {}  # workload name -> operation count or None, in declaration order
     for i, obj in enumerate(doc.get("workloads", [])):
         loc = f"workloads[{i}]"
         check_object(obj, _WORKLOAD_KEYS, loc, "workload")
-        wname = obj.get("name")
-        if not isinstance(wname, str) or not wname:
-            raise ParseError("'name' must be a non-empty string", loc)
-        if not _CSV_SPECIAL.isdisjoint(wname):
-            raise ParseError("'name' must not contain a comma, a double quote, CR or LF", loc)
-        if wname in ops_of:
-            raise ParseError(f"workload {wname!r} declared twice", loc)
+        _check_workload(wname := obj.get("name"), loc, ops_of)
         ops = ops_of[wname] = obj.get("ops")
         if ops is not None:
             _check_non_negative(ops, "ops", loc)
@@ -315,9 +325,7 @@ def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
         if kind not in units:
             raise ParseError(f"cost references undeclared unit {kind}", loc)
         check_object(obj, _COST_FIELDS, loc, "cost entry")
-        # a null kernel_us is derived from the workload's ops and the unit's gops
-        entry = CostEntry(**{f: _check_non_negative(obj[f], f, loc) for f in _COST_FIELDS
-                             if f in obj and (obj[f] is not None or f != "kernel_us")})
+        _check_entry(entry := CostEntry(**obj), loc)  # a null kernel_us is derived below
         if (wname, kind) in costs:
             raise ParseError(f"duplicate cost entry {key!r}", loc)
         costs[(wname, kind)] = entry

@@ -1,6 +1,9 @@
+import collections
 import dataclasses
+import hashlib
 import json
 import random
+import sys
 
 import pytest
 
@@ -758,3 +761,120 @@ class TestHandBuiltProfiles:
                 assert str(exc.value) == message, (p.name, message)
             assert with_unit(kind)() == p  # a declared kind and key still build
             assert with_cost((workload, kind))().costs[workload, kind] == entry
+
+    @pytest.mark.parametrize("change, message", [
+        (lambda p: {"units": (UnitSpec(UnitKind.CPU, weight=2),) + p.units},
+         "units[1]: unit kind CPU declared twice"),
+        (lambda p: {"units": p.units + (UnitSpec(UnitKind.GPU, weight=4),)},
+         "units: profile may declare at most one of GPU and mGPU"),
+        (lambda p: {"name": 7}, "profile: 'name' must be a string"),
+        (lambda p: {"workloads": p.workloads + ("a,b",)},
+         "workloads[5]: 'name' must not contain a comma, a double quote, CR or LF"),
+        (lambda p: {"workloads": p.workloads + ("",)},
+         "workloads[5]: 'name' must be a non-empty string"),
+        (lambda p: {"workloads": p.workloads + (3,)},
+         "workloads[5]: 'name' must be a non-empty string"),
+        (lambda p: {"workloads": p.workloads + ("sobel",)},
+         "workloads[5]: workload 'sobel' declared twice"),
+    ])
+    def test_the_loaders_unit_and_name_rules_hold(self, change, message):
+        # sd820 declares CPU, mGPU and DSP, and five workloads
+        sd820 = builtin_profiles()["sd820"]
+        with pytest.raises(ParseError) as exc:
+            dataclasses.replace(sd820, **change(sd820))
+        assert str(exc.value) == message
+
+
+# Pin of load_profile's first error over documents with several faults at once:
+# each is a builtin with one to three seeded faults, and its outcome (`ok`, or
+# the error's type and message) is folded into one SHA-256. A change to which
+# rule the loader checks first, or to any message, changes the digest. Run as a
+# module, this file prints the digest of N documents (default as below):
+#
+#     PYTHONPATH=src python -m tests.test_profiles 5000
+REJECTION_DOCUMENTS = 1500
+REJECTION_DIGEST = "e4ad374cbd699f700c8ec936742c794754a0d929aabd562467d704aa3d4850f5"
+
+_BAD_UNIT_VALUES = {
+    "kind": ["TPU", "CLOUD", "cloud", 7, None],
+    "weight": [-1, 1.5, True, None, 10**12 + 1],
+    "gops": [0, -2.5, "x", True, 1e308],
+    "idle_watts": [-1, "x", None, 1e308, 10**400],
+}
+_COST_FIELD_NAMES = [f.name for f in dataclasses.fields(CostEntry)]
+_BAD_COST_VALUES = [-1, 2.5, True, "x", None, 10**12 + 1, 10**400]
+_BAD_WORKLOAD_NAMES = ["a,b", 'a"b', "a\nb", "", 3, None]
+_BAD_INTERVALS = [[5, 2], [-1, 5], [1], "x", [1, 2.0], [True, 2], [0, 10**400], None]
+
+
+def _fault(rng: random.Random, doc: dict) -> None:
+    """Apply one seeded fault from a fixed list to a profile document in place."""
+    units, workloads, costs = doc["units"], doc["workloads"], doc["costs"]
+    fault = rng.randrange(8)
+    if fault == 0:  # a bad unit value
+        field, values = rng.choice(sorted(_BAD_UNIT_VALUES.items()))
+        rng.choice(units)[field] = rng.choice(values)
+    elif fault == 1:  # a repeated kind, in either case
+        unit = dict(rng.choice(units))
+        if isinstance(unit["kind"], str) and rng.random() < 0.5:
+            unit["kind"] = unit["kind"].swapcase()
+        units.insert(rng.randrange(1, len(units) + 1), unit)
+    elif fault == 2:  # GPU beside mGPU
+        units.insert(rng.randrange(len(units) + 1), {"kind": rng.choice(["GPU", "mGPU"])})
+    elif fault == 3:  # a lower-case cost key with a bad field, moved to the end
+        key = rng.choice(list(costs))
+        workload, _, kind = key.rpartition("@")
+        entry = dict(costs.pop(key))
+        entry[rng.choice(_COST_FIELD_NAMES)] = rng.choice(_BAD_COST_VALUES)
+        costs[f"{workload}@{kind.lower()}"] = entry
+    elif fault == 4:  # a repeated cost key: the same pair, its unit in another case
+        key = rng.choice(list(costs))
+        workload, _, kind = key.rpartition("@")
+        costs[f"{workload}@{kind.swapcase()}"] = dict(costs[key])
+    elif fault == 5:  # a bad workload name, or one declared twice
+        names = [w.get("name") for w in workloads]
+        rng.choice(workloads)["name"] = rng.choice(_BAD_WORKLOAD_NAMES + names)
+    elif fault == 6:  # a broken cloud interval
+        doc["cloud"] = {"latency_us": rng.choice(_BAD_INTERVALS),
+                        "energy_uj": rng.choice([1, -1, "x"])}
+    else:  # a removed kernel time: omitted or null
+        entry = costs[rng.choice(list(costs))]
+        if rng.random() < 0.5:
+            entry.pop("kernel_us", None)
+        else:
+            entry["kernel_us"] = None
+
+
+def rejection_digest(documents: int) -> tuple:
+    """(digest, outcome counts) of the first `documents` faulty documents."""
+    builtins = sorted(BUILTIN_PROFILE_TEXTS.items())
+    rng = random.Random(28)
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for i in range(documents):
+        name, text = rng.choice(builtins)
+        doc = json.loads(text)
+        for _ in range(rng.randint(1, 3)):
+            _fault(rng, doc)
+        try:
+            load_profile(json.dumps(doc), name)
+            outcome = "ok"
+        except SimrtError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{i}|{outcome}\n".encode())
+        counts[outcome.partition(":")[0]] += 1
+    return digest.hexdigest(), counts
+
+
+def test_the_first_error_of_faulty_documents_is_pinned():
+    digest, counts = rejection_digest(REJECTION_DOCUMENTS)
+    # every error type the loader raises, and some documents that still load
+    assert set(counts) == {"ok", "ParseError", "NegativeValue", "BadInterval",
+                           "MissingCost"}, counts
+    assert digest == REJECTION_DIGEST, (counts, digest)
+
+
+if __name__ == "__main__":
+    documents = int(sys.argv[1]) if len(sys.argv) > 1 else REJECTION_DOCUMENTS
+    digest, counts = rejection_digest(documents)
+    print(f"{documents} documents, {dict(sorted(counts.items()))}: {digest}")
