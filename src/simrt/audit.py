@@ -12,7 +12,7 @@ from collections import deque
 from .engine import (LABEL_CLOUD, LABEL_HP, PHASE_CLOUD_COMPLETE,
                      PHASE_CLOUD_SUBMIT, PHASE_COMPLETE, PHASE_DISPATCH,
                      PHASE_DROP, PHASE_KERNEL, PHASE_SETUP, PHASE_XFER_IN,
-                     PHASE_XFER_OUT, Trace, _records_of)
+                     PHASE_XFER_OUT, Trace, _check_types, _records_of)
 from .errors import AuditError
 from .profiles import PlatformProfile
 from .scheduler import SchedulerState
@@ -86,6 +86,7 @@ def audit_unit_exclusivity(trace: Trace) -> None:
 
 def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
     """No task starts before its release time and all dependency completions."""
+    _check_types(("scenario", scenario, TaskGraph))
     done_at: dict = {}
     started_at: dict = {}
     for time_us, tid, _, _, phase in _records_of(trace):
@@ -116,6 +117,7 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                             fpga_as_gpu: bool = False) -> None:
     """No participating unit sits idle across a time step while its own FIFO
     holds a task or the high-priority queue head is runnable on it."""
+    _check_types(("profile", profile, PlatformProfile))
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
     fifos: dict = {u.value: deque() for u in state.units}
     hp: deque = deque()  # (task id, workload)
@@ -267,6 +269,7 @@ def audit_all(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
     """Run every audit; raises AuditError on the first violation. One replay
     decides a trace that passes; any other goes through the four audits in
     turn, so the error raised is the first one they raise."""
+    _check_types(("scenario", scenario, TaskGraph), ("profile", profile, PlatformProfile))
     try:
         if _passes(trace, scenario, profile, weights, fpga_as_gpu):
             return

@@ -34,6 +34,16 @@ def _read_file(path: str) -> bytes:
         raise ParseError(f"cannot read: {exc.strerror or exc}", path) from None
 
 
+def _write_file(path: str, write) -> None:
+    """Call write on the text file at path; a file that cannot be opened or
+    written is a ParseError, as one that cannot be read."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot write: {exc.strerror or exc}", path) from None
+
+
 def _load_profile_arg(name_or_path: str) -> PlatformProfile:
     if os.path.exists(name_or_path):
         return load_profile(_read_file(name_or_path), name=os.path.basename(name_or_path))
@@ -169,8 +179,7 @@ def cmd_trace(args) -> int:
     policy = Policy.parse(args.policy)
     metrics, trace = simulate(scenario, profile, policy, config)
 
-    with open(args.out, "w", encoding="utf-8") as fh:
-        trace.write_csv(fh)
+    _write_file(args.out, trace.write_csv)
     print(f"wrote {len(trace)} records to {args.out} (seed: {config.seed})")
 
     if args.breakdown:
@@ -198,9 +207,8 @@ def cmd_gen(args) -> int:
         # the pinned local variants share one graph: a scenario file holds no pinning
         name = "inference-cloud" if args.variant == "cloud" else "inference-cpu"
         graph = next(s.graph for s in inference_comparison() if s.name == name)
-    text = dump_scenario(graph)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    text = dump_scenario(graph) + "\n"
+    _write_file(args.out, lambda fh: fh.write(text))
     print(f"wrote {len(graph)} tasks to {args.out}")
     return EXIT_OK
 

@@ -104,7 +104,16 @@ class Trace:
 def _records_of(trace: Trace | None) -> list:
     if trace is None:
         raise AuditError("no trace to read: the run was made with record_trace=False")
+    if not isinstance(trace, Trace):  # its type, not its repr: a records list can be huge
+        raise InvalidConfig(f"trace must be a Trace, got {type(trace).__name__}")
     return trace.records
+
+
+def _check_types(*args) -> None:
+    """Raise InvalidConfig for the first (name, value, type) whose value is not of its type."""
+    for name, value, kind in args:
+        if not isinstance(value, kind):
+            raise InvalidConfig(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -169,16 +178,37 @@ class SimResult(NamedTuple):
     trace: Trace | None  # None when the config sets record_trace=False
 
 
+def _latency_totals(profile: PlatformProfile) -> dict:
+    """completing label -> [latency sum, completions], in the avg_latency_ms order"""
+    return {label: [0, 0] for label in [u.kind.value for u in profile.units] + [LABEL_CLOUD]}
+
+
+def _metrics(latency: dict, energy_uj: int, drops: int, makespan: int,
+             profile: PlatformProfile, scenario: TaskGraph) -> Metrics:
+    """A run's Metrics from its _latency_totals, completions' energy, drops and makespan."""
+    completed = sum(count for _, count in latency.values())
+    idle_watts = sum(u.idle_watts for u in profile.units)
+    return Metrics(
+        throughput_tasks_per_ms=completed / (makespan / 1000) if makespan else 0.0,
+        avg_latency_ms={label: total / count / 1000
+                        for label, (total, count) in latency.items() if count},
+        total_energy_uj=energy_uj + round(idle_watts * makespan),
+        drops=drops, makespan_us=makespan, completed=completed,
+        skipped=len(scenario) - completed)
+
+
 def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
                     scenario: TaskGraph) -> Metrics:
     """Derive run metrics from a trace, independently of the engine, which
-    accumulates the same metrics as it runs.
+    accumulates the same totals as it runs.
 
     Throughput is completed tasks per millisecond of makespan; latency is
     dispatch-to-completion, averaged per completing unit; energy sums each
     completed task's per-run energy plus any configured idle power over the
     makespan; skipped counts the scenario's tasks that never completed.
     """
+    _check_types(("profile", profile, PlatformProfile), ("config", config, SimConfig),
+                 ("scenario", scenario, TaskGraph))
     dispatch_t = {}
     completes = []
     drops = 0
@@ -198,13 +228,12 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     start = min(dispatch_t.values()) if dispatch_t else 0
     makespan = max(end_times) - start if end_times else 0
 
-    latencies: dict = {}
+    latency = _latency_totals(profile)
     energy_memo: dict = {}  # (workload, unit label) -> per-run energy
     kinds = {u.kind.value: u.kind for u in profile.units} | {LABEL_CLOUD: UnitKind.CLOUD}
     energy_uj = 0
     for tid, workload, unit, t in completes:
-        latencies.setdefault(unit, []).append(t - dispatch_t[tid])
-        if (workload, unit) not in energy_memo:
+        if (workload, unit) not in energy_memo:  # before the totals: a bad label has no slot
             kind = kinds.get(unit)
             if not (profile.has_cloud if kind is UnitKind.CLOUD
                     else (workload, kind) in profile.costs):
@@ -212,29 +241,9 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
                                  f"{profile.name!r} cannot run {workload!r}")
             energy_memo[workload, unit] = energy_of(profile, workload, kind)
         energy_uj += energy_memo[workload, unit]
-
-    idle_watts = sum(u.idle_watts for u in profile.units)
-    energy_uj += round(idle_watts * makespan)
-
-    unit_order = [u.kind.value for u in profile.units] + [LABEL_CLOUD]
-    avg_latency = {
-        label: sum(vals) / len(vals) / 1000
-        for label in unit_order
-        if (vals := latencies.get(label))
-    }
-
-    completed = len(completes)
-    throughput = completed / (makespan / 1000) if makespan else 0.0
-    skipped = len(scenario) - completed
-    return Metrics(
-        throughput_tasks_per_ms=throughput,
-        avg_latency_ms=avg_latency,
-        total_energy_uj=energy_uj,
-        drops=drops,
-        makespan_us=makespan,
-        completed=completed,
-        skipped=skipped,
-    )
+        latency[unit][0] += t - dispatch_t[tid]
+        latency[unit][1] += 1
+    return _metrics(latency, energy_uj, drops, makespan, profile, scenario)
 
 
 def _phase_table(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
@@ -321,9 +330,7 @@ class _Engine:
         self.dispatched_at: dict = {}  # task id -> dispatch time, until it completes
         self.last_end = None  # latest completion in the makespan
         self.cloud_energy = None  # looked up at the first cloud completion: it is flat
-        # completing label -> [latency sum, completions], in the avg_latency_ms order
-        self.latency = {label: [0, 0] for label in
-                        [u.kind.value for u in profile.units] + [LABEL_CLOUD]}
+        self.latency = _latency_totals(profile)
         self.energy_uj = self.drops = 0
 
     # -- dispatch and execution -------------------------------------------
@@ -394,15 +401,8 @@ class _Engine:
                 f"simulation did not quiesce: pending={list(pending)} "
                 f"running={list(self.dispatched_at)} buffers_in_use={len(self.buffer_refs)}")
         makespan = self.last_end - first_dispatch if self.last_end is not None else 0
-        idle_watts = sum(u.idle_watts for u in self.profile.units)
-        completed = sum(count for _, count in self.latency.values())
-        return SimResult(Metrics(
-            throughput_tasks_per_ms=completed / (makespan / 1000) if makespan else 0.0,
-            avg_latency_ms={label: total / count / 1000
-                            for label, (total, count) in self.latency.items() if count},
-            total_energy_uj=self.energy_uj + round(idle_watts * makespan),
-            drops=self.drops, makespan_us=makespan, completed=completed,
-            skipped=len(self.scenario) - completed), self.trace)
+        return SimResult(_metrics(self.latency, self.energy_uj, self.drops, makespan,
+                                  self.profile, self.scenario), self.trace)
 
     def _dispatch(self, tid: int, now: int) -> None:
         task = self.tasks[tid]
@@ -521,9 +521,6 @@ def simulate(scenario: TaskGraph, profile: PlatformProfile, policy: Policy,
     The result is a pure function of the arguments: identical inputs and
     seed produce identical metrics and a byte-identical trace.
     """
-    for name, value, kind in zip(("scenario", "profile", "policy", "config"),
-                                 (scenario, profile, policy, config),
-                                 (TaskGraph, PlatformProfile, Policy, SimConfig)):
-        if not isinstance(value, kind):
-            raise InvalidConfig(f"{name} must be a {kind.__name__}, got {value!r}")
+    _check_types(("scenario", scenario, TaskGraph), ("profile", profile, PlatformProfile),
+                 ("policy", policy, Policy), ("config", config, SimConfig))
     return _Engine(scenario, validate_graph(scenario), profile, policy, config).run()

@@ -29,7 +29,7 @@ class CycleDetected(GraphError):
 
 
 class ParseError(SimrtError):
-    """Malformed scenario or profile document."""
+    """Malformed scenario or profile document, or a file that cannot be read or written."""
 
     def __init__(self, message: str, location: str = ""):
         self.location = location

@@ -477,17 +477,27 @@ class TestUnreadableInputs:
         assert_input_error(code, out, err)
         assert str(path) in err
 
-    @pytest.mark.parametrize("command", ["trace", "gen"])
-    def test_unwritable_out_is_not_an_input_error(self, tmp_path, conv_scenario, command):
-        """Only the input files are input errors: a run that cannot write its
-        output (a directory, or a file in a directory that does not exist)
-        raises the OSError rather than exiting 2."""
+    @pytest.mark.parametrize("command, out, reason", [
+        ("trace", "missing", "No such file or directory"),
+        ("gen", "missing", "No such file or directory"),
+        ("trace", "directory", "Is a directory"),
+        ("gen", "directory", "Is a directory"),
+        ("trace", "/dev/full", "No space left on device"),
+    ])
+    def test_unwritable_out_is_an_input_error(self, capsys, tmp_path, conv_scenario,
+                                              command, out, reason):
+        """An --out that cannot be opened (a file in a directory that does not
+        exist, a directory) or written (a full device) exits 2 with one
+        `error:` line naming the path, and reports no `wrote` line."""
+        if out == "/dev/full" and not os.path.exists(out):
+            pytest.skip("no /dev/full here")
+        path = {"missing": str(tmp_path / "missing" / "x.csv"),
+                "directory": str(tmp_path)}.get(out, out)
         args = {"trace": ["-p", "sd820", "-s", conv_scenario],
                 "gen": ["--scenario", "conv", "--n", "5"]}[command]
-        with pytest.raises(IsADirectoryError):
-            main([command, *args, "--out", str(tmp_path)])
-        with pytest.raises(FileNotFoundError):
-            main([command, *args, "--out", str(tmp_path / "missing" / "x.csv")])
+        code, stdout, err = run_cli(capsys, command, *args, "--out", path)
+        assert_input_error(code, stdout, err)
+        assert err == f"error: {path}: cannot write: {reason}\n"
 
 
 def _profile_file(tmp_path, **unit_fields) -> str:

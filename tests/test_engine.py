@@ -14,7 +14,7 @@ import simrt.engine
 import simrt.scheduler
 import simrt.tasks
 from simrt import (AuditError, BasicPolicy, CycleDetected, DuplicateId, EngineError,
-                   InvalidConfig, PlatformProfile, Policy, SchedulerState, SetupMode,
+                   InvalidConfig, Metrics, PlatformProfile, Policy, SchedulerState, SetupMode,
                    SimConfig, SimrtError, Task, TaskGraph, TaskTags, Trace, TraceRecord,
                    UnitKind, UnknownDependency, UnresolvableCost, audit, builtin_profiles,
                    compute_metrics, convolution_batch, dump_scenario, energy_of,
@@ -380,6 +380,40 @@ class TestComputeMetrics:
         m, _ = simulate(TaskGraph([rt(1)]), p, Policy(BasicPolicy.LATENCY))
         # 10 uJ active + 2 W for 1000 us = 2000 uJ idle
         assert m.total_energy_uj == 2010
+
+    @pytest.mark.parametrize("cloud_in_makespan", [True, False])
+    def test_every_field_by_hand(self, cloud_in_makespan):
+        """Each metric against arithmetic done by hand on a trace over two
+        local units and the cloud, with idle power and a task that never
+        completes (dropped behind task 1's image)."""
+        p = load_profile(json.dumps({
+            "units": [{"kind": "DSP", "weight": 1, "idle_watts": 0.25},
+                      {"kind": "CPU", "weight": 1, "idle_watts": 0.5}],
+            "workloads": [{"name": "w"}],
+            "costs": {"w@CPU": {"kernel_us": 1, "energy_uj": 10},
+                      "w@DSP": {"kernel_us": 1, "energy_uj": 7}},
+            "cloud": {"latency_us": [1, 9000], "energy_uj": 30},
+        }))
+        records = [(100, 1, "w", "CPU", "dispatch"), (100, 2, "w", "DSP", "dispatch"),
+                   (200, 3, "w", "CLOUD", "dispatch"), (200, 3, "w", "CLOUD", "cloud_submit"),
+                   (300, 4, "w", "CPU", "dispatch"), (1100, 1, "w", "CPU", "complete"),
+                   (1100, 1, "w", "CPU", "drop"), (3100, 2, "w", "DSP", "complete"),
+                   (4300, 4, "w", "CPU", "complete"), (5200, 3, "w", "CLOUD", "cloud_complete")]
+        scenario = TaskGraph([rt(1), rt(2), rt(3), rt(4), rt(5, deps=[1], image=True)])
+        m = compute_metrics(Trace(records), p, SimConfig(cloud_in_makespan=cloud_in_makespan),
+                            scenario)
+        # from the first dispatch (100) to the last counted completion: the
+        # cloud's at 5200 or the CPU's at 4300; idle power is 0.75 W over it
+        makespan, throughput, idle_uj = ((5100, 4 / 5.1, 3825) if cloud_in_makespan
+                                         else (4200, 4 / 4.2, 3150))
+        assert m == Metrics(
+            throughput_tasks_per_ms=throughput,
+            # DSP: 3000 us; CPU: (1000 + 4000) / 2 us; CLOUD: 5000 us
+            avg_latency_ms={"DSP": 3.0, "CPU": 2.5, "CLOUD": 5.0},
+            # 2 CPU runs at 10 uJ, 1 DSP run at 7 and 1 cloud run at 30
+            total_energy_uj=57 + idle_uj, drops=1, makespan_us=makespan, completed=4,
+            skipped=1)
+        assert list(m.avg_latency_ms) == ["DSP", "CPU", "CLOUD"]  # unit order, then the cloud
 
     @pytest.mark.parametrize("records, message", [
         ([(5, 1, "convolution", "CPU", "complete")],
@@ -894,7 +928,8 @@ class TestEnumReadCounts:
 
 
 class TestSimulateArguments:
-    """simulate checks its arguments' types once per call, naming the argument."""
+    """simulate checks its arguments' types once per call, naming the argument;
+    compute_metrics and the audits that read more than the trace do the same."""
 
     @pytest.mark.parametrize("scenario", [None, [], [rt(1)], "conv"])
     def test_rejects_a_scenario_that_is_not_a_task_graph(self, scenario):
@@ -921,6 +956,27 @@ class TestSimulateArguments:
             simulate(convolution_batch(3), builtin_profiles()["sd820"],
                      Policy(BasicPolicy.THROUGHPUT), config)
         assert str(exc.value) == f"config must be a SimConfig, got {config!r}"
+
+    @pytest.mark.parametrize("check, message", [
+        (lambda t, s, p: compute_metrics(t, p, None, s), "config must be a SimConfig, got None"),
+        (lambda t, s, p: compute_metrics(t, p, SimConfig(), t.records),
+         "scenario must be a TaskGraph, got [(0, 1, "),
+        (lambda t, s, p: audit.audit_all(t, s, "sd820"),
+         "profile must be a PlatformProfile, got 'sd820'"),
+        (lambda t, s, p: audit.audit_all(t.records, s, p), "trace must be a Trace, got list"),
+        (lambda t, s, p: audit.audit_causality(t, None), "scenario must be a TaskGraph, got None"),
+        (lambda t, s, p: audit.audit_work_conservation(t, None),
+         "profile must be a PlatformProfile, got None"),
+    ], ids=["metrics-config", "metrics-scenario", "all-profile", "all-trace", "causality",
+            "work-conservation"])
+    def test_trace_readers_reject_an_argument_of_the_wrong_type(self, check, message):
+        """A trace that is not a Trace is named by its type, not its repr,
+        which for a records list can run to megabytes."""
+        scenario, profile = convolution_batch(3), builtin_profiles()["sd820"]
+        _, trace = simulate(scenario, profile, Policy(BasicPolicy.THROUGHPUT))
+        with pytest.raises(InvalidConfig) as exc:
+            check(trace, scenario, profile)
+        assert str(exc.value).startswith(message)
 
 
 def test_benchmark_tracer_finds_every_hook(monkeypatch):
