@@ -12,8 +12,8 @@ from collections import deque
 from .engine import (LABEL_CLOUD, LABEL_HP, PHASE_CLOUD_COMPLETE,
                      PHASE_CLOUD_SUBMIT, PHASE_COMPLETE, PHASE_DISPATCH,
                      PHASE_DROP, PHASE_KERNEL, PHASE_SETUP, PHASE_XFER_IN,
-                     PHASE_XFER_OUT, Trace, _check_types, _records_of)
-from .errors import AuditError
+                     PHASE_XFER_OUT, Trace, _records_of)
+from .errors import AuditError, _check_types
 from .profiles import PlatformProfile
 from .scheduler import SchedulerState
 from .tasks import TaskGraph

@@ -1,7 +1,8 @@
 """Command-line front end: validate profiles, generate scenarios, run
 simulations, compare policies, and export traces.
 
-Exit codes: 0 success, 1 simulation error, 2 input/validation error.
+Exit codes: 0 success, 1 simulation error or stdout that cannot be written,
+2 input/validation error.
 """
 
 import argparse
@@ -281,6 +282,9 @@ def main(argv=None) -> int:
     except SimrtError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except OSError as exc:  # every file but stdout is read and written through ParseError
+        print(f"error: stdout: cannot write: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_SIM_ERROR
 
 
 if __name__ == "__main__":

@@ -35,7 +35,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import scheduler as sched
-from .errors import AuditError, EngineError, InvalidConfig, InvalidScenario, UnresolvableCost
+from .errors import (AuditError, EngineError, InvalidConfig, InvalidScenario, UnresolvableCost,
+                     _check_types)
 from .profiles import (PlatformProfile, SetupMode, UnitKind, _check_setup_mode,
                        energy_of, offload_time)
 from .scheduler import (_CLOUD, Policy, RouteClass, SchedulerState, _check_flag,
@@ -107,13 +108,6 @@ def _records_of(trace: Trace | None) -> list:
     if not isinstance(trace, Trace):  # its type, not its repr: a records list can be huge
         raise InvalidConfig(f"trace must be a Trace, got {type(trace).__name__}")
     return trace.records
-
-
-def _check_types(*args) -> None:
-    """Raise InvalidConfig for the first (name, value, type) whose value is not of its type."""
-    for name, value, kind in args:
-        if not isinstance(value, kind):
-            raise InvalidConfig(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -74,6 +74,13 @@ class InvalidConfig(SimrtError):
     """A SimConfig field is out of its documented range."""
 
 
+def _check_types(*args) -> None:
+    """Raise InvalidConfig for the first (name, value, type) whose value is not of its type."""
+    for name, value, kind in args:
+        if not isinstance(value, kind):
+            raise InvalidConfig(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
 class EngineError(SimrtError):
     """The engine reached a state its invariants rule out (engine bug)."""
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
-from .errors import InvalidConfig, InvalidScenario, ParseError
+from .errors import InvalidConfig, InvalidScenario, ParseError, _check_types
 from .profiles import PlatformProfile, UnitKind
 from .tasks import Task
 
@@ -139,6 +139,7 @@ class SchedulerState:
         weights: dict | None = None,
         fpga_as_gpu: bool = False,
     ):
+        _check_types(("profile", profile, PlatformProfile))
         _check_weights(weights)
         _check_flag("fpga_as_gpu", fpga_as_gpu)
         gpu_slot = None

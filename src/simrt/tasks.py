@@ -6,7 +6,8 @@ no floating-point time.
 
 import json
 from dataclasses import FrozenInstanceError, dataclass
-from typing import Iterable, Iterator
+from itertools import chain, repeat
+from typing import Iterable, Iterator, NoReturn
 
 from .errors import CycleDetected, DuplicateId, ParseError, UnknownDependency
 
@@ -89,16 +90,23 @@ def validate_graph(graph: TaskGraph) -> tuple:
 
 def _dependency_index(graph: TaskGraph) -> tuple:
     """Build the index validate_graph returns in one pass over the graph's
-    tasks, then check it; the errors come in the order validate_graph names."""
+    tasks, then check it; the errors come in the order validate_graph names.
+    A graph whose every task comes after its deps is in dependency order, so
+    it has no unknown dep and no cycle, and needs no check."""
     ids, dependents, dep_counts = {}, {}, {}
+    ordered = True  # each task so far depends only on tasks before it
     for t in graph.tasks:
         if t.id in ids:  # the first repeat in graph order
             raise DuplicateId(t.id)
-        ids[t.id] = t
         if t.deps:
+            # deps given as a list or tuple are left to the checks below
+            ordered = ordered and type(t.deps) is frozenset and t.deps <= ids.keys()
             dep_counts[t.id] = len(t.deps)
             for dep in t.deps:
                 dependents.setdefault(dep, []).append(t.id)
+        ids[t.id] = t  # after the order check: a task that depends on itself is out of order
+    if ordered:
+        return ids, dependents, dep_counts
     for t in graph.tasks:  # per task, so deps given as a list or tuple raise TypeError
         if t.deps and not t.deps <= ids.keys():
             raise UnknownDependency(t.id, min(t.deps - ids.keys()))
@@ -152,13 +160,17 @@ def check_object(obj, keys, location: str, what: str) -> dict:
     return obj
 
 
-_TASK_KEYS = {"id", "workload", "real_time", "image_input", "deps", "release_us"}
-_INT = frozenset({int})
+_TASK_KEYS = frozenset({"id", "workload", "real_time", "image_input", "deps", "release_us"})
+_DICT, _INT, _STR, _BOOL, _LIST = (frozenset({kind}) for kind in (dict, int, str, bool, list))
 # the four tag combinations, shared by every loaded task; looked up only after
 # both values are checked to be bools, since {(1, 0): ...} matches (True, False)
 _TAGS = {(rt, img): TaskTags(rt, img) for rt in (True, False) for img in (True, False)}
 _NO_DEPS = frozenset()  # shared by every loaded task without deps
 _CSV_SPECIAL = frozenset(',"\r\n')  # a workload name goes unquoted into the trace CSV
+# entries checked at once, so that at most one chunk of parsed dicts is alive
+# next to the built tasks
+_CHUNK = 256
+_TAKEN = (None,) * _CHUNK  # stands in for a chunk's entries once they are taken
 
 
 def load_scenario(text: str | bytes) -> TaskGraph:
@@ -174,11 +186,54 @@ def load_scenario(text: str | bytes) -> TaskGraph:
     if not isinstance(entries, list):
         raise ParseError("'tasks' must be an array", "scenario")
 
-    # each rule is checked in this order and names the first one an entry
-    # breaks; the location and message are built only when one is broken
-    tasks = []
+    tasks: list = []
     names: dict = {}  # one str object per distinct workload name
-    for i, obj in enumerate(entries):
+    for start in range(0, len(entries), _CHUNK):
+        tasks += map(Task, *_chunk_columns(entries, start, names))
+    return TaskGraph(tasks)
+
+
+def _chunk_columns(entries: list, start: int, names: dict) -> tuple:
+    """The Task arguments of entries[start:start + _CHUNK] as five columns.
+    Each rule runs over the whole chunk at once; if one is broken, the
+    per-entry checks name the first broken rule.
+
+    The chunk's dicts are freed before its deps frozensets are built, and
+    its deps lists before its Tasks are. CPython's cyclic GC collects once
+    the objects it tracks that were made, less those freed, pass a threshold
+    (700); freeing first keeps that count from rising above where the chunk
+    found it, so the load starts no more collections than when each dict
+    was freed once its Task existed."""
+    chunk = entries[start:start + _CHUNK]
+    entries[start:start + _CHUNK] = _TAKEN[:len(chunk)]
+    if not (_DICT.issuperset(map(type, chunk)) and set().union(*chunk) <= _TASK_KEYS):
+        _raise_first_error(chunk, start)
+    ids, workloads, real_time, image_input, deps, release = (
+        list(map(dict.get, chunk, repeat(key), repeat(default))) for key, default in (
+            ("id", None), ("workload", None), ("real_time", True), ("image_input", False),
+            ("deps", []), ("release_us", 0)))
+    if not (_INT.issuperset(map(type, ids)) and min(ids) >= 0
+            and _STR.issuperset(map(type, workloads)) and all(workloads)
+            and _BOOL.issuperset(map(type, real_time))
+            and _BOOL.issuperset(map(type, image_input))
+            and _LIST.issuperset(map(type, deps))
+            and _INT.issuperset(map(type, chain.from_iterable(deps)))
+            and _INT.issuperset(map(type, release))
+            and min(release) >= 0 and max(release) <= MAX_UNIT_NUMBER
+            # a new name is checked once
+            and all(map(_CSV_SPECIAL.isdisjoint, new := set(workloads).difference(names)))):
+        _raise_first_error(chunk, start)
+    names.update(zip(new, new))
+    chunk.clear()  # its entries were taken out of the list: this frees the dicts
+    return (ids, map(names.__getitem__, workloads),
+            map(_TAGS.__getitem__, zip(real_time, image_input)),
+            [frozenset(d) if d else _NO_DEPS for d in deps], release)
+
+
+def _raise_first_error(chunk: list, start: int) -> NoReturn:
+    """Raise the ParseError for the first broken rule of a chunk that breaks
+    one, whose first entry is tasks[start]: each entry's rules in order."""
+    for i, obj in enumerate(chunk, start):
         if type(obj) is not dict:
             raise ParseError("task must be an object", f"tasks[{i}]")
         if not obj.keys() <= _TASK_KEYS:
@@ -192,15 +247,12 @@ def load_scenario(text: str | bytes) -> TaskGraph:
             raise ParseError("'id' must be a non-negative integer", f"tasks[{i}]")
         if type(workload) is not str or not workload:
             raise ParseError("'workload' must be a non-empty string", f"tasks[{i}]")
-        if (name := names.get(workload)) is None:  # a new name is checked once
-            if not _CSV_SPECIAL.isdisjoint(workload):
-                raise ParseError("'workload' must not contain a comma, a double quote, "
-                                 "CR or LF", f"tasks[{i}]")
-            name = names[workload] = workload
-        real_time, image_input = obj.get("real_time", True), obj.get("image_input", False)
-        if type(real_time) is not bool:
+        if not _CSV_SPECIAL.isdisjoint(workload):
+            raise ParseError("'workload' must not contain a comma, a double quote, "
+                             "CR or LF", f"tasks[{i}]")
+        if type(obj.get("real_time", True)) is not bool:
             raise ParseError("'real_time' must be a boolean", f"tasks[{i}]")
-        if type(image_input) is not bool:
+        if type(obj.get("image_input", False)) is not bool:
             raise ParseError("'image_input' must be a boolean", f"tasks[{i}]")
         deps, release = obj.get("deps", []), obj.get("release_us", 0)
         if type(deps) is not list or not _INT.issuperset(map(type, deps)):
@@ -209,10 +261,6 @@ def load_scenario(text: str | bytes) -> TaskGraph:
             raise ParseError("'release_us' must be a non-negative integer", f"tasks[{i}]")
         if release > MAX_UNIT_NUMBER:
             raise ParseError(f"'release_us' must be at most {MAX_UNIT_NUMBER:g}", f"tasks[{i}]")
-        tasks.append(Task(tid, name, _TAGS[real_time, image_input],
-                          frozenset(deps) if deps else _NO_DEPS, release))
-        entries[i] = None  # the parsed dict is garbage once its Task exists
-    return TaskGraph(tasks)
 
 
 def dump_scenario(graph: TaskGraph) -> str:

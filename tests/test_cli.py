@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 import json
 import os
 import pathlib
@@ -498,6 +499,28 @@ class TestUnreadableInputs:
         code, stdout, err = run_cli(capsys, command, *args, "--out", path)
         assert_input_error(code, stdout, err)
         assert err == f"error: {path}: cannot write: {reason}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate", "sd820"],
+        ["gen", "--scenario", "conv", "--n", "5", "--out", "conv.json"],
+    ])
+    def test_stdout_that_cannot_be_written_exits_1_with_one_line(self, monkeypatch, capsys,
+                                                                tmp_path, argv):
+        """A full stdout is no input error: one `error:` line and exit 1, as
+        the command exited before, but without a traceback."""
+        class FullStdout:
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+            def flush(self):
+                pass
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: stdout: cannot write: No space left on device\n"
 
 
 def _profile_file(tmp_path, **unit_fields) -> str:

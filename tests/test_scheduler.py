@@ -256,10 +256,13 @@ class TestStateArguments:
                                 "and weights are integers >= 0"),
         ({"weights": [("g", 1)]}, "weights must be a dict, got [('g', 1)]"),
         ({"fpga_as_gpu": "yes"}, "fpga_as_gpu must be True or False, got 'yes'"),
+        # as simulate names its profile argument
+        ({"profile": None}, "profile must be a PlatformProfile, got None"),
+        ({"profile": "sd820"}, "profile must be a PlatformProfile, got 'sd820'"),
     ])
     def test_rejects_what_simconfig_rejects(self, kwargs, message):
         with pytest.raises(InvalidConfig) as exc:
-            SchedulerState(builtin_profiles()["sd820"], **kwargs)
+            SchedulerState(**{"profile": builtin_profiles()["sd820"], **kwargs})
         assert str(exc.value) == message
 
 

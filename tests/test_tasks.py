@@ -1,16 +1,19 @@
+import collections
 import copy
 import dataclasses
+import hashlib
 import inspect
 import json
 import pickle
 import random
+import sys
 import tracemalloc
 
 import pytest
 
-from simrt import (CycleDetected, DuplicateId, ParseError, SimrtError, Task,
-                   TaskGraph, TaskTags, UnknownDependency, dump_scenario,
-                   load_scenario, robot_pipeline, validate_graph)
+from simrt import (CycleDetected, DuplicateId, ParseError, Policy, SimConfig, SimrtError,
+                   Task, TaskGraph, TaskTags, UnknownDependency, builtin_profiles,
+                   dump_scenario, load_scenario, robot_pipeline, simulate, validate_graph)
 
 from .oracle import kahn_has_topological_order
 
@@ -91,6 +94,31 @@ class TestValidateGraph:
             TaskGraph(tasks)
         assert type(exc.value) is error
         assert str(exc.value) == message
+
+    def test_a_dependent_listed_before_its_dependency_changes_nothing(self):
+        # a graph in dependency order is indexed in one pass; one that lists
+        # some dependents right before their dependency takes the full checks
+        # and must end in the same index and the same run
+        ordered = robot_pipeline(2, 25, 200, 3).tasks
+        by_id = {t.id: t for t in ordered}
+        first_dependent = {}  # task id -> the first task that depends on it
+        for t in ordered:
+            for dep in t.deps:
+                first_dependent.setdefault(dep, t)
+        tasks = list(ordered)
+        for dependent in [t for t in first_dependent.values() if len(t.deps) == 1][:20]:
+            (dep,) = dependent.deps
+            tasks.remove(dependent)
+            tasks.insert(tasks.index(by_id[dep]), dependent)
+        position = {t.id: i for i, t in enumerate(tasks)}
+        assert sum(position[dep] > position[t.id] for t in tasks for dep in t.deps) == 20
+        given, in_order = TaskGraph(tasks), TaskGraph(ordered)
+        assert validate_graph(given) == validate_graph(in_order)
+        profile = builtin_profiles()["sd820-robot"]
+        policy, config = Policy.parse("advanced:throughput"), SimConfig(buffer_capacity=4)
+        _, trace = simulate(given, profile, policy, config)
+        _, in_order_trace = simulate(in_order, profile, policy, config)
+        assert trace.to_csv() == in_order_trace.to_csv()
 
 
 class TestScenarioFiles:
@@ -353,3 +381,120 @@ class TestLoaderErrors:
             (True, True), (True, False), (False, True), (False, False)]
         assert all(type(t.tags.real_time) is bool and type(t.tags.image_input) is bool
                    for t in g)
+
+
+# Pin of load_scenario's first error over documents with several faults at
+# once: each is one of a few valid scenarios of 259 to 280 tasks with one to
+# three seeded faults, each placed at entry 0, 255, 256, 257 or the last, on
+# both sides of a 256-entry boundary. Its outcome (`ok`, or the error's type
+# and message) is folded into one SHA-256, so a change to which rule the
+# loader checks first, to where it looks, or to any message changes the
+# digest. Run as a module, this file prints the digest of N documents
+# (default as below):
+#
+#     PYTHONPATH=src python -m tests.test_tasks 5000
+SCENARIO_FAULT_DOCUMENTS = 1500
+SCENARIO_FAULT_DIGEST = "39254d1ceea5d6aaf0d1dc9e4a802a1be83ac8a348b229a695d7f794f90b7a40"
+
+_FAULT_POSITIONS = (0, 255, 256, 257, -1)
+_NAMES = ["capture", "localization", "detection", "planning"]
+
+
+def _valid_entries(rng: random.Random) -> list:
+    """A valid scenario's task entries, each dependent listed after its deps
+    except, sometimes, one adjacent pair listed the other way round."""
+    n = rng.randint(259, 280)
+    ids = rng.sample(range(3 * n), n)
+    entries = []
+    for i, tid in enumerate(ids):
+        entry = {"id": tid, "workload": rng.choice(_NAMES)}
+        if rng.random() < 0.5:
+            entry["real_time"] = rng.random() < 0.5
+        if rng.random() < 0.3:
+            entry["image_input"] = rng.random() < 0.5
+        if i and rng.random() < 0.6:
+            entry["deps"] = rng.sample(ids[max(0, i - 8):i], rng.randint(1, min(i, 3)))
+        if rng.random() < 0.7:
+            entry["release_us"] = rng.randrange(10**7)
+        entries.append(entry)
+    if rng.random() < 0.5:
+        i = rng.randrange(1, n)
+        entries[i - 1], entries[i] = entries[i], entries[i - 1]
+    return entries
+
+
+def _scenario_fault(rng: random.Random, entries: list) -> None:
+    """Apply one seeded fault from a fixed list at one of the fault positions
+    that still holds an object; an entry is copied before it is changed."""
+    positions = [p % len(entries) for p in _FAULT_POSITIONS
+                 if type(entries[p]) is dict]
+    p = rng.choice(positions)
+    entry = entries[p] = dict(entries[p])
+    fault = rng.randrange(12)
+    if fault == 0:  # a non-object entry
+        entries[p] = rng.choice([1, "t", None, [], True])
+    elif fault == 1:  # an unknown key
+        entry[rng.choice(["priority", "ID", "dep"])] = 3
+    elif fault == 2:  # a missing id or workload
+        entry.pop(rng.choice(["id", "workload"]), None)
+    elif fault == 3:  # a bool or negative id
+        entry["id"] = rng.choice([True, False, -1, -7])
+    elif fault == 4:  # an empty or comma-bearing workload
+        entry["workload"] = rng.choice(["", "a,b", "detection,2"])
+    elif fault == 5:  # an int tag
+        entry[rng.choice(["real_time", "image_input"])] = rng.choice([0, 1])
+    elif fault == 6:  # deps that are not a list
+        entry["deps"] = rng.choice([None, {}, "12", 3])
+    elif fault == 7:  # a bool dep
+        entry["deps"] = _deps(entry) + [rng.choice([True, False])]
+    elif fault == 8:  # a bool, negative or too large release
+        entry["release_us"] = rng.choice([True, False, -1, 10**12 + 1, 10**13])
+    elif fault == 9:  # an id repeated from another entry
+        other = rng.choice([e for e in entries if type(e) is dict and e is not entry])
+        entry["id"] = other.get("id", 0)
+    elif fault == 10:  # a dep on an id no entry has
+        entry["deps"] = _deps(entry) + [10**9 + rng.randrange(10)]
+    else:  # a cycle: a self-loop, or two entries that depend on each other
+        q = rng.choice(positions)
+        other = entries[q] = entry if q == p else dict(entries[q])
+        entry["deps"] = _deps(entry) + [other.get("id", 0)]
+        other["deps"] = _deps(other) + [entry.get("id", 0)]
+
+
+def _deps(entry: dict) -> list:
+    deps = entry.get("deps", [])
+    return list(deps) if type(deps) is list else []
+
+
+def scenario_fault_digest(documents: int) -> tuple:
+    """(digest, outcome counts) of the first `documents` faulty scenarios."""
+    rng = random.Random(30)
+    bases = [_valid_entries(rng) for _ in range(8)]
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for i in range(documents):
+        entries = list(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            _scenario_fault(rng, entries)
+        try:
+            load_scenario(json.dumps({"tasks": entries}))
+            outcome = "ok"
+        except SimrtError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        digest.update(f"{i}|{outcome}\n".encode())
+        counts[outcome.partition(":")[0]] += 1
+    return digest.hexdigest(), counts
+
+
+def test_the_first_error_of_faulty_scenarios_is_pinned():
+    digest, counts = scenario_fault_digest(SCENARIO_FAULT_DOCUMENTS)
+    # every error type the loader raises
+    assert {"ParseError", "DuplicateId", "UnknownDependency",
+            "CycleDetected"} <= set(counts), counts
+    assert digest == SCENARIO_FAULT_DIGEST, (counts, digest)
+
+
+if __name__ == "__main__":
+    documents = int(sys.argv[1]) if len(sys.argv) > 1 else SCENARIO_FAULT_DOCUMENTS
+    digest, counts = scenario_fault_digest(documents)
+    print(f"{documents} documents, {dict(sorted(counts.items()))}: {digest}")
