@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, dataclass
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NoReturn
 
-from .errors import CycleDetected, DuplicateId, ParseError, UnknownDependency
+from .errors import CycleDetected, DuplicateId, GraphError, ParseError, UnknownDependency
 
 # ceiling on every time, energy, count, weight and rate a profile or scenario
 # holds; larger values overflow the float arithmetic of kernel times and metrics
@@ -81,10 +81,11 @@ class TaskGraph:
 
 
 def validate_graph(graph: TaskGraph) -> tuple:
-    """Raise DuplicateId, UnknownDependency or CycleDetected, or return the
-    graph's read-only index: (task by id, dependent ids by id, dep count by
-    id), the last two only for tasks that have any. Only TaskGraph's
-    constructor builds it; every later call returns the index it kept."""
+    """Raise DuplicateId, GraphError (deps not a frozenset), UnknownDependency
+    or CycleDetected, or return the graph's read-only index: (task by id,
+    dependent ids by id, dep count by id), the last two only for tasks that
+    have any. Only TaskGraph's constructor builds it; every later call
+    returns the index it kept."""
     return getattr(graph, "_index", None) or _dependency_index(graph)  # unset in __init__
 
 
@@ -99,7 +100,7 @@ def _dependency_index(graph: TaskGraph) -> tuple:
         if t.id in ids:  # the first repeat in graph order
             raise DuplicateId(t.id)
         if t.deps:
-            # deps given as a list or tuple are left to the checks below
+            # deps that are not a frozenset are left to the checks below
             ordered = ordered and type(t.deps) is frozenset and t.deps <= ids.keys()
             dep_counts[t.id] = len(t.deps)
             for dep in t.deps:
@@ -107,7 +108,10 @@ def _dependency_index(graph: TaskGraph) -> tuple:
         ids[t.id] = t  # after the order check: a task that depends on itself is out of order
     if ordered:
         return ids, dependents, dep_counts
-    for t in graph.tasks:  # per task, so deps given as a list or tuple raise TypeError
+    for t in graph.tasks:  # a hand-built task's deps may be a list, which <= cannot compare
+        if t.deps and not isinstance(t.deps, frozenset):
+            raise GraphError(f"task {t.id}: deps must be a frozenset, not {type(t.deps).__name__}")
+    for t in graph.tasks:
         if t.deps and not t.deps <= ids.keys():
             raise UnknownDependency(t.id, min(t.deps - ids.keys()))
 
@@ -160,8 +164,10 @@ def check_object(obj, keys, location: str, what: str) -> dict:
     return obj
 
 
-_TASK_KEYS = frozenset({"id", "workload", "real_time", "image_input", "deps", "release_us"})
-_DICT, _INT, _STR, _BOOL, _LIST = (frozenset({kind}) for kind in (dict, int, str, bool, list))
+_ABSENT = object()  # a missing required key's value: no JSON value is an object()
+_DEFAULTS = {"id": _ABSENT, "workload": _ABSENT, "real_time": True, "image_input": False,
+             "deps": [], "release_us": 0}  # the value of a key a task entry leaves out
+_TASK_KEYS = frozenset(_DEFAULTS)
 # the four tag combinations, shared by every loaded task; looked up only after
 # both values are checked to be bools, since {(1, 0): ...} matches (True, False)
 _TAGS = {(rt, img): TaskTags(rt, img) for rt in (True, False) for img in (True, False)}
@@ -171,6 +177,32 @@ _CSV_SPECIAL = frozenset(',"\r\n')  # a workload name goes unquoted into the tra
 # next to the built tasks
 _CHUNK = 256
 _TAKEN = (None,) * _CHUNK  # stands in for a chunk's entries once they are taken
+# Each rule a task entry must keep, as (key, test, message), in the order an
+# entry is checked. A test takes the key's values in some entries (the entries
+# themselves for key None), all of which keep the rules before it, and the set
+# of their types; it holds if every value keeps its rule, and runs in C.
+_ENTRY_RULES = (
+    (None, lambda col, kinds: kinds <= {dict}, "task must be an object"),
+    (None, lambda col, kinds: set().union(*col) <= _TASK_KEYS,
+     lambda obj: f"unknown keys: {sorted(obj.keys() - _TASK_KEYS)}"),
+    ("id", lambda col, kinds: type(_ABSENT) not in kinds, "missing 'id'"),
+    ("workload", lambda col, kinds: type(_ABSENT) not in kinds, "missing 'workload'"),
+    ("id", lambda col, kinds: kinds <= {int} and min(col) >= 0,
+     "'id' must be a non-negative integer"),
+    ("workload", lambda col, kinds: kinds <= {str} and all(col),
+     "'workload' must be a non-empty string"),
+    ("workload", lambda col, kinds: all(map(_CSV_SPECIAL.isdisjoint, set(col))),
+     "'workload' must not contain a comma, a double quote, CR or LF"),
+    ("real_time", lambda col, kinds: kinds <= {bool}, "'real_time' must be a boolean"),
+    ("image_input", lambda col, kinds: kinds <= {bool}, "'image_input' must be a boolean"),
+    ("deps", lambda col, kinds: kinds <= {list}
+     and {int}.issuperset(map(type, chain.from_iterable(col))),
+     "'deps' must be an array of integers"),
+    ("release_us", lambda col, kinds: kinds <= {int} and min(col) >= 0,
+     "'release_us' must be a non-negative integer"),
+    ("release_us", lambda col, kinds: max(col) <= MAX_UNIT_NUMBER,
+     f"'release_us' must be at most {MAX_UNIT_NUMBER:g}"),
+)
 
 
 def load_scenario(text: str | bytes) -> TaskGraph:
@@ -195,8 +227,8 @@ def load_scenario(text: str | bytes) -> TaskGraph:
 
 def _chunk_columns(entries: list, start: int, names: dict) -> tuple:
     """The Task arguments of entries[start:start + _CHUNK] as five columns.
-    Each rule runs over the whole chunk at once; if one is broken, the
-    per-entry checks name the first broken rule.
+    Each rule of _ENTRY_RULES tests its column of the whole chunk once; only
+    if one fails does _raise_first_error search the chunk entry by entry.
 
     The chunk's dicts are freed before its deps frozensets are built, and
     its deps lists before its Tasks are. CPython's cyclic GC collects once
@@ -206,61 +238,33 @@ def _chunk_columns(entries: list, start: int, names: dict) -> tuple:
     was freed once its Task existed."""
     chunk = entries[start:start + _CHUNK]
     entries[start:start + _CHUNK] = _TAKEN[:len(chunk)]
-    if not (_DICT.issuperset(map(type, chunk)) and set().union(*chunk) <= _TASK_KEYS):
-        _raise_first_error(chunk, start)
-    ids, workloads, real_time, image_input, deps, release = (
-        list(map(dict.get, chunk, repeat(key), repeat(default))) for key, default in (
-            ("id", None), ("workload", None), ("real_time", True), ("image_input", False),
-            ("deps", []), ("release_us", 0)))
-    if not (_INT.issuperset(map(type, ids)) and min(ids) >= 0
-            and _STR.issuperset(map(type, workloads)) and all(workloads)
-            and _BOOL.issuperset(map(type, real_time))
-            and _BOOL.issuperset(map(type, image_input))
-            and _LIST.issuperset(map(type, deps))
-            and _INT.issuperset(map(type, chain.from_iterable(deps)))
-            and _INT.issuperset(map(type, release))
-            and min(release) >= 0 and max(release) <= MAX_UNIT_NUMBER
-            # a new name is checked once
-            and all(map(_CSV_SPECIAL.isdisjoint, new := set(workloads).difference(names)))):
-        _raise_first_error(chunk, start)
-    names.update(zip(new, new))
+    columns = {None: (chunk, set(map(type, chunk)))}  # key -> (values, their types)
+    for key, test, _ in _ENTRY_RULES:
+        if key not in columns:
+            col = list(map(dict.get, chunk, repeat(key), repeat(_DEFAULTS[key])))
+            columns[key] = col, set(map(type, col))
+        if not test(*columns[key]):
+            _raise_first_error(chunk, start)
     chunk.clear()  # its entries were taken out of the list: this frees the dicts
-    return (ids, map(names.__getitem__, workloads),
+    ids, workloads, real_time, image_input, deps, release = (columns[key][0] for key in _DEFAULTS)
+    return (ids, map(names.setdefault, workloads, workloads),  # a name's first str object
             map(_TAGS.__getitem__, zip(real_time, image_input)),
             [frozenset(d) if d else _NO_DEPS for d in deps], release)
 
 
 def _raise_first_error(chunk: list, start: int) -> NoReturn:
-    """Raise the ParseError for the first broken rule of a chunk that breaks
-    one, whose first entry is tasks[start]: each entry's rules in order."""
-    for i, obj in enumerate(chunk, start):
-        if type(obj) is not dict:
-            raise ParseError("task must be an object", f"tasks[{i}]")
-        if not obj.keys() <= _TASK_KEYS:
-            raise ParseError(f"unknown keys: {sorted(obj.keys() - _TASK_KEYS)}", f"tasks[{i}]")
-        if "id" not in obj:
-            raise ParseError("missing 'id'", f"tasks[{i}]")
-        if "workload" not in obj:
-            raise ParseError("missing 'workload'", f"tasks[{i}]")
-        tid, workload = obj["id"], obj["workload"]
-        if type(tid) is not int or tid < 0:
-            raise ParseError("'id' must be a non-negative integer", f"tasks[{i}]")
-        if type(workload) is not str or not workload:
-            raise ParseError("'workload' must be a non-empty string", f"tasks[{i}]")
-        if not _CSV_SPECIAL.isdisjoint(workload):
-            raise ParseError("'workload' must not contain a comma, a double quote, "
-                             "CR or LF", f"tasks[{i}]")
-        if type(obj.get("real_time", True)) is not bool:
-            raise ParseError("'real_time' must be a boolean", f"tasks[{i}]")
-        if type(obj.get("image_input", False)) is not bool:
-            raise ParseError("'image_input' must be a boolean", f"tasks[{i}]")
-        deps, release = obj.get("deps", []), obj.get("release_us", 0)
-        if type(deps) is not list or not _INT.issuperset(map(type, deps)):
-            raise ParseError("'deps' must be an array of integers", f"tasks[{i}]")
-        if type(release) is not int or release < 0:
-            raise ParseError("'release_us' must be a non-negative integer", f"tasks[{i}]")
-        if release > MAX_UNIT_NUMBER:
-            raise ParseError(f"'release_us' must be at most {MAX_UNIT_NUMBER:g}", f"tasks[{i}]")
+    """Raise the ParseError of a chunk whose first entry is tasks[start]: the
+    first rule broken by the first entry that breaks one. Each rule in turn
+    tests the entries before the lowest broken index found so far, which keep
+    every earlier rule, so the rule that lowers it last is that entry's first."""
+    bad = len(chunk)
+    for key, test, message in _ENTRY_RULES:
+        for i, obj in enumerate(chunk[:bad]):
+            value = obj if key is None else obj.get(key, _DEFAULTS[key])
+            if not test([value], {type(value)}):
+                bad, broken = i, message
+                break
+    raise ParseError(broken(chunk[bad]) if callable(broken) else broken, f"tasks[{start + bad}]")
 
 
 def dump_scenario(graph: TaskGraph) -> str:

@@ -1,3 +1,4 @@
+import argparse
 import collections
 import copy
 import dataclasses
@@ -6,13 +7,13 @@ import inspect
 import json
 import pickle
 import random
-import sys
 import tracemalloc
 
 import pytest
 
-from simrt import (CycleDetected, DuplicateId, ParseError, Policy, SimConfig, SimrtError,
-                   Task, TaskGraph, TaskTags, UnknownDependency, builtin_profiles,
+import simrt.tasks
+from simrt import (CycleDetected, DuplicateId, GraphError, ParseError, Policy, SimConfig,
+                   SimrtError, Task, TaskGraph, TaskTags, UnknownDependency, builtin_profiles,
                    dump_scenario, load_scenario, robot_pipeline, simulate, validate_graph)
 
 from .oracle import kahn_has_topological_order
@@ -88,6 +89,10 @@ class TestValidateGraph:
         # the smallest id) and its smallest unknown dep are named
         ([task(1, deps=[2]), task(2, deps=[1]), task(6, deps=[9, 7, 1]), task(3, deps=[4])],
          UnknownDependency, "task 6 depends on unknown task 7"),
+        # hand-built deps that are not a frozenset, after an unknown dep: the
+        # task is named, where comparing a list with the ids raised TypeError
+        ([task(1, deps=[9]), Task(2, "w", deps=[1])], GraphError,
+         "task 2: deps must be a frozenset, not list"),
     ])
     def test_the_constructor_checks_in_order(self, tasks, error, message):
         with pytest.raises(SimrtError) as exc:
@@ -383,16 +388,29 @@ class TestLoaderErrors:
                    for t in g)
 
 
+def test_every_message_of_the_entry_rules_is_pinned_by_the_loader_errors():
+    # so TestLoaderErrors checks each entry rule's exact wording
+    pinned = [(message, json.loads(text)["tasks"])
+              for text, message, location in _REJECTIONS if location.startswith("tasks[")]
+    for _, _, message in simrt.tasks._ENTRY_RULES:
+        if callable(message):  # worded from the entry
+            assert any(message(entry) == pinned_message for pinned_message, entries in pinned
+                       for entry in entries if type(entry) is dict), message
+        else:
+            assert message in dict(pinned), message
+
+
 # Pin of load_scenario's first error over documents with several faults at
 # once: each is one of a few valid scenarios of 259 to 280 tasks with one to
 # three seeded faults, each placed at entry 0, 255, 256, 257 or the last, on
 # both sides of a 256-entry boundary. Its outcome (`ok`, or the error's type
 # and message) is folded into one SHA-256, so a change to which rule the
 # loader checks first, to where it looks, or to any message changes the
-# digest. Run as a module, this file prints the digest of N documents
-# (default as below):
+# digest. Run as a module, this file prints the digest of N such documents
+# and that of M fuzzed ones (below; defaults as pinned), so that two trees
+# can be compared beyond what is pinned:
 #
-#     PYTHONPATH=src python -m tests.test_tasks 5000
+#     PYTHONPATH=src python -m tests.test_tasks 30000 --fuzz 20000
 SCENARIO_FAULT_DOCUMENTS = 1500
 SCENARIO_FAULT_DIGEST = "39254d1ceea5d6aaf0d1dc9e4a802a1be83ac8a348b229a695d7f794f90b7a40"
 
@@ -494,7 +512,89 @@ def test_the_first_error_of_faulty_scenarios_is_pinned():
     assert digest == SCENARIO_FAULT_DIGEST, (counts, digest)
 
 
+# Seeded fuzz of load_scenario: documents of 1 to 300 entries, mostly valid,
+# with random JSON values (null, bools, integers, floats, strings with a
+# comma, nested arrays and objects) put into random fields of random entries,
+# or in place of whole entries. Every outcome must be a TaskGraph or a
+# SimrtError; the outcomes (a loaded graph by its dump) fold into one SHA-256,
+# recorded on the loader before its rules were gathered into one table.
+SCENARIO_FUZZ_DOCUMENTS = 1000
+SCENARIO_FUZZ_DIGEST = "9194a98432d28d2296fe5ce4d9800e40e6aff309ead0af6cae2ed036c786c8a2"
+
+_FUZZ_KEYS = ("id", "workload", "real_time", "image_input", "deps", "release_us", "priority")
+
+
+def _json_value(rng: random.Random, depth: int = 0):
+    kind = rng.randrange(9 if depth < 2 else 7)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.random() < 0.5
+    if kind == 2:
+        return rng.choice([-1, 0, 1, 7, 10**12, 10**12 + 1, 10**20])
+    if kind == 3:
+        return rng.choice([0.0, 1.0, -2.0, 2.5, 1e12, 1e300])
+    if kind == 4:
+        return rng.choice(["", "w", "capture", "a,b", 'q"', "x\n", "\r"])
+    if kind == 5:
+        return [rng.randrange(-2, 300) for _ in range(rng.randrange(4))]
+    if kind == 6:
+        return rng.randrange(300)
+    if kind == 7:
+        return [_json_value(rng, depth + 1) for _ in range(rng.randrange(3))]
+    return {rng.choice(_FUZZ_KEYS): _json_value(rng, depth + 1) for _ in range(rng.randrange(3))}
+
+
+def _fuzzed_entries(rng: random.Random) -> list:
+    n = rng.randint(1, 300)
+    entries = [{"id": i, "workload": _NAMES[i % 4]} for i in range(n)]
+    for i in rng.sample(range(1, n), (n - 1) // 2):
+        entries[i]["deps"] = [rng.randrange(i)]
+    if rng.random() < 0.3:  # a dependent listed right before its dependency
+        i = rng.randrange(n)
+        entries[i - 1], entries[i] = entries[i], entries[i - 1]
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        p = rng.randrange(n)
+        if rng.random() < 0.1 or type(entries[p]) is not dict:
+            entries[p] = _json_value(rng)
+        elif rng.random() < 0.15:
+            entries[p].pop(rng.choice(_FUZZ_KEYS), None)
+        else:
+            entries[p][rng.choice(_FUZZ_KEYS)] = _json_value(rng)
+    return entries
+
+
+def scenario_fuzz_digest(documents: int) -> tuple:
+    """(digest, outcome counts) of the first `documents` fuzzed scenarios."""
+    rng = random.Random(31)
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for i in range(documents):
+        try:
+            graph = load_scenario(json.dumps({"tasks": _fuzzed_entries(rng)}))
+        except SimrtError as exc:
+            outcome = f"{type(exc).__name__}: {exc}"
+        else:
+            assert type(graph) is TaskGraph
+            outcome = f"ok: {dump_scenario(graph)}"
+        digest.update(f"{i}|{outcome}\n".encode())
+        counts[outcome.partition(":")[0]] += 1
+    return digest.hexdigest(), counts
+
+
+def test_fuzzed_scenarios_load_or_raise_a_simrt_error():
+    digest, counts = scenario_fuzz_digest(SCENARIO_FUZZ_DOCUMENTS)
+    assert {"ok", "ParseError", "DuplicateId", "UnknownDependency"} <= set(counts), counts
+    assert digest == SCENARIO_FUZZ_DIGEST, (counts, digest)
+
+
 if __name__ == "__main__":
-    documents = int(sys.argv[1]) if len(sys.argv) > 1 else SCENARIO_FAULT_DOCUMENTS
-    digest, counts = scenario_fault_digest(documents)
-    print(f"{documents} documents, {dict(sorted(counts.items()))}: {digest}")
+    parser = argparse.ArgumentParser(description="Print the digests of the faulty and of "
+                                                 "the fuzzed scenarios this file pins.")
+    parser.add_argument("documents", nargs="?", type=int, default=SCENARIO_FAULT_DOCUMENTS)
+    parser.add_argument("--fuzz", type=int, default=SCENARIO_FUZZ_DOCUMENTS, metavar="M")
+    args = parser.parse_args()
+    digest, counts = scenario_fault_digest(args.documents)
+    print(f"{args.documents} documents, {dict(sorted(counts.items()))}: {digest}")
+    digest, counts = scenario_fuzz_digest(args.fuzz)
+    print(f"{args.fuzz} fuzzed documents, {dict(sorted(counts.items()))}: {digest}")
