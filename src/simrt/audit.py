@@ -3,8 +3,10 @@
 These replay an emitted trace against the scenario and profile it came
 from and raise AuditError on the first violation. They are intentionally
 independent of the engine internals: everything is reconstructed from the
-records alone. `audit_all` reads a trace once to decide it, and runs the
-four audits only to word a rejection.
+records alone. `audit_all` reads a trace once to decide it (`_passes`).
+The four public audits are plain passes, each stating its rule as the
+README words it; they run only to word a rejection, and are the readable
+copy of the rules that the replay is tested against.
 """
 
 from collections import deque
@@ -18,9 +20,8 @@ from .profiles import PlatformProfile
 from .scheduler import SchedulerState
 from .tasks import TaskGraph
 
-# phase -> phases a task may record next (None: no record yet); the last is terminal
+# phase -> phases a task may record next; the last is terminal
 _NEXT_ALLOWED = {
-    None: (PHASE_DISPATCH,),
     PHASE_DISPATCH: (PHASE_SETUP, PHASE_CLOUD_SUBMIT), PHASE_SETUP: (PHASE_XFER_IN,),
     PHASE_XFER_IN: (PHASE_KERNEL,), PHASE_KERNEL: (PHASE_XFER_OUT,),
     PHASE_XFER_OUT: (PHASE_COMPLETE,), PHASE_COMPLETE: (),
@@ -28,7 +29,6 @@ _NEXT_ALLOWED = {
 }
 # phase -> the phase its task must have recorded last; the inverse of _NEXT_ALLOWED
 _PREVIOUS = {phase: prev for prev, nexts in _NEXT_ALLOWED.items() for phase in nexts}
-_NO_RECORD = (None, float("-inf"))
 _STEPS = frozenset((PHASE_XFER_IN, PHASE_KERNEL, PHASE_XFER_OUT))  # between start and end
 _ENDS = frozenset((PHASE_COMPLETE, PHASE_CLOUD_COMPLETE))
 _SHARED_LABELS = (LABEL_HP, LABEL_CLOUD)  # queues, not units a task occupies
@@ -38,17 +38,18 @@ def audit_phase_order(trace: Trace) -> None:
     """Per task, phases appear exactly once, in order, at non-decreasing times."""
     last: dict = {}  # task id -> (last phase, its time)
     for time_us, tid, _, _, phase in _records_of(trace):
-        prev_phase, prev_time = last.get(tid, _NO_RECORD)
-        if phase not in _NEXT_ALLOWED[prev_phase] or time_us < prev_time:
-            # a drop (no phase of its task) or a violation
-            if phase == PHASE_DROP:
-                continue
-            if prev_phase is None:
+        if phase == PHASE_DROP:  # a drop is no phase of its task
+            continue
+        if tid not in last:
+            if phase != PHASE_DISPATCH:
                 raise AuditError(f"task {tid}: first record is {phase}, not dispatch")
+        else:
+            prev_phase, prev_time = last[tid]
             if time_us < prev_time:
                 raise AuditError(f"task {tid}: {phase} at {time_us} after "
                                  f"{prev_phase} at {prev_time}")
-            raise AuditError(f"task {tid}: {phase} follows {prev_phase}")
+            if phase not in _NEXT_ALLOWED[prev_phase]:
+                raise AuditError(f"task {tid}: {phase} follows {prev_phase}")
         last[tid] = (phase, time_us)
     for tid, (phase, _) in last.items():
         if _NEXT_ALLOWED[phase]:
@@ -60,7 +61,7 @@ def audit_unit_exclusivity(trace: Trace) -> None:
     running: dict = {}  # unit -> (task, setup time)
     last_end: dict = {}  # unit -> latest completion time
     for time_us, tid, _, unit, phase in _records_of(trace):
-        if (phase != PHASE_SETUP and phase != PHASE_COMPLETE) or unit in _SHARED_LABELS:
+        if unit in _SHARED_LABELS:
             continue
         if phase == PHASE_SETUP:
             if unit in running:
@@ -73,7 +74,7 @@ def audit_unit_exclusivity(trace: Trace) -> None:
                     f"unit {unit}: task {tid} starts at {time_us}, before "
                     f"the previous occupant completed at {last_end[unit]}")
             running[unit] = (tid, time_us)
-        else:
+        elif phase == PHASE_COMPLETE:
             if unit not in running or running[unit][0] != tid:
                 raise AuditError(
                     f"unit {unit}: completion of task {tid} at {time_us} "
@@ -94,16 +95,15 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
             done_at[tid] = time_us
         elif phase == PHASE_SETUP or phase == PHASE_CLOUD_SUBMIT:
             started_at[tid] = time_us
-    task_of = scenario.task
     for tid, start in started_at.items():
         try:
-            task = task_of(tid)
+            task = scenario.task(tid)
         except KeyError:
             raise AuditError(f"task {tid} is not in the scenario") from None
         if start < task.release_us:
             raise AuditError(
                 f"task {tid} starts at {start} before release {task.release_us}")
-        for dep in sorted(task.deps) if task.deps else ():
+        for dep in sorted(task.deps):
             if dep not in done_at:
                 raise AuditError(f"task {tid} ran but dependency {dep} never completed")
             if start < done_at[dep]:
@@ -124,7 +124,7 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
     busy: dict = {label: False for label in fifos}
     runnable: dict = {u.value: state.runnable[u] for u in state.units}
 
-    def check_idle(now: int) -> None:
+    def check_idle(now) -> None:
         for unit, fifo in fifos.items():
             if busy[unit]:
                 continue
@@ -136,21 +136,12 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                     f"unit {unit} idle at {now} while high-priority head "
                     f"{hp[0][0]} is runnable on it")
 
-    # only dispatch, setup and complete change a queue or busy flag; a step
-    # without them keeps the state the last check (or the empty start) passed,
-    # and a step that ends with no task queued or at the HP head cannot fail
-    changed = False
-    queued = 0  # tasks in the unit FIFOs
-    prev_time = None
-    # locals, as every record is compared with them
-    dispatch, setup, complete = PHASE_DISPATCH, PHASE_SETUP, PHASE_COMPLETE
+    now = None  # the time of the step being read
     for time_us, tid, workload, unit, phase in _records_of(trace):
-        if changed and time_us > prev_time:
-            if queued or hp:
-                check_idle(prev_time)
-            changed = False
-        prev_time = time_us
-        if phase == dispatch:
+        if now is not None and time_us > now:  # the step at `now` has ended
+            check_idle(now)
+        now = time_us
+        if phase == PHASE_DISPATCH:
             if unit == LABEL_HP:
                 hp.append((tid, workload))
             elif unit != LABEL_CLOUD:
@@ -158,8 +149,7 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                     raise AuditError(
                         f"task {tid} dispatched to non-participating unit {unit}")
                 fifos[unit].append(tid)
-                queued += 1
-        elif phase == setup:
+        elif phase == PHASE_SETUP:
             fifo = fifos.get(unit)
             if fifo is None:
                 raise AuditError(f"task {tid} ran on non-participating unit {unit}")
@@ -167,7 +157,6 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                 hp.popleft()
             elif fifo and fifo[0] == tid:
                 fifo.popleft()
-                queued -= 1
             elif tid in fifo:
                 raise AuditError(
                     f"unit {unit} started {tid} out of FIFO order; "
@@ -177,13 +166,9 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                     f"unit {unit} started task {tid} that was not queued "
                     f"for it or at the high-priority head")
             busy[unit] = True
-        elif phase == complete:
+        elif phase == PHASE_COMPLETE:
             busy[unit] = False
-        else:
-            continue
-        changed = True
-    if changed and (queued or hp):
-        check_idle(prev_time)
+    check_idle(now)  # the last step ends with the trace
 
 
 def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,

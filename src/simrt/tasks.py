@@ -100,11 +100,13 @@ def _dependency_index(graph: TaskGraph) -> tuple:
         if t.id in ids:  # the first repeat in graph order
             raise DuplicateId(t.id)
         if t.deps:
-            # deps that are not a frozenset are left to the checks below
-            ordered = ordered and type(t.deps) is frozenset and t.deps <= ids.keys()
-            dep_counts[t.id] = len(t.deps)
-            for dep in t.deps:
-                dependents.setdefault(dep, []).append(t.id)
+            if isinstance(t.deps, frozenset):
+                ordered = ordered and t.deps <= ids.keys()
+                dep_counts[t.id] = len(t.deps)
+                for dep in t.deps:
+                    dependents.setdefault(dep, []).append(t.id)
+            else:  # a hand-built int or list, which the check below names
+                ordered = False
         ids[t.id] = t  # after the order check: a task that depends on itself is out of order
     if ordered:
         return ids, dependents, dep_counts

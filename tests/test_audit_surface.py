@@ -8,13 +8,17 @@ truncated; some mutations apply two edits). Every audit and `audit_all`
 runs on every trace, and each outcome is folded into one SHA-256. A change
 to the audits that alters any verdict or any message changes the digest.
 
+A second digest folds the first HP_CASES cases of the high-priority family
+(`tests.randcases.hp_case`) the same way, so traces in which the HP queue
+does most of the dispatching are pinned too.
+
 SIMRT_AUDIT_CASES sets the number of cases (default 1000); only the
 default count has a recorded digest, e.g.
 
     SIMRT_AUDIT_CASES=20000 PYTHONPATH=src python -m pytest tests/test_audit_surface.py
 
-Run as a module, it prints the digest of CASES cases (default as above),
-to compare two versions of the audits beyond the recorded count:
+Run as a module, it prints both digests of N cases each (default CASES and
+HP_CASES), to compare two versions of the audits beyond the recorded counts:
 
     PYTHONPATH=src python -m tests.test_audit_surface 20000
 """
@@ -28,11 +32,13 @@ import sys
 
 from simrt import AuditError, SimrtError, Trace, audit, simulate
 
-from .randcases import random_case
+from .randcases import hp_case, random_case
 
 CASES = int(os.environ.get("SIMRT_AUDIT_CASES", "1000"))
+HP_CASES = 500
 MUTANTS = 5
 DIGEST = "32bc4c641a294ab2620450200a046ce6405c31022cce4ec943dd59c105da4887"
+HP_DIGEST = "9f121cca6ebb2081632e194f3bb43fecb5faae6842242123a352e57798f082cc"
 
 _UNITS = ("CPU", "mGPU", "DSP", "GPU", "FPGA", "HP", "CLOUD")
 _PHASES = ("dispatch", "setup", "xfer_in", "kernel", "xfer_out", "complete", "drop",
@@ -122,15 +128,15 @@ def audit_outcomes(trace, scenario, profile, config):
     return [(name, outcome(check)) for name, check in checks]
 
 
-def audit_surface(cases: int) -> tuple:
+def audit_surface(cases: int, case_of=random_case) -> tuple:
     """(digest, traces, template counts, non-AuditError outcomes) of the
-    first `cases` generated cases; the templates' messages are checked."""
+    first `cases` cases of `case_of`; the templates' messages are checked."""
     digest = hashlib.sha256()
     templates = collections.Counter()
     others = []
     traces = 0
     for seed in range(cases):
-        scenario, profile, policy, config = random_case(seed)
+        scenario, profile, policy, config = case_of(seed)
         try:
             _, trace = simulate(scenario, profile, policy, config)
         except SimrtError:
@@ -160,8 +166,17 @@ def test_audit_verdicts_and_messages_are_pinned():
         assert digest == DIGEST, (traces, digest)
 
 
+def test_hp_audit_verdicts_and_messages_are_pinned():
+    digest, traces, templates, others = audit_surface(HP_CASES, hp_case)
+    assert not others, others[:5]
+    assert sorted(templates) == list(range(len(TEMPLATES))), (traces, templates)
+    assert digest == HP_DIGEST, (traces, digest)
+
+
 if __name__ == "__main__":
-    cases = int(sys.argv[1]) if len(sys.argv) > 1 else CASES
-    digest, traces, _, others = audit_surface(cases)
-    print(f"{cases} cases, {traces} traces, {len(others)} non-AuditError outcomes: {digest}")
+    for case_of, cases in ((random_case, CASES), (hp_case, HP_CASES)):
+        cases = int(sys.argv[1]) if len(sys.argv) > 1 else cases
+        digest, traces, _, others = audit_surface(cases, case_of)
+        print(f"{cases} {case_of.__name__} cases, {traces} traces, "
+              f"{len(others)} non-AuditError outcomes: {digest}")
 

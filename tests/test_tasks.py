@@ -93,6 +93,14 @@ class TestValidateGraph:
         # task is named, where comparing a list with the ids raised TypeError
         ([task(1, deps=[9]), Task(2, "w", deps=[1])], GraphError,
          "task 2: deps must be a frozenset, not list"),
+        # deps that cannot be counted or hashed are named too, not a bare TypeError
+        ([Task(1, "w"), Task(2, "w", deps=5)], GraphError,
+         "task 2: deps must be a frozenset, not int"),
+        ([Task(1, "w"), Task(2, "w", deps=[[1]])], GraphError,
+         "task 2: deps must be a frozenset, not list"),
+        # a repeated id is still named first
+        ([Task(1, "w"), Task(2, "w", deps=5), Task(1, "w")], DuplicateId,
+         "duplicate task id 1"),
     ])
     def test_the_constructor_checks_in_order(self, tasks, error, message):
         with pytest.raises(SimrtError) as exc:
