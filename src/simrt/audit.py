@@ -18,7 +18,7 @@ from .engine import (LABEL_CLOUD, LABEL_HP, PHASE_CLOUD_COMPLETE,
 from .errors import AuditError, _check_types
 from .profiles import PlatformProfile
 from .scheduler import SchedulerState
-from .tasks import TaskGraph
+from .tasks import TaskGraph, validate_graph
 
 # phase -> phases a task may record next; the last is terminal
 _NEXT_ALLOWED = {
@@ -179,6 +179,7 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
     times never fall across the trace, a start follows its dependencies'
     completion records and no task is left queued or at the HP head."""
     records = _records_of(trace)
+    tasks = validate_graph(scenario)[0]  # task by id
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
     fifos, runnable = {}, {}  # unit label -> queued task ids, workloads it can run
     for unit in state.units:  # loops, not comprehensions: no cells in this function
@@ -187,7 +188,7 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
     hp: deque = deque()  # (task id, workload)
     last: dict = {}  # task id -> its last phase
     running: dict = {}  # unit label -> its task, while it runs one
-    task_of, previous, steps, ends = scenario.task, _PREVIOUS, _STEPS, _ENDS
+    previous, steps, ends = _PREVIOUS, _STEPS, _ENDS
     dispatch, setup, submit = PHASE_DISPATCH, PHASE_SETUP, PHASE_CLOUD_SUBMIT
     complete, drop = PHASE_COMPLETE, PHASE_DROP
     now = float("-inf")
@@ -223,11 +224,12 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
                 return False
             last[tid] = phase
             if phase == setup or phase == submit:
-                task = task_of(tid)
+                task = tasks[tid]
                 if time_us < task.release_us:
                     return False
                 if deps := task.deps:
-                    for dep in sorted(deps):  # as audit_causality: ids that do not sort raise
+                    # as audit_causality: ids that do not sort raise; one dep always sorts
+                    for dep in sorted(deps) if len(deps) > 1 else deps:
                         if last[dep] not in ends:
                             return False
                 if phase == submit:

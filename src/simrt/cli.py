@@ -13,7 +13,7 @@ import sys
 from .audit import audit_all
 from .builtins import BUILTIN_PROFILE_TEXTS
 from .engine import (PHASE_COMPLETE, PHASE_KERNEL, PHASE_XFER_IN, PHASE_XFER_OUT,
-                     SimConfig, compute_metrics, simulate)
+                     SimConfig, _records_of, compute_metrics, simulate)
 from .errors import AuditError, EngineError, ParseError, SimrtError
 from .profiles import PlatformProfile, SetupMode, load_profile, preference_matrix
 from .scenarios import convolution_batch, inference_comparison, robot_pipeline
@@ -186,7 +186,7 @@ def cmd_trace(args) -> int:
     if args.breakdown:
         totals: dict = {}
         previous: dict = {}  # task id -> time of its latest record
-        for time_us, tid, _, unit, phase in trace.records:
+        for time_us, tid, _, unit, phase in _records_of(trace):
             column = _ENDED_PHASE_COLUMN.get(phase)
             if column is not None:
                 totals.setdefault(unit, [0, 0, 0, 0])[column] += time_us - previous[tid]

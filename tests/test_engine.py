@@ -1,3 +1,4 @@
+import gc
 import heapq
 import io
 import json
@@ -838,6 +839,25 @@ class TestRecordTrace:
         assert list(metrics_off.avg_latency_ms) == list(metrics_on.avg_latency_ms)
         assert peak_off < peak_on / 2, (peak_off, peak_on)
 
+    @pytest.mark.parametrize("scenario, profile, policy, config", [
+        (convolution_batch(2000), "sd820", "throughput", SimConfig()),
+        (robot_pipeline(2, 25, 200, 3), "sd820-robot", "advanced:throughput",
+         SimConfig(buffer_capacity=4)),
+    ], ids=["conv", "robot"])
+    def test_a_kept_trace_retains_less_than_a_tuple_per_record(self, scenario, profile,
+                                                               policy, config):
+        """A record's five fields sit in one flat list: an 8 B slot each, and
+        a time object per instant. A tuple per record alone took 80 B more."""
+        profile, policy = builtin_profiles()[profile], Policy.parse(policy)
+        gc.collect()  # a full collection empties the free lists, which tracemalloc cannot see
+        tracemalloc.start()
+        try:
+            _, trace = simulate(scenario, profile, policy, config)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained / len(trace) < 80, (retained, len(trace))
+
 
 class TestCostTableCallCounts:
     """The engine resolves each (workload, unit) cost once per run; the cost
@@ -1269,3 +1289,51 @@ class TestChunkedCsv:
             tracemalloc.stop()
         assert csv == one_string_csv(trace)
         assert peak <= 2.5 * len(csv), (peak, len(csv))
+
+    def test_odd_hand_built_values_format_as_an_f_string_does(self):
+        """`%s` and `format(x, "")` agree on every type a trace row can hold."""
+        rows = [(2.5, True, "w", None, "setup"), (10 ** 20, 7, "a b", "HP", "dispatch")]
+        expected = "".join([simrt.engine.CSV_HEADER + "\n"] +
+                           [f"{t},{tid},{workload},{unit},{phase}\n"
+                            for t, tid, workload, unit, phase in rows])
+        assert Trace(rows).to_csv() == expected
+        assert expected.endswith("\n2.5,True,w,None,setup\n"
+                                 "100000000000000000000,7,a b,HP,dispatch\n")
+
+    def test_a_trace_rebuilt_from_its_records_writes_the_same_csv(self):
+        scenario, profile, policy, config = golden_cases()["robot-adv-throughput-buf4"]
+        _, trace = simulate(scenario, profile, policy, config)
+        rebuilt = Trace(trace.records)
+        assert rebuilt.to_csv() == trace.to_csv()
+        assert list(rebuilt) == list(trace) and len(rebuilt) == len(trace)
+
+
+class TestTraceRows:
+    """A hand-built Trace takes rows of exactly five fields; its flat list
+    would shift every later field after a short or long row."""
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(0, 1, "fc6", "CPU")], "trace row 0 must hold 5 fields, got 4"),
+        ([(0, 1, "fc6", "CPU", "dispatch", "x")], "trace row 0 must hold 5 fields, got 6"),
+        ([(0, 1, "fc6", "CPU", "dispatch"), (9, 1, "fc6", "CPU")],
+         "trace row 1 must hold 5 fields, got 4"),
+    ], ids=["4-fields", "6-fields", "second-row"])
+    @pytest.mark.parametrize("read", [
+        lambda trace, scenario, profile: audit.audit_all(trace, scenario, profile),
+        lambda trace, scenario, profile: compute_metrics(trace, profile, SimConfig(), scenario),
+        lambda trace, scenario, profile: trace.to_csv(),
+    ], ids=["audit_all", "compute_metrics", "to_csv"])
+    def test_a_row_without_five_fields_is_named(self, rows, message, read):
+        scenario, profile = convolution_batch(1), builtin_profiles()["sd820"]
+        with pytest.raises(InvalidConfig) as exc:
+            read(Trace(rows), scenario, profile)
+        assert str(exc.value) == message
+
+    def test_records_is_a_new_list_of_plain_tuples(self):
+        rows = [(0, 1, "fc6", "CPU", "dispatch"), (9, 1, "fc6", "CPU", "complete")]
+        trace = Trace(rows)
+        records = trace.records
+        assert records == rows and type(records[0]) is tuple
+        records.clear()
+        assert trace.records == rows and len(trace) == 2
+        assert list(trace) == [TraceRecord(*row) for row in rows]
