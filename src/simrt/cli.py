@@ -12,8 +12,7 @@ import sys
 
 from .audit import audit_all
 from .builtins import BUILTIN_PROFILE_TEXTS
-from .engine import (PHASE_COMPLETE, PHASE_KERNEL, PHASE_XFER_IN, PHASE_XFER_OUT,
-                     SimConfig, _records_of, compute_metrics, simulate)
+from .engine import _BOUNDARY_PHASES, SimConfig, _records_of, compute_metrics, simulate
 from .errors import AuditError, EngineError, ParseError, SimrtError
 from .profiles import PlatformProfile, SetupMode, load_profile, preference_matrix
 from .scenarios import convolution_batch, inference_comparison, robot_pipeline
@@ -170,7 +169,7 @@ def cmd_validate(args) -> int:
 
 # a local task's phase record -> breakdown column of the phase it ends, which
 # began at the task's previous record: setup, xfer_in, kernel, xfer_out
-_ENDED_PHASE_COLUMN = {PHASE_XFER_IN: 0, PHASE_KERNEL: 1, PHASE_XFER_OUT: 2, PHASE_COMPLETE: 3}
+_ENDED_PHASE_COLUMN = {phase: i for i, phase in enumerate(_BOUNDARY_PHASES)}
 
 
 def cmd_trace(args) -> int:

@@ -208,8 +208,9 @@ def _metrics(latency: dict, energy_uj: int, drops: int, makespan: int,
 
 def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
                     scenario: TaskGraph) -> Metrics:
-    """Derive run metrics from a trace, independently of the engine, which
-    accumulates the same totals as it runs.
+    """Derive run metrics from a trace in one pass, independently of the
+    engine, which accumulates the same totals as it runs. A dispatch time is
+    held only until its task completes; the first faulty record raises.
 
     Throughput is completed tasks per millisecond of makespan; latency is
     dispatch-to-completion, averaged per completing unit; energy sums each
@@ -218,40 +219,40 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
     """
     _check_types(("profile", profile, PlatformProfile), ("config", config, SimConfig),
                  ("scenario", scenario, TaskGraph))
-    dispatch_t = {}
-    completes = []
-    drops = 0
-    for time_us, tid, workload, unit, phase in _records_of(trace):
-        if phase == PHASE_DISPATCH:
-            dispatch_t[tid] = time_us
-        elif phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE:
-            if tid not in dispatch_t:
-                raise AuditError(f"task {tid}: {phase} at {time_us} has no earlier dispatch")
-            completes.append((tid, workload, unit if phase == PHASE_COMPLETE else LABEL_CLOUD,
-                              time_us))
-        elif phase == PHASE_DROP:
-            drops += 1
-
-    end_times = [t for (_, _, unit, t) in completes
-                 if config.cloud_in_makespan or unit != LABEL_CLOUD]
-    start = min(dispatch_t.values()) if dispatch_t else 0
-    makespan = max(end_times) - start if end_times else 0
-
+    tasks = validate_graph(scenario)[0]
+    dispatched_at = {}  # task id -> dispatch time, until it completes
+    start, end = float("inf"), -float("inf")  # first dispatch, last completion in the makespan
     latency = _latency_totals(profile)
     energy_memo: dict = {}  # (workload, unit label) -> per-run energy
     kinds = {u.kind.value: u.kind for u in profile.units} | {LABEL_CLOUD: UnitKind.CLOUD}
-    energy_uj = 0
-    for tid, workload, unit, t in completes:
-        if (workload, unit) not in energy_memo:  # before the totals: a bad label has no slot
-            kind = kinds.get(unit)
-            if not (profile.has_cloud if kind is UnitKind.CLOUD
-                    else (workload, kind) in profile.costs):
-                raise AuditError(f"task {tid}: completes on {unit!r}, where profile "
-                                 f"{profile.name!r} cannot run {workload!r}")
-            energy_memo[workload, unit] = energy_of(profile, workload, kind)
-        energy_uj += energy_memo[workload, unit]
-        latency[unit][0] += t - dispatch_t[tid]
-        latency[unit][1] += 1
+    energy_uj = drops = 0
+    for time_us, tid, workload, unit, phase in _records_of(trace):
+        if phase == PHASE_DISPATCH:
+            if tid not in tasks:
+                raise AuditError(f"task {tid} is not in the scenario")
+            dispatched_at[tid] = time_us
+            if time_us < start:
+                start = time_us
+        elif phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE:
+            if tid not in dispatched_at:
+                raise AuditError(f"task {tid}: {phase} at {time_us} has no earlier dispatch")
+            unit = unit if phase == PHASE_COMPLETE else LABEL_CLOUD
+            if (workload, unit) not in energy_memo:  # before the totals: a bad label has no slot
+                kind = kinds.get(unit)
+                if not (profile.has_cloud if kind is UnitKind.CLOUD
+                        else (workload, kind) in profile.costs):
+                    raise AuditError(f"task {tid}: completes on {unit!r}, where profile "
+                                     f"{profile.name!r} cannot run {workload!r}")
+                energy_memo[workload, unit] = energy_of(profile, workload, kind)
+            energy_uj += energy_memo[workload, unit]
+            totals = latency[unit]
+            totals[0] += time_us - dispatched_at.pop(tid)
+            totals[1] += 1
+            if time_us > end and (config.cloud_in_makespan or unit != LABEL_CLOUD):
+                end = time_us
+        elif phase == PHASE_DROP:
+            drops += 1
+    makespan = end - start if end != -float("inf") else 0
     return _metrics(latency, energy_uj, drops, makespan, profile, scenario)
 
 

@@ -32,11 +32,11 @@ class UnitKind(Enum):
         return self.value
 
     @classmethod
-    def parse(cls, text: str) -> "UnitKind":
+    def parse(cls, text: str, location: str = "") -> "UnitKind":
         for kind in cls:
             if isinstance(text, str) and kind.value.upper() == text.upper():
                 return kind
-        raise ParseError(f"unknown unit kind {text!r}")
+        raise ParseError(f"unknown unit kind {text!r}", location)
 
 
 class SetupMode(Enum):
@@ -298,7 +298,7 @@ def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
         check_object(obj, _UNIT_KEYS, loc, "unit")
         if "kind" not in obj:
             raise ParseError("missing 'kind'", loc)
-        kind = UnitKind.parse(obj["kind"])
+        kind = UnitKind.parse(obj["kind"], loc)
         unit = UnitSpec(**{"weight": _DEFAULT_WEIGHTS.get(kind), **obj, "kind": kind})
         _check_unit(unit, loc, units)
         units[kind] = replace(unit, idle_watts=float(unit.idle_watts))
@@ -321,7 +321,7 @@ def load_profile(text: str | bytes, name: str = "") -> PlatformProfile:
             raise ParseError("cost key must be 'workload@UNIT'", loc)
         if wname not in ops_of:
             raise ParseError(f"cost references undeclared workload {wname!r}", loc)
-        kind = UnitKind.parse(kindname)
+        kind = UnitKind.parse(kindname, loc)
         if kind not in units:
             raise ParseError(f"cost references undeclared unit {kind}", loc)
         check_object(obj, _COST_FIELDS, loc, "cost entry")

@@ -448,6 +448,39 @@ class TestComputeMetrics:
         assert str(exc.value) == (f"task 1: completes on {label!r}, where profile "
                                   f"{profile!r} cannot run 'convolution'")
 
+    @pytest.mark.parametrize("records, message", [
+        ([(0, 1, "convolution", "XPU", "dispatch"), (5, 1, "convolution", "XPU", "complete"),
+          (7, 2, "convolution", "CPU", "complete")],
+         "task 1: completes on 'XPU', where profile 'sd820' cannot run 'convolution'"),
+        ([(0, 1, "convolution", "CPU", "dispatch"), (5, 1, "convolution", "CPU", "complete"),
+          (9, 1, "convolution", "CPU", "complete")],
+         "task 1: complete at 9 has no earlier dispatch"),
+        ([(0, 99, "convolution", "CPU", "dispatch"), (0, 1, "convolution", "CPU", "dispatch"),
+          (5, 99, "convolution", "CPU", "complete"), (6, 1, "convolution", "CPU", "complete")],
+         "task 99 is not in the scenario"),
+    ], ids=["first-faulty-completion", "completed-twice", "not-in-scenario"])
+    def test_the_first_faulty_record_in_trace_order_raises(self, records, message):
+        with pytest.raises(AuditError) as exc:
+            compute_metrics(Trace(records), builtin_profiles()["sd820"], SimConfig(),
+                            convolution_batch(2))
+        assert str(exc.value) == message
+
+    def test_only_the_tasks_in_flight_are_held(self):
+        """One pass holds a dispatch time until its task completes, so the
+        peak does not grow with the trace."""
+        scenario, profile = robot_pipeline(10, 25, 200, 3), builtin_profiles()["sd820-robot"]
+        config = SimConfig(buffer_capacity=4)
+        metrics, trace = simulate(scenario, profile, Policy.parse("advanced:throughput"), config)
+        gc.collect()  # a full collection empties the free lists, which tracemalloc cannot see
+        tracemalloc.start()
+        try:
+            derived = compute_metrics(trace, profile, config, scenario)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert derived == metrics
+        assert peak < 64 * 1024, peak
+
 
 class TestEnergyAdditivity:
     def test_total_energy_matches_per_completion_sum(self):

@@ -64,8 +64,8 @@ class TestLoadProfile:
         ({"units": 3}, "profile: 'units' must be an array"),
         ({"workloads": True}, "profile: 'workloads' must be an array"),
         ({"costs": []}, "profile: 'costs' must be an object"),
-        ({"units": [{"kind": 7}]}, "unknown unit kind 7"),
-        ({"units": [{"kind": None}]}, "unknown unit kind None"),
+        ({"units": [{"kind": 7}]}, "units[0]: unknown unit kind 7"),
+        ({"units": [{"kind": None}]}, "units[0]: unknown unit kind None"),
         ({"units": [{"kind": "CPU", "idle_watts": float("nan")}]},
          "profile: invalid JSON: NaN is not a number"),
         ({"units": [{"kind": "CPU", "gops": float("inf")}]},
@@ -156,9 +156,9 @@ _PROFILE_REJECTIONS = [
      "units[0]: unknown keys: ['color', 'speed']"),
     (_units({}), ParseError, "units[0]: missing 'kind'"),
     (_units({"weight": 1, "speed": 3}), ParseError, "units[0]: unknown keys: ['speed']"),
-    (_units({"kind": 7}), ParseError, 'unknown unit kind 7'),
-    (_units({"kind": "TPU"}), ParseError, "unknown unit kind 'TPU'"),
-    (_units({"kind": None}), ParseError, 'unknown unit kind None'),
+    (_units({"kind": 7}), ParseError, 'units[0]: unknown unit kind 7'),
+    (_units({"kind": "TPU"}), ParseError, "units[0]: unknown unit kind 'TPU'"),
+    (_units({"kind": None}), ParseError, 'units[0]: unknown unit kind None'),
     (_units({"kind": "CPU", "weight": -1}), NegativeValue,
      'field units[0].weight must be >= 0, got -1'),
     (_units({"kind": "CPU", "weight": 1.5}), ParseError, 'units[0]: weight must be an integer'),
@@ -231,8 +231,8 @@ _PROFILE_REJECTIONS = [
      "costs['other@CPU']: cost references undeclared workload 'other'"),
     (_costs(**{"@CPU": {"kernel_us": 1}}), ParseError,
      "costs['@CPU']: cost references undeclared workload ''"),
-    (_costs(**{"w@TPU": {"kernel_us": 1}}), ParseError, "unknown unit kind 'TPU'"),
-    (_costs(**{"w@": {"kernel_us": 1}}), ParseError, "unknown unit kind ''"),
+    (_costs(**{"w@TPU": {"kernel_us": 1}}), ParseError, "costs['w@TPU']: unknown unit kind 'TPU'"),
+    (_costs(**{"w@": {"kernel_us": 1}}), ParseError, "costs['w@']: unknown unit kind ''"),
     (_costs(**{"w@DSP": {"kernel_us": 1}}), ParseError,
      "costs['w@DSP']: cost references undeclared unit DSP"),
     (_costs(**{"other@TPU": 3}), ParseError,
@@ -789,11 +789,13 @@ class TestHandBuiltProfiles:
 # each is a builtin with one to three seeded faults, and its outcome (`ok`, or
 # the error's type and message) is folded into one SHA-256. A change to which
 # rule the loader checks first, or to any message, changes the digest. Run as a
-# module, this file prints the digest of N documents (default as below):
+# module, this file prints the digest of N documents (default as below), or with
+# --outcomes the `i|outcome` lines it folds, to diff against another commit's:
 #
 #     PYTHONPATH=src python -m tests.test_profiles 5000
+#     PYTHONPATH=src python -m tests.test_profiles 1500 --outcomes
 REJECTION_DOCUMENTS = 1500
-REJECTION_DIGEST = "e4ad374cbd699f700c8ec936742c794754a0d929aabd562467d704aa3d4850f5"
+REJECTION_DIGEST = "c5ff6f99a500fbcd445d5256fc432b1abfc524287258b909631a52863d002447"
 
 _BAD_UNIT_VALUES = {
     "kind": ["TPU", "CLOUD", "cloud", 7, None],
@@ -845,12 +847,10 @@ def _fault(rng: random.Random, doc: dict) -> None:
             entry["kernel_us"] = None
 
 
-def rejection_digest(documents: int) -> tuple:
-    """(digest, outcome counts) of the first `documents` faulty documents."""
+def rejection_outcomes(documents: int):
+    """The `i|outcome` line of each of the first `documents` faulty documents."""
     builtins = sorted(BUILTIN_PROFILE_TEXTS.items())
     rng = random.Random(28)
-    digest = hashlib.sha256()
-    counts = collections.Counter()
     for i in range(documents):
         name, text = rng.choice(builtins)
         doc = json.loads(text)
@@ -861,8 +861,16 @@ def rejection_digest(documents: int) -> tuple:
             outcome = "ok"
         except SimrtError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
-        digest.update(f"{i}|{outcome}\n".encode())
-        counts[outcome.partition(":")[0]] += 1
+        yield f"{i}|{outcome}"
+
+
+def rejection_digest(documents: int) -> tuple:
+    """(digest, outcome counts) of the first `documents` faulty documents."""
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for line in rejection_outcomes(documents):
+        digest.update(f"{line}\n".encode())
+        counts[line.partition("|")[2].partition(":")[0]] += 1
     return digest.hexdigest(), counts
 
 
@@ -875,6 +883,10 @@ def test_the_first_error_of_faulty_documents_is_pinned():
 
 
 if __name__ == "__main__":
-    documents = int(sys.argv[1]) if len(sys.argv) > 1 else REJECTION_DOCUMENTS
-    digest, counts = rejection_digest(documents)
-    print(f"{documents} documents, {dict(sorted(counts.items()))}: {digest}")
+    args = [a for a in sys.argv[1:] if a != "--outcomes"]
+    documents = int(args[0]) if args else REJECTION_DOCUMENTS
+    if "--outcomes" in sys.argv[1:]:
+        print(*rejection_outcomes(documents), sep="\n")
+    else:
+        digest, counts = rejection_digest(documents)
+        print(f"{documents} documents, {dict(sorted(counts.items()))}: {digest}")
