@@ -76,9 +76,9 @@ _CSV_CHUNK_RECORDS = 1024  # bounds the line strings alive at once while writing
 class Trace:
     """Ordered, append-only record of simulation events, kept as one flat
     list of fields, five per record: no container per record. Iterating a
-    Trace yields its records as `TraceRecord`s; `records` builds a new list
-    of plain (time_us, task_id, workload, unit, phase) tuples on each access.
-    `Trace(rows)` takes such rows and rejects one without exactly five fields."""
+    Trace yields its records as `TraceRecord`s. `Trace(rows)` takes
+    (time_us, task_id, workload, unit, phase) rows and rejects one without
+    exactly five fields, or whose time_us or task_id is not an int."""
 
     def __init__(self, records=None):
         self._fields = fields = []
@@ -87,10 +87,9 @@ class Trace:
             if len(fields) != _FIELDS * (i + 1):
                 raise InvalidConfig(f"trace row {i} must hold {_FIELDS} fields, "
                                     f"got {len(fields) - _FIELDS * i}")
-
-    @property
-    def records(self) -> list:
-        return list(_records_of(self))
+            for name, value in zip(("time_us", "task_id"), fields[-_FIELDS:]):
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise InvalidConfig(f"trace row {i}: {name} must be an int, got {value!r}")
 
     def to_csv(self) -> str:
         return "".join(self._csv_chunks())
@@ -230,12 +229,21 @@ def compute_metrics(trace: Trace, profile: PlatformProfile, config: SimConfig,
         if phase == PHASE_DISPATCH:
             if tid not in tasks:
                 raise AuditError(f"task {tid} is not in the scenario")
+            if tid in dispatched_at:
+                raise AuditError(f"task {tid}: dispatch at {time_us} while its dispatch at "
+                                 f"{dispatched_at[tid]} has not completed")
+            if workload != tasks[tid].workload:
+                raise AuditError(f"task {tid}: {phase} at {time_us} records {workload!r}, "
+                                 f"where the scenario has {tasks[tid].workload!r}")
             dispatched_at[tid] = time_us
             if time_us < start:
                 start = time_us
         elif phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE:
             if tid not in dispatched_at:
                 raise AuditError(f"task {tid}: {phase} at {time_us} has no earlier dispatch")
+            if workload != tasks[tid].workload:
+                raise AuditError(f"task {tid}: {phase} at {time_us} records {workload!r}, "
+                                 f"where the scenario has {tasks[tid].workload!r}")
             unit = unit if phase == PHASE_COMPLETE else LABEL_CLOUD
             if (workload, unit) not in energy_memo:  # before the totals: a bad label has no slot
                 kind = kinds.get(unit)

@@ -67,8 +67,8 @@ def test_a_rejected_trace_raises_what_the_four_audits_raise_first(records, weigh
     config = SimConfig(record_trace=records is not None)
     _, trace = simulate(scenario, profile, Policy.parse("throughput"), config)
     if records == "no setup":  # the task of the first record loses its setup
-        first = trace.records[0][1]
-        trace = Trace([r for r in trace.records if not (r[1] == first and r[4] == "setup")])
+        first = next(iter(trace)).task_id
+        trace = Trace([r for r in trace if not (r.task_id == first and r.phase == "setup")])
     kind, text = _first_error(lambda: audit.audit_all(trace, scenario, profile,
                                                       weights=weights))
     assert kind is error and text.startswith(message), (kind, text)
@@ -100,8 +100,9 @@ def test_every_trace_the_replay_accepts_passes_the_four_audits():
             continue
         task_ids = sorted(task.id for task in scenario)
         weights, fpga_as_gpu = config.weights, config.fpga_as_gpu
-        for records in [*islice(mutants(seed, trace.records, task_ids), 1, None),
-                        _moved_earlier(seed, trace.records)]:
+        rows = list(trace)
+        for records in [*islice(mutants(seed, rows, task_ids), 1, None),
+                        _moved_earlier(seed, rows)]:
             trace = Trace(records)
             try:
                 if not audit._passes(trace, scenario, profile, weights, fpga_as_gpu):

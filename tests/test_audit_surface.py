@@ -18,9 +18,12 @@ default count has a recorded digest, e.g.
     SIMRT_AUDIT_CASES=20000 PYTHONPATH=src python -m pytest tests/test_audit_surface.py
 
 Run as a module, it prints both digests of N cases each (default CASES and
-HP_CASES), to compare two versions of the audits beyond the recorded counts:
+HP_CASES), to compare two versions of the audits beyond the recorded counts,
+or with --outcomes the `seed|audit|type|message` lines each digest folds,
+each family after a `#` line, to diff against another commit's:
 
     PYTHONPATH=src python -m tests.test_audit_surface 20000
+    PYTHONPATH=src python -m tests.test_audit_surface 200 --outcomes
 """
 
 import collections
@@ -128,13 +131,9 @@ def audit_outcomes(trace, scenario, profile, config):
     return [(name, outcome(check)) for name, check in checks]
 
 
-def audit_surface(cases: int, case_of=random_case) -> tuple:
-    """(digest, traces, template counts, non-AuditError outcomes) of the
-    first `cases` cases of `case_of`; the templates' messages are checked."""
-    digest = hashlib.sha256()
-    templates = collections.Counter()
-    others = []
-    traces = 0
+def surface_outcomes(cases: int, case_of=random_case):
+    """(seed, audit name, exception type or None, message) of each audit on
+    each trace of the first `cases` cases of `case_of`, in the digest's order."""
     for seed in range(cases):
         scenario, profile, policy, config = case_of(seed)
         try:
@@ -142,19 +141,35 @@ def audit_surface(cases: int, case_of=random_case) -> tuple:
         except SimrtError:
             continue
         task_ids = sorted(task.id for task in scenario)
-        for records in mutants(seed, trace.records, task_ids):
-            traces += 1
+        for records in mutants(seed, list(trace), task_ids):
             for name, (kind, message) in audit_outcomes(Trace(records), scenario,
                                                         profile, config):
-                digest.update(f"{seed}|{name}|{kind and kind.__name__}|{message}\n".encode())
-                if kind is None:
-                    continue
-                if kind is not AuditError:
-                    others.append((seed, name, kind, message))
-                    continue
-                matched = [k for k, p in enumerate(TEMPLATES) if p.fullmatch(message)]
-                assert len(matched) == 1, (seed, name, message)
-                templates[matched[0]] += 1
+                yield seed, name, kind, message
+
+
+def outcome_line(seed: int, name: str, kind, message: str) -> str:
+    """The `seed|audit|type|message` line the digest folds for one outcome."""
+    return f"{seed}|{name}|{kind and kind.__name__}|{message}"
+
+
+def audit_surface(cases: int, case_of=random_case) -> tuple:
+    """(digest, traces, template counts, non-AuditError outcomes) of the
+    first `cases` cases of `case_of`; the templates' messages are checked."""
+    digest = hashlib.sha256()
+    templates = collections.Counter()
+    others = []
+    traces = 0
+    for seed, name, kind, message in surface_outcomes(cases, case_of):
+        digest.update(f"{outcome_line(seed, name, kind, message)}\n".encode())
+        traces += name == "all"  # the last audit run on each trace
+        if kind is None:
+            continue
+        if kind is not AuditError:
+            others.append((seed, name, kind, message))
+            continue
+        matched = [k for k, p in enumerate(TEMPLATES) if p.fullmatch(message)]
+        assert len(matched) == 1, (seed, name, message)
+        templates[matched[0]] += 1
     return digest.hexdigest(), traces, templates, others
 
 
@@ -174,9 +189,14 @@ def test_hp_audit_verdicts_and_messages_are_pinned():
 
 
 if __name__ == "__main__":
+    args = [a for a in sys.argv[1:] if a != "--outcomes"]
     for case_of, cases in ((random_case, CASES), (hp_case, HP_CASES)):
-        cases = int(sys.argv[1]) if len(sys.argv) > 1 else cases
+        cases = int(args[0]) if args else cases
+        if "--outcomes" in sys.argv[1:]:
+            print(f"# {cases} {case_of.__name__} cases")
+            for seed, name, kind, message in surface_outcomes(cases, case_of):
+                print(outcome_line(seed, name, kind, message))
+            continue
         digest, traces, _, others = audit_surface(cases, case_of)
         print(f"{cases} {case_of.__name__} cases, {traces} traces, "
               f"{len(others)} non-AuditError outcomes: {digest}")
-

@@ -192,7 +192,7 @@ class TestTaskLifecycle:
         # released before, at or after the instant its dependency completes
         m, trace = self.run([rt(1), rt(2, deps=[1], release=release)])
         start = max(release, 100)
-        assert trace.records == local_run(1, "DSP", 0) + local_run(2, "CPU", start)
+        assert list(trace) == local_run(1, "DSP", 0) + local_run(2, "CPU", start)
         assert (m.completed, m.skipped, m.makespan_us) == (2, 0, start + 100)
 
     def test_a_diamond_child_behind_two_skipped_consumers_is_skipped_once(self, monkeypatch):
@@ -206,7 +206,7 @@ class TestTaskLifecycle:
         monkeypatch.setattr(simrt.engine._Engine, "_release_buffers_for", recording)
         m, trace = self.run([rt(1), rt(2, deps=[1], image=True), rt(3, deps=[1], image=True),
                              rt(4, deps=[2, 3])], capacity=0)
-        assert trace.records == local_run(1, "DSP", 0) + [(100, 1, "w", "DSP", "drop")]
+        assert list(trace) == local_run(1, "DSP", 0) + [(100, 1, "w", "DSP", "drop")]
         assert (m.completed, m.skipped, m.drops) == (1, 3, 1)
         # no buffer is ever held, so task 1's kernel boundary releases nothing and
         # is not recorded; each skipped task releases its inputs once
@@ -217,7 +217,7 @@ class TestTaskLifecycle:
         # skips 3 and frees 1's buffer, so the image 4 produces for 5 at 200 is kept
         m, trace = self.run([rt(1), rt(2), rt(3, deps=[1, 2], image=True),
                              rt(4, release=100), rt(5, deps=[4], image=True)])
-        assert trace.records == [
+        assert list(trace) == [
             *local_run(1, "DSP", 0)[:4], *local_run(2, "CPU", 0)[:4],
             (100, 1, "w", "DSP", "xfer_out"), (100, 2, "w", "CPU", "xfer_out"),
             (100, 1, "w", "DSP", "complete"), (100, 2, "w", "CPU", "complete"),
@@ -229,14 +229,14 @@ class TestTaskLifecycle:
         # still needs 4's image, so 4's buffer is freed when 5 starts its kernel
         m, trace = self.run([rt(1), rt(2), rt(3, deps=[1, 2, 4], image=True),
                              rt(4, release=100), rt(5, deps=[4], image=True)])
-        assert [r for r in trace.records if r[4] == "drop"] == [(100, 2, "w", "CPU", "drop")]
+        assert [r for r in trace if r.phase == "drop"] == [(100, 2, "w", "CPU", "drop")]
         assert (m.completed, m.skipped, m.drops) == (4, 1, 1)
 
 
     def test_a_dependent_dispatched_onto_the_freed_unit_starts_there(self):
         # at 100 the DSP completes 1, which dispatches 3 to the idle DSP at once
         m, trace = self.run([rt(1), rt(2), rt(3, deps=[1])])
-        assert trace.records == [
+        assert list(trace) == [
             *local_run(1, "DSP", 0)[:4], *local_run(2, "CPU", 0)[:4],
             (100, 1, "w", "DSP", "xfer_out"), (100, 2, "w", "CPU", "xfer_out"),
             (100, 1, "w", "DSP", "complete"), *local_run(3, "DSP", 100)[:2],
@@ -254,7 +254,7 @@ class TestTaskLifecycle:
         }))
         m, trace = simulate(TaskGraph([rt(1), rt(2, "v", image=True), rt(3, image=True)]),
                             profile, Policy(BasicPolicy.LATENCY, advanced=True))
-        assert trace.records == [
+        assert list(trace) == [
             *local_run(1, "DSP", 0)[:4], (0, 2, "v", "HP", "dispatch"),
             (0, 3, "w", "HP", "dispatch"),
             (100, 1, "w", "DSP", "xfer_out"), (100, 1, "w", "DSP", "complete"),
@@ -265,7 +265,7 @@ class TestTaskLifecycle:
         # at 100 the DSP takes 3 while the CPU's completion of 2 is due at 100 too,
         # so 3 enters xfer_in only after the CPU has completed 2 and taken 4
         m, trace = self.run([rt(1), rt(2), rt(3), rt(4)])
-        assert trace.records == [
+        assert list(trace) == [
             *local_run(1, "DSP", 0)[:4], *local_run(2, "CPU", 0)[:4],
             (0, 3, "w", "DSP", "dispatch"), (0, 4, "w", "CPU", "dispatch"),
             (100, 1, "w", "DSP", "xfer_out"), (100, 2, "w", "CPU", "xfer_out"),
@@ -458,11 +458,34 @@ class TestComputeMetrics:
         ([(0, 99, "convolution", "CPU", "dispatch"), (0, 1, "convolution", "CPU", "dispatch"),
           (5, 99, "convolution", "CPU", "complete"), (6, 1, "convolution", "CPU", "complete")],
          "task 99 is not in the scenario"),
-    ], ids=["first-faulty-completion", "completed-twice", "not-in-scenario"])
+        ([(0, 1, "convolution", "CPU", "dispatch"), (3, 1, "convolution", "CPU", "dispatch"),
+          (5, 2, "convolution", "CPU", "complete")],
+         "task 1: dispatch at 3 while its dispatch at 0 has not completed"),
+        ([(0, 1, "gaussian_blur", "CPU", "dispatch"), (0, 99, "convolution", "CPU", "dispatch")],
+         "task 1: dispatch at 0 records 'gaussian_blur', where the scenario has 'convolution'"),
+    ], ids=["first-faulty-completion", "completed-twice", "not-in-scenario", "dispatched-twice",
+            "other-workload"])
     def test_the_first_faulty_record_in_trace_order_raises(self, records, message):
         with pytest.raises(AuditError) as exc:
             compute_metrics(Trace(records), builtin_profiles()["sd820"], SimConfig(),
                             convolution_batch(2))
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("records, message", [
+        ([(0, 1, "convolution", "CPU", "dispatch"), (3, 1, "convolution", "CPU", "dispatch"),
+          (5, 1, "convolution", "CPU", "complete")],
+         "task 1: dispatch at 3 while its dispatch at 0 has not completed"),
+        ([(0, 1, "gaussian_blur", "CPU", "dispatch"), (5, 1, "gaussian_blur", "CPU", "complete")],
+         "task 1: dispatch at 0 records 'gaussian_blur', where the scenario has 'convolution'"),
+        ([(0, 1, "convolution", "CPU", "dispatch"), (5, 1, "gaussian_blur", "CPU", "complete")],
+         "task 1: complete at 5 records 'gaussian_blur', where the scenario has 'convolution'"),
+    ], ids=["dispatched-twice", "dispatch-workload", "complete-workload"])
+    def test_a_record_the_engine_cannot_write_is_an_audit_error(self, records, message):
+        """The engine dispatches a task once and records the scenario's
+        workload; a trace that does neither would skew latency or energy."""
+        with pytest.raises(AuditError) as exc:
+            compute_metrics(Trace(records), builtin_profiles()["sd820"], SimConfig(),
+                            convolution_batch(1))
         assert str(exc.value) == message
 
     def test_only_the_tasks_in_flight_are_held(self):
@@ -770,7 +793,7 @@ class TestHighPriorityRekick:
                 _, trace = simulate(*case)
             except SimrtError:
                 continue
-            starts += sum(r[4] == "setup" for r in trace.records)
+            starts += sum(r.phase == "setup" for r in trace)
         monkeypatch.undo()
         assert None not in answers
         assert len(answers) == starts > 2000
@@ -1012,11 +1035,11 @@ class TestSimulateArguments:
 
     @pytest.mark.parametrize("check, message", [
         (lambda t, s, p: compute_metrics(t, p, None, s), "config must be a SimConfig, got None"),
-        (lambda t, s, p: compute_metrics(t, p, SimConfig(), t.records),
+        (lambda t, s, p: compute_metrics(t, p, SimConfig(), [tuple(r) for r in t]),
          "scenario must be a TaskGraph, got [(0, 1, "),
         (lambda t, s, p: audit.audit_all(t, s, "sd820"),
          "profile must be a PlatformProfile, got 'sd820'"),
-        (lambda t, s, p: audit.audit_all(t.records, s, p), "trace must be a Trace, got list"),
+        (lambda t, s, p: audit.audit_all(list(t), s, p), "trace must be a Trace, got list"),
         (lambda t, s, p: audit.audit_causality(t, None), "scenario must be a TaskGraph, got None"),
         (lambda t, s, p: audit.audit_work_conservation(t, None),
          "profile must be a PlatformProfile, got None"),
@@ -1140,11 +1163,11 @@ class TestEventHeap:
         monkeypatch.setattr(simrt.scheduler, "on_unit_free", counting)
         _, trace = simulate(*_robot_run())
         monkeypatch.undo()
-        assert calls == sum(r[4] == "setup" for r in trace.records) == 768
+        assert calls == sum(r.phase == "setup" for r in trace) == 768
 
     def test_records_at_one_instant_share_their_time_object(self):
         scenario, profile, policy, config = _robot_run()
-        records = simulate(scenario, profile, policy, config).trace.records
+        records = list(simulate(scenario, profile, policy, config).trace)
         assert len({id(r[0]) for r in records}) <= len({r[0] for r in records}) + len(scenario)
 
 
@@ -1290,7 +1313,7 @@ def one_string_csv(trace: Trace) -> str:
     """The trace CSV built as one list of lines joined at once."""
     lines = [simrt.engine.CSV_HEADER]
     lines += [f"{t},{tid},{workload},{unit},{phase}"
-              for t, tid, workload, unit, phase in trace.records]
+              for t, tid, workload, unit, phase in trace]
     return "\n".join(lines) + "\n"
 
 
@@ -1325,18 +1348,20 @@ class TestChunkedCsv:
 
     def test_odd_hand_built_values_format_as_an_f_string_does(self):
         """`%s` and `format(x, "")` agree on every type a trace row can hold."""
-        rows = [(2.5, True, "w", None, "setup"), (10 ** 20, 7, "a b", "HP", "dispatch")]
+        rows = [(0, 3, "w", None, "setup"), (10 ** 20, 7, "a b", "HP", "dispatch")]
         expected = "".join([simrt.engine.CSV_HEADER + "\n"] +
                            [f"{t},{tid},{workload},{unit},{phase}\n"
                             for t, tid, workload, unit, phase in rows])
-        assert Trace(rows).to_csv() == expected
-        assert expected.endswith("\n2.5,True,w,None,setup\n"
+        trace = Trace(rows)
+        assert trace.to_csv() == expected
+        assert expected.endswith("\n0,3,w,None,setup\n"
                                  "100000000000000000000,7,a b,HP,dispatch\n")
+        assert list(trace) == [TraceRecord(*row) for row in rows]
 
     def test_a_trace_rebuilt_from_its_records_writes_the_same_csv(self):
         scenario, profile, policy, config = golden_cases()["robot-adv-throughput-buf4"]
         _, trace = simulate(scenario, profile, policy, config)
-        rebuilt = Trace(trace.records)
+        rebuilt = Trace(trace)
         assert rebuilt.to_csv() == trace.to_csv()
         assert list(rebuilt) == list(trace) and len(rebuilt) == len(trace)
 
@@ -1362,11 +1387,16 @@ class TestTraceRows:
             read(Trace(rows), scenario, profile)
         assert str(exc.value) == message
 
-    def test_records_is_a_new_list_of_plain_tuples(self):
-        rows = [(0, 1, "fc6", "CPU", "dispatch"), (9, 1, "fc6", "CPU", "complete")]
-        trace = Trace(rows)
-        records = trace.records
-        assert records == rows and type(records[0]) is tuple
-        records.clear()
-        assert trace.records == rows and len(trace) == 2
-        assert list(trace) == [TraceRecord(*row) for row in rows]
+    @pytest.mark.parametrize("rows, message", [
+        ([("920", 1, "fc6", "CPU", "dispatch")], "trace row 0: time_us must be an int, got '920'"),
+        ([(2.5, 1, "fc6", "CPU", "dispatch")], "trace row 0: time_us must be an int, got 2.5"),
+        ([(0, True, "fc6", "CPU", "dispatch")], "trace row 0: task_id must be an int, got True"),
+        ([(0, 1, "fc6", "CPU", "dispatch"), (9, None, "fc6", "CPU", "complete")],
+         "trace row 1: task_id must be an int, got None"),
+    ], ids=["str-time", "float-time", "bool-id", "second-row"])
+    def test_a_time_or_task_id_that_is_not_an_int_is_named(self, rows, message):
+        """The audits and compute_metrics compare and subtract these fields,
+        so a string read from a CSV would end them in a bare TypeError."""
+        with pytest.raises(InvalidConfig) as exc:
+            Trace(rows)
+        assert str(exc.value) == message
