@@ -27,10 +27,6 @@ _NEXT_ALLOWED = {
     PHASE_XFER_OUT: (PHASE_COMPLETE,), PHASE_COMPLETE: (),
     PHASE_CLOUD_SUBMIT: (PHASE_CLOUD_COMPLETE,), PHASE_CLOUD_COMPLETE: (),
 }
-# phase -> the phase its task must have recorded last; the inverse of _NEXT_ALLOWED
-_PREVIOUS = {phase: prev for prev, nexts in _NEXT_ALLOWED.items() for phase in nexts}
-_STEPS = frozenset((PHASE_XFER_IN, PHASE_KERNEL, PHASE_XFER_OUT))  # between start and end
-_ENDS = frozenset((PHASE_COMPLETE, PHASE_CLOUD_COMPLETE))
 _SHARED_LABELS = (LABEL_HP, LABEL_CLOUD)  # queues, not units a task occupies
 
 
@@ -103,13 +99,14 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
         if start < task.release_us:
             raise AuditError(
                 f"task {tid} starts at {start} before release {task.release_us}")
-        for dep in sorted(task.deps):
+        # the first failing dep in id order; only failing ones are sorted, since
+        # the ids of a hand-built graph may be of types that do not sort
+        for dep in sorted(d for d in task.deps if d not in done_at or start < done_at[d]):
             if dep not in done_at:
                 raise AuditError(f"task {tid} ran but dependency {dep} never completed")
-            if start < done_at[dep]:
-                raise AuditError(
-                    f"task {tid} starts at {start} before dependency {dep} "
-                    f"completes at {done_at[dep]}")
+            raise AuditError(
+                f"task {tid} starts at {start} before dependency {dep} "
+                f"completes at {done_at[dep]}")
 
 
 def audit_work_conservation(trace: Trace, profile: PlatformProfile,
@@ -177,7 +174,15 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
     False, or an exception, for any other, with no message worded. It asks
     more than they do, which only a trace the engine did not make can fail:
     times never fall across the trace, a start follows its dependencies'
-    completion records and no task is left queued or at the HP head."""
+    completion records and no task is left queued or at the HP head.
+
+    At the end of an instant, while a task waits, it checks only the units
+    the instant touched: one that completed a task while its FIFO or the HP
+    queue held a task, one dispatched a FIFO task, and every unit when the
+    HP queue got a new head (a dispatch onto an empty queue, or a start of
+    the head with tasks behind it). That is exact: an idle unit that passed
+    the last check had an empty FIFO and could not run the HP head, and
+    only these events can change either."""
     records = _records_of(trace)
     tasks = validate_graph(scenario)[0]  # task by id
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
@@ -188,25 +193,38 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
     hp: deque = deque()  # (task id, workload)
     last: dict = {}  # task id -> its last phase
     running: dict = {}  # unit label -> its task, while it runs one
-    previous, steps, ends = _PREVIOUS, _STEPS, _ENDS
-    dispatch, setup, submit = PHASE_DISPATCH, PHASE_SETUP, PHASE_CLOUD_SUBMIT
-    complete, drop = PHASE_COMPLETE, PHASE_DROP
+    ended: set = set()  # ids of the tasks with a completion record
+    dispatch, setup, submit, drop = PHASE_DISPATCH, PHASE_SETUP, PHASE_CLOUD_SUBMIT, PHASE_DROP
+    # the phases after a start, read in order from _NEXT_ALLOWED
+    (xfer_in,), (cloud_complete,) = _NEXT_ALLOWED[setup], _NEXT_ALLOWED[submit]
+    (kernel,) = _NEXT_ALLOWED[xfer_in]
+    (xfer_out,) = _NEXT_ALLOWED[kernel]
+    (complete,) = _NEXT_ALLOWED[xfer_out]
     now = float("-inf")
-    changed = False  # a queue or busy flag changed at this instant
-    queued = ended = 0  # tasks in the unit FIFOs; tasks with a completion record
+    touched: list = []  # labels of the units this instant touched, repeats allowed
+    queued = 0  # tasks in the unit FIFOs
     for time_us, tid, workload, unit, phase in records:
         if time_us != now:
             if not time_us > now:  # earlier, or unordered (NaN)
                 return False
-            if changed and (queued or hp):  # audit_work_conservation's step-end check
-                for label, fifo in fifos.items():
-                    if label not in running and (
-                            fifo or hp and hp[0][1] in runnable[label]):
-                        return False
-            changed = False
+            if touched:
+                if queued or hp:  # audit_work_conservation's step-end check
+                    for label in touched:
+                        if label not in running and (
+                                fifos[label] or hp and hp[0][1] in runnable[label]):
+                            return False
+                touched = []
             now = time_us
-        if phase in steps:  # xfer_in, kernel or xfer_out
-            if last[tid] != previous[phase]:
+        if phase == xfer_in:
+            if last[tid] != setup:
+                return False
+            last[tid] = phase
+        elif phase == kernel:
+            if last[tid] != xfer_in:
+                return False
+            last[tid] = phase
+        elif phase == xfer_out:
+            if last[tid] != kernel:
                 return False
             last[tid] = phase
         elif phase == dispatch:
@@ -214,41 +232,47 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
                 return False
             last[tid] = phase
             if unit == LABEL_HP:
+                if not hp:
+                    touched.extend(fifos)
                 hp.append((tid, workload))
             elif unit != LABEL_CLOUD:
                 fifos[unit].append(tid)
                 queued += 1
-            changed = True
-        elif phase != drop:  # a drop is no phase of its task
-            if last[tid] != previous[phase]:
+                touched.append(unit)
+        elif phase == complete:
+            if last[tid] != xfer_out or running.pop(unit) != tid:
                 return False
             last[tid] = phase
-            if phase == setup or phase == submit:
-                task = tasks[tid]
-                if time_us < task.release_us:
-                    return False
-                if deps := task.deps:
-                    # as audit_causality: ids that do not sort raise; one dep always sorts
-                    for dep in sorted(deps) if len(deps) > 1 else deps:
-                        if last[dep] not in ends:
-                            return False
-                if phase == submit:
-                    continue
+            ended.add(tid)
+            if fifos[unit] or hp:
+                touched.append(unit)
+        elif phase == setup or phase == submit:
+            if last[tid] != dispatch:
+                return False
+            last[tid] = phase
+            task = tasks[tid]
+            if time_us < task.release_us or task.deps and not task.deps <= ended:
+                return False
+            if phase == setup:
                 fifo = fifos[unit]
                 if hp and hp[0][0] == tid:
                     hp.popleft()
+                    if hp:
+                        touched.extend(fifos)
                 elif fifo and fifo[0] == tid:
                     fifo.popleft()
                     queued -= 1
                 else:
                     return False
                 running[unit] = tid  # on a busy unit, its task's completion cannot match
-            elif phase == complete and running.pop(unit) != tid:
+        elif phase == cloud_complete:
+            if last[tid] != submit:
                 return False
-            else:  # a completion, local or cloud
-                ended += 1
-            changed = True
-    return not (running or queued or hp) and ended == len(last)
+            last[tid] = phase
+            ended.add(tid)
+        elif phase != drop:  # a drop is no phase of its task
+            return False
+    return not (running or queued or hp) and len(ended) == len(last)
 
 
 def audit_all(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,

@@ -18,8 +18,8 @@ from operator import itemgetter
 
 import pytest
 
-from simrt import (AuditError, InvalidConfig, Policy, SimConfig, SimrtError, Trace, audit,
-                   builtin_profiles, convolution_batch, simulate)
+from simrt import (AuditError, InvalidConfig, Policy, SimConfig, SimrtError, Task, TaskGraph,
+                   Trace, audit, builtin_profiles, convolution_batch, simulate)
 
 from .randcases import hp_case, random_case
 from .test_audit_surface import mutants
@@ -89,6 +89,16 @@ def _moved_earlier(seed: int, records: list) -> list:
                   key=itemgetter(0))
 
 
+def _started_late(seed: int, records: list) -> list:
+    """The records with one seeded task's setup ... complete records 100 us
+    later, in time order: its unit may sit idle while the task is queued."""
+    local = ("setup", "xfer_in", "kernel", "xfer_out", "complete")
+    started = [r[1] for r in records if r[4] == "setup"]
+    tid = random.Random(seed).choice(started) if started else None
+    return sorted(((t + 100 if i == tid and p in local else t, i, w, u, p)
+                   for t, i, w, u, p in records), key=itemgetter(0))
+
+
 def test_every_trace_the_replay_accepts_passes_the_four_audits():
     accepted = rejected = 0
     for case, seed in [*((random_case, s) for s in range(1000, 1300)),
@@ -102,7 +112,7 @@ def test_every_trace_the_replay_accepts_passes_the_four_audits():
         weights, fpga_as_gpu = config.weights, config.fpga_as_gpu
         rows = list(trace)
         for records in [*islice(mutants(seed, rows, task_ids), 1, None),
-                        _moved_earlier(seed, rows)]:
+                        _moved_earlier(seed, rows), _started_late(seed, rows)]:
             trace = Trace(records)
             try:
                 if not audit._passes(trace, scenario, profile, weights, fpga_as_gpu):
@@ -119,6 +129,69 @@ def test_every_trace_the_replay_accepts_passes_the_four_audits():
                                           fpga_as_gpu=fpga_as_gpu)
     # both verdicts are common, so neither side of the check is vacuous
     assert accepted > 250 and rejected > 1000, (accepted, rejected)
+
+
+def _dispatch(time_us: int, tid: int, workload: str, unit: str) -> tuple:
+    return time_us, tid, workload, unit, "dispatch"
+
+
+def _run(tid: int, workload: str, unit: str, start: int, end: int) -> list:
+    """The records of a local run: every phase before completion at `start`."""
+    return [*((start, tid, workload, unit, phase)
+              for phase in ("setup", "xfer_in", "kernel", "xfer_out")),
+            (end, tid, workload, unit, "complete")]
+
+
+# sd820-robot runs update on every unit, undistort on the DSP only
+_IDLE_CASES = {
+    # (a) the CPU completes task 0 at 10 and starts its queued task 1 only at 20
+    "completes, stays idle with a queued task": (
+        ["update", "update"],
+        [_dispatch(0, 0, "update", "CPU"), _dispatch(0, 1, "update", "CPU"),
+         *_run(0, "update", "CPU", 0, 10), *_run(1, "update", "CPU", 20, 30)],
+        "unit CPU idle at 10 with queued tasks [1]"),
+    # (b) the idle CPU is queued task 0 at 5 and starts it only at 8
+    "queued a task while idle": (
+        ["update"],
+        [_dispatch(5, 0, "update", "CPU"), *_run(0, "update", "CPU", 8, 18)],
+        "unit CPU idle at 5 with queued tasks [0]"),
+    # (c) the HP queue gets task 0 at 5, which the idle CPU starts only at 8
+    "idle as the HP queue gets a head": (
+        ["update"],
+        [_dispatch(5, 0, "update", "HP"), *_run(0, "update", "CPU", 8, 18)],
+        "unit CPU idle at 5 while high-priority head 0 is runnable on it"),
+    # (c) the DSP starts HP head 0 at 10, and the idle CPU the new head 1 only at 20
+    "idle as the HP head starts": (
+        ["undistort", "update", "undistort"],
+        [_dispatch(0, 2, "undistort", "DSP"), *_run(2, "undistort", "DSP", 0, 10),
+         _dispatch(0, 0, "undistort", "HP"), _dispatch(0, 1, "update", "HP"),
+         *_run(0, "undistort", "DSP", 10, 20), *_run(1, "update", "CPU", 20, 30)],
+        "unit CPU idle at 10 while high-priority head 1 is runnable on it"),
+    # (d) control: the DSP completes task 0 and starts its queued task 1 at 10;
+    # the CPU and mGPU stay idle with nothing they could run
+    "control: only another unit changes": (
+        ["undistort", "undistort"],
+        [_dispatch(0, 0, "undistort", "DSP"), _dispatch(0, 1, "undistort", "DSP"),
+         *_run(0, "undistort", "DSP", 0, 10), *_run(1, "undistort", "DSP", 10, 20)],
+        None),
+}
+
+
+@pytest.mark.parametrize("name", _IDLE_CASES)
+def test_an_idle_unit_is_checked_when_its_instant_touched_it(name):
+    workloads, records, message = _IDLE_CASES[name]
+    scenario = TaskGraph(Task(tid, workload) for tid, workload in enumerate(workloads))
+    profile = builtin_profiles()["sd820-robot"]
+    trace = Trace(sorted(records, key=itemgetter(0)))  # stable: an instant keeps its order
+    assert audit._passes(trace, scenario, profile, None, False) is (message is None)
+    if message is None:
+        audit.audit_all(trace, scenario, profile)
+        return
+    with pytest.raises(AuditError) as exc:
+        audit.audit_all(trace, scenario, profile)
+    assert str(exc.value) == message
+    assert _first_error(lambda: audit.audit_work_conservation(trace, profile)) == (
+        AuditError, message)
 
 
 def test_the_replay_keeps_no_cells():
