@@ -4,7 +4,7 @@ These replay an emitted trace against the scenario and profile it came
 from and raise AuditError on the first violation. They are intentionally
 independent of the engine internals: everything is reconstructed from the
 records alone. `audit_all` reads a trace once to decide it (`_passes`).
-The four public audits are plain passes, each stating its rule as the
+The five public audits are plain passes, each stating its rule as the
 README words it; they run only to word a rejection, and are the readable
 copy of the rules that the replay is tested against.
 """
@@ -99,8 +99,7 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
         if start < task.release_us:
             raise AuditError(
                 f"task {tid} starts at {start} before release {task.release_us}")
-        # the first failing dep in id order; only failing ones are sorted, since
-        # the ids of a hand-built graph may be of types that do not sort
+        # the first failing dep by id; only those are sorted, as hand-built ids may not sort
         for dep in sorted(d for d in task.deps if d not in done_at or start < done_at[d]):
             if dep not in done_at:
                 raise AuditError(f"task {tid} ran but dependency {dep} never completed")
@@ -168,21 +167,40 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
     check_idle(now)  # the last step ends with the trace
 
 
+def audit_completeness(trace: Trace, scenario: TaskGraph) -> None:
+    """Every scenario task completes, or it has no record and either a dependency
+    with no completion record or, as an image consumer, one with a drop record."""
+    _check_types(("scenario", scenario, TaskGraph))
+    recorded, ended, dropped = set(), set(), set()
+    for _, tid, _, _, phase in _records_of(trace):
+        ends = phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE
+        (dropped if phase == PHASE_DROP else ended if ends else recorded).add(tid)
+    for task in scenario:
+        if task.id in recorded and task.id not in ended:
+            raise AuditError(f"task {task.id} has records but never completes")
+    if task := _unskipped(scenario, ended, dropped):
+        raise AuditError(f"task {task.id} never runs, though every dependency "
+                         f"completes and none drops an image it consumes")
+
+
+def _unskipped(tasks, ended: set, dropped: set):
+    """The first of `tasks` not in `ended` that the engine would not skip, or None."""
+    return next((t for t in tasks if t.id not in ended and ended.issuperset(t.deps) and not (
+        t.tags.image_input and not dropped.isdisjoint(t.deps))), None)
+
+
 def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
             weights: dict | None, fpga_as_gpu: bool) -> bool:
-    """True only for a trace that all four audits accept, read in one pass;
+    """True only for a trace that all five audits accept, read in one pass;
     False, or an exception, for any other, with no message worded. It asks
     more than they do, which only a trace the engine did not make can fail:
     times never fall across the trace, a start follows its dependencies'
     completion records and no task is left queued or at the HP head.
-
-    At the end of an instant, while a task waits, it checks only the units
-    the instant touched: one that completed a task while its FIFO or the HP
-    queue held a task, one dispatched a FIFO task, and every unit when the
-    HP queue got a new head (a dispatch onto an empty queue, or a start of
-    the head with tasks behind it). That is exact: an idle unit that passed
-    the last check had an empty FIFO and could not run the HP head, and
-    only these events can change either."""
+    While a task waits, the end of an instant checks only the units it
+    touched: one dispatched a FIFO task, one that completed with its FIFO or
+    the HP queue holding a task, and all when the HP queue got a new head.
+    That is exact: an idle unit that passed the last check has no other way
+    to gain a FIFO task or a head it can run."""
     records = _records_of(trace)
     tasks = validate_graph(scenario)[0]  # task by id
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
@@ -193,11 +211,10 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
     hp: deque = deque()  # (task id, workload)
     last: dict = {}  # task id -> its last phase
     running: dict = {}  # unit label -> its task, while it runs one
-    ended: set = set()  # ids of the tasks with a completion record
+    ended, dropped = set(), set()  # ids of the tasks with a completion, a drop record
     dispatch, setup, submit, drop = PHASE_DISPATCH, PHASE_SETUP, PHASE_CLOUD_SUBMIT, PHASE_DROP
-    # the phases after a start, read in order from _NEXT_ALLOWED
     (xfer_in,), (cloud_complete,) = _NEXT_ALLOWED[setup], _NEXT_ALLOWED[submit]
-    (kernel,) = _NEXT_ALLOWED[xfer_in]
+    (kernel,) = _NEXT_ALLOWED[xfer_in]  # each phase read from the one before it
     (xfer_out,) = _NEXT_ALLOWED[kernel]
     (complete,) = _NEXT_ALLOWED[xfer_out]
     now = float("-inf")
@@ -270,15 +287,18 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
                 return False
             last[tid] = phase
             ended.add(tid)
-        elif phase != drop:  # a drop is no phase of its task
+        elif phase == drop:  # a drop is no phase of its task
+            dropped.add(tid)
+        else:
             return False
-    return not (running or queued or hp) and len(ended) == len(last)
+    return not (running or queued or hp) and len(ended) == len(last) and (len(ended) == len(tasks)
+            or _unskipped(map(tasks.__getitem__, tasks.keys() - ended), ended, dropped) is None)
 
 
 def audit_all(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
               weights: dict | None = None, fpga_as_gpu: bool = False) -> None:
     """Run every audit; raises AuditError on the first violation. One replay
-    decides a trace that passes; any other goes through the four audits in
+    decides a trace that passes; any other goes through the five audits in
     turn, so the error raised is the first one they raise."""
     _check_types(("scenario", scenario, TaskGraph), ("profile", profile, PlatformProfile))
     try:
@@ -290,3 +310,4 @@ def audit_all(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
     audit_unit_exclusivity(trace)
     audit_causality(trace, scenario)
     audit_work_conservation(trace, profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
+    audit_completeness(trace, scenario)

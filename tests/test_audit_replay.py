@@ -1,11 +1,11 @@
 """`audit_all` decides a trace with one replay of its records, and runs the
-four audits only to word a rejection.
+five audits only to word a rejection.
 
 A replay that handed every trace over to the audits would keep every
 verdict and message, so every other test would pass while the one-pass
-saving was lost. Here the four audits raise, so `audit_all` passes only
+saving was lost. Here the five audits raise, so `audit_all` passes only
 what the replay accepts by itself. The replay must also be sound: every
-mutated trace it accepts, all four audits accept, so a later audit made
+mutated trace it accepts, all five audits accept, so a later audit made
 stricter fails here rather than only moving the audit-surface digest. Its
 per-record loop is checked for cell variables, which a comprehension or
 closure over its locals would add, and which slow every read of those
@@ -19,18 +19,19 @@ from operator import itemgetter
 import pytest
 
 from simrt import (AuditError, InvalidConfig, Policy, SimConfig, SimrtError, Task, TaskGraph,
-                   Trace, audit, builtin_profiles, convolution_batch, simulate)
+                   TaskTags, Trace, audit, builtin_profiles, convolution_batch, robot_pipeline,
+                   simulate)
 
 from .randcases import hp_case, random_case
 from .test_audit_surface import mutants
 from .test_golden import _cases
 
 _AUDITS = ("audit_phase_order", "audit_unit_exclusivity", "audit_causality",
-           "audit_work_conservation")
+           "audit_work_conservation", "audit_completeness")
 
 
 def _unused(*args, **kwargs):
-    raise AssertionError("audit_all handed an engine trace over to the four audits")
+    raise AssertionError("audit_all handed an engine trace over to the five audits")
 
 
 def test_the_replay_alone_passes_every_engine_trace(monkeypatch):
@@ -61,7 +62,7 @@ def _first_error(check) -> tuple:
     ("no setup", None, AuditError, "task 1: xfer_in follows dispatch"),
     (None, None, AuditError, "no trace to read: the run was made with record_trace=False"),
 ])
-def test_a_rejected_trace_raises_what_the_four_audits_raise_first(records, weights, error,
+def test_a_rejected_trace_raises_what_the_five_audits_raise_first(records, weights, error,
                                                                    message):
     scenario, profile = convolution_batch(2), builtin_profiles()["sd820"]
     config = SimConfig(record_trace=records is not None)
@@ -73,12 +74,13 @@ def test_a_rejected_trace_raises_what_the_four_audits_raise_first(records, weigh
                                                       weights=weights))
     assert kind is error and text.startswith(message), (kind, text)
 
-    def four_audits():
+    def five_audits():
         audit.audit_phase_order(trace)
         audit.audit_unit_exclusivity(trace)
         audit.audit_causality(trace, scenario)
         audit.audit_work_conservation(trace, profile, weights=weights)
-    assert _first_error(four_audits) == (kind, text)
+        audit.audit_completeness(trace, scenario)
+    assert _first_error(five_audits) == (kind, text)
 
 
 def _moved_earlier(seed: int, records: list) -> list:
@@ -99,7 +101,7 @@ def _started_late(seed: int, records: list) -> list:
                    for t, i, w, u, p in records), key=itemgetter(0))
 
 
-def test_every_trace_the_replay_accepts_passes_the_four_audits():
+def test_every_trace_the_replay_accepts_passes_the_five_audits():
     accepted = rejected = 0
     for case, seed in [*((random_case, s) for s in range(1000, 1300)),
                        *((hp_case, s) for s in range(200))]:
@@ -127,6 +129,7 @@ def test_every_trace_the_replay_accepts_passes_the_four_audits():
             audit.audit_causality(trace, scenario)
             audit.audit_work_conservation(trace, profile, weights=weights,
                                           fpga_as_gpu=fpga_as_gpu)
+            audit.audit_completeness(trace, scenario)
     # both verdicts are common, so neither side of the check is vacuous
     assert accepted > 250 and rejected > 1000, (accepted, rejected)
 
@@ -192,6 +195,49 @@ def test_an_idle_unit_is_checked_when_its_instant_touched_it(name):
     assert str(exc.value) == message
     assert _first_error(lambda: audit.audit_work_conservation(trace, profile)) == (
         AuditError, message)
+
+
+def _never_runs(tid: int) -> str:
+    return (f"task {tid} never runs, though every dependency completes and none drops "
+            f"an image it consumes")
+
+
+@pytest.mark.parametrize("image_input, drop, message", [
+    (True, True, None),  # task 1 is skipped for the dropped image, task 2 for task 1
+    (False, True, _never_runs(1)),  # a drop skips only image consumers
+    (True, False, _never_runs(1)),  # no drop: task 1 must run
+])
+def test_a_task_without_records_must_have_been_skipped(image_input, drop, message):
+    scenario = TaskGraph([
+        Task(0, "update"),
+        Task(1, "undistort", TaskTags(image_input=image_input), frozenset({0})),
+        Task(2, "update", deps=frozenset({1}))])
+    profile = builtin_profiles()["sd820-robot"]
+    trace = Trace([_dispatch(0, 0, "update", "DSP"), *_run(0, "update", "DSP", 0, 10),
+                   *[(10, 0, "update", "DSP", "drop")] * drop])
+    assert audit._passes(trace, scenario, profile, None, False) is (message is None)
+    for check in (lambda: audit.audit_completeness(trace, scenario),
+                  lambda: audit.audit_all(trace, scenario, profile)):
+        if message is None:
+            check()
+        else:
+            assert _first_error(check) == (AuditError, message)
+
+
+def test_a_trace_that_leaves_out_a_task_is_rejected():
+    kind, text = _first_error(lambda: audit.audit_all(
+        Trace(), convolution_batch(1), builtin_profiles()["sd820"]))
+    assert (kind, text) == (AuditError, _never_runs(1))
+    scenario, profile = robot_pipeline(2, 25, 200, 3), builtin_profiles()["sd820-robot"]
+    _, trace = simulate(scenario, profile, Policy.parse("advanced:throughput"),
+                        SimConfig(buffer_capacity=4))
+    trace = Trace(r for r in trace if r.task_id != 769)  # a cloud task's three records
+    kind, text = _first_error(lambda: audit.audit_all(trace, scenario, profile))
+    assert (kind, text) == (AuditError, _never_runs(769))
+    # a task with records that never completes: phase order names it first
+    trace = Trace([(0, 1, "convolution", "CPU", "dispatch")])
+    assert _first_error(lambda: audit.audit_completeness(trace, convolution_batch(1))) == (
+        AuditError, "task 1 has records but never completes")
 
 
 def test_the_replay_keeps_no_cells():

@@ -40,8 +40,8 @@ from .randcases import hp_case, random_case
 CASES = int(os.environ.get("SIMRT_AUDIT_CASES", "1000"))
 HP_CASES = 500
 MUTANTS = 5
-DIGEST = "32bc4c641a294ab2620450200a046ce6405c31022cce4ec943dd59c105da4887"
-HP_DIGEST = "9f121cca6ebb2081632e194f3bb43fecb5faae6842242123a352e57798f082cc"
+DIGEST = "867836080814a6b0049594043017566e1be3fe724270baabcc750bd460d5ace9"
+HP_DIGEST = "361bec788054fe9bd34e1e5903fd708368094c3ad5dfc3c40021b9d69a23c4e0"
 
 _UNITS = ("CPU", "mGPU", "DSP", "GPU", "FPGA", "HP", "CLOUD")
 _PHASES = ("dispatch", "setup", "xfer_in", "kernel", "xfer_out", "complete", "drop",
@@ -69,6 +69,9 @@ TEMPLATES = [re.compile(p) for p in (
     rf"task {_N} ran on non-participating unit \w+",
     rf"unit \w+ started {_N} out of FIFO order; queue was \[.*\]",
     rf"unit \w+ started task {_N} that was not queued for it or at the high-priority head",
+    rf"task {_N} has records but never completes",
+    rf"task {_N} never runs, though every dependency completes and none drops an image it "
+    r"consumes",
 )]
 
 
@@ -125,6 +128,7 @@ def audit_outcomes(trace, scenario, profile, config):
         ("causality", lambda: audit.audit_causality(trace, scenario)),
         ("work_conservation", lambda: audit.audit_work_conservation(
             trace, profile, weights=weights, fpga_as_gpu=fpga)),
+        ("completeness", lambda: audit.audit_completeness(trace, scenario)),
         ("all", lambda: audit.audit_all(trace, scenario, profile, weights=weights,
                                         fpga_as_gpu=fpga)),
     )

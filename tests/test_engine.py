@@ -1041,10 +1041,12 @@ class TestSimulateArguments:
          "profile must be a PlatformProfile, got 'sd820'"),
         (lambda t, s, p: audit.audit_all(list(t), s, p), "trace must be a Trace, got list"),
         (lambda t, s, p: audit.audit_causality(t, None), "scenario must be a TaskGraph, got None"),
+        (lambda t, s, p: audit.audit_completeness(t, None),
+         "scenario must be a TaskGraph, got None"),
         (lambda t, s, p: audit.audit_work_conservation(t, None),
          "profile must be a PlatformProfile, got None"),
     ], ids=["metrics-config", "metrics-scenario", "all-profile", "all-trace", "causality",
-            "work-conservation"])
+            "completeness", "work-conservation"])
     def test_trace_readers_reject_an_argument_of_the_wrong_type(self, check, message):
         """A trace that is not a Trace is named by its type, not its repr,
         which for a records list can run to megabytes."""
