@@ -173,8 +173,9 @@ def audit_completeness(trace: Trace, scenario: TaskGraph) -> None:
     _check_types(("scenario", scenario, TaskGraph))
     recorded, ended, dropped = set(), set(), set()
     for _, tid, _, _, phase in _records_of(trace):
-        ends = phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE
-        (dropped if phase == PHASE_DROP else ended if ends else recorded).add(tid)
+        (dropped if phase == PHASE_DROP else recorded).add(tid)
+        if phase == PHASE_COMPLETE or phase == PHASE_CLOUD_COMPLETE:
+            ended.add(tid)
     for task in scenario:
         if task.id in recorded and task.id not in ended:
             raise AuditError(f"task {task.id} has records but never completes")
@@ -192,15 +193,14 @@ def _unskipped(tasks, ended: set, dropped: set):
 def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
             weights: dict | None, fpga_as_gpu: bool) -> bool:
     """True only for a trace that all five audits accept, read in one pass;
-    False, or an exception, for any other, with no message worded. It asks
-    more than they do, which only a trace the engine did not make can fail:
-    times never fall across the trace, a start follows its dependencies'
-    completion records and no task is left queued or at the HP head.
-    While a task waits, the end of an instant checks only the units it
-    touched: one dispatched a FIFO task, one that completed with its FIFO or
-    the HP queue holding a task, and all when the HP queue got a new head.
-    That is exact: an idle unit that passed the last check has no other way
-    to gain a FIFO task or a head it can run."""
+    False, or an exception, for any other, with no message worded. It asks more
+    than they do, which only a trace the engine did not make can fail: times
+    never fall across the trace, a start follows its dependencies' completion
+    records and no task is left queued or at the HP head. While a task waits,
+    an instant's end checks only the units it touched: one dispatched a FIFO
+    task, one completing while its FIFO or the HP queue holds a task, and all
+    when the HP queue gets a new head. That is exact: no other event gives an
+    idle unit that passed the last check a FIFO task or a head it can run."""
     records = _records_of(trace)
     tasks = validate_graph(scenario)[0]  # task by id
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)

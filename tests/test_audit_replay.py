@@ -240,5 +240,15 @@ def test_a_trace_that_leaves_out_a_task_is_rejected():
         AuditError, "task 1 has records but never completes")
 
 
+def test_dependency_ids_that_do_not_sort_pass_as_the_replay_passes_them():
+    scenario = TaskGraph([Task("a", "convolution"), Task(1, "convolution"),
+                          Task(2, "convolution", deps=frozenset({"a", 1}))])
+    profile = builtin_profiles()["sd820"]
+    _, trace = simulate(scenario, profile, Policy.parse("throughput"))
+    assert audit._passes(trace, scenario, profile, None, False)
+    audit.audit_causality(trace, scenario)  # sorts only the failing deps, here none
+    audit.audit_all(trace, scenario, profile)
+
+
 def test_the_replay_keeps_no_cells():
     assert audit._passes.__code__.co_cellvars == ()
