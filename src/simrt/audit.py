@@ -179,7 +179,7 @@ def audit_completeness(trace: Trace, scenario: TaskGraph) -> None:
     for task in scenario:
         if task.id in recorded and task.id not in ended:
             raise AuditError(f"task {task.id} has records but never completes")
-    if task := _unskipped(scenario, ended, dropped):
+    if (task := _unskipped(scenario, ended, dropped)) is not None:
         raise AuditError(f"task {task.id} never runs, though every dependency "
                          f"completes and none drops an image it consumes")
 
