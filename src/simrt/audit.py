@@ -291,8 +291,8 @@ def _passes(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
             dropped.add(tid)
         else:
             return False
-    return not (running or queued or hp) and len(ended) == len(last) and (len(ended) == len(tasks)
-            or _unskipped(map(tasks.__getitem__, tasks.keys() - ended), ended, dropped) is None)
+    return not (running or queued or hp) and len(ended) == len(last) and (
+        len(ended) == len(tasks) or _unskipped(tasks.values(), ended, dropped) is None)
 
 
 def audit_all(trace: Trace, scenario: TaskGraph, profile: PlatformProfile,
