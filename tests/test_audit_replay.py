@@ -234,7 +234,8 @@ def test_a_trace_that_leaves_out_a_task_is_rejected():
     trace = Trace(r for r in trace if r.task_id != 769)  # a cloud task's three records
     kind, text = _first_error(lambda: audit.audit_all(trace, scenario, profile))
     assert (kind, text) == (AuditError, _never_runs(769))
-    # a task with records that never completes: phase order names it first
+    # on its own the step also names a task with records that never completes,
+    # which audit_all's phase-order check names first
     trace = Trace([(0, 1, "convolution", "CPU", "dispatch")])
     assert _first_error(lambda: audit.audit_completeness(trace, convolution_batch(1))) == (
         AuditError, "task 1 has records but never completes")
