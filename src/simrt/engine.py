@@ -30,7 +30,6 @@ import heapq
 import itertools
 import random
 from collections import deque
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -41,7 +40,7 @@ from .profiles import (PlatformProfile, SetupMode, UnitKind, _check_setup_mode,
                        energy_of, offload_time)
 from .scheduler import (_CLOUD, Policy, RouteClass, SchedulerState, _check_flag,
                         _check_weights, _is_int_at_least)
-from .tasks import TaskGraph, validate_graph
+from .tasks import TaskGraph, _frozen, validate_graph
 
 PHASE_DISPATCH = "dispatch"
 PHASE_SETUP = "setup"
@@ -124,8 +123,9 @@ def _records_of(trace: Trace | None):
     return zip(fields, fields, fields, fields, fields)  # reuses its tuple while unpacked
 
 
-@dataclass(frozen=True)
+@_frozen
 class SimConfig:
+    """How a run samples the cloud, pays setup, buffers images and fills queues."""
     setup_mode: SetupMode = SetupMode.AMORTIZED
     seed: int = 0
     buffer_capacity: int | None = None  # None: unlimited pool, no drops
@@ -152,10 +152,9 @@ class SimConfig:
         _check_weights(self.weights)
 
 
-@dataclass(frozen=True)
+@_frozen
 class Metrics:
     """Run summary: throughput, per-unit mean latency, energy, drops."""
-
     throughput_tasks_per_ms: float
     avg_latency_ms: dict
     total_energy_uj: int

@@ -86,10 +86,11 @@ class EngineError(SimrtError):
 
 
 class InvalidRate(SimrtError):
-    def __init__(self, name: str, value):
-        super().__init__(f"rate parameter {name} must be positive, got {value}")
+    def __init__(self, name: str, value, minimum: int):
+        super().__init__(f"{name} must be an integer >= {minimum} (not a bool), got {value!r}")
         self.name = name
         self.value = value
+        self.minimum = minimum
 
 
 class AuditError(SimrtError):

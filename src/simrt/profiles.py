@@ -9,12 +9,12 @@ from an operation count and a unit's theoretical throughput. Cloud execution
 has a fixed per-inference energy and a latency drawn uniformly from [lo, hi].
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from typing import Iterable
 
 from .errors import BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError
-from .tasks import _CSV_SPECIAL, MAX_UNIT_NUMBER, check_object, parse_document
+from .tasks import _CSV_SPECIAL, MAX_UNIT_NUMBER, _frozen, check_object, parse_document
 
 
 class UnitKind(Enum):
@@ -53,16 +53,18 @@ class SetupMode(Enum):
         raise ParseError(f"unknown setup mode {text!r}")
 
 
-@dataclass(frozen=True)
+@_frozen
 class UnitSpec:
+    """A profile's unit: kind, FIFO weight, theoretical throughput, idle power."""
     kind: UnitKind
     weight: int = 1
     gops: float | None = None  # theoretical throughput, giga-ops per second
     idle_watts: float = 0.0
 
 
-@dataclass(frozen=True)
+@_frozen
 class CostEntry:
+    """The phase times in µs and the energy in µJ of one workload on one unit."""
     setup_us: int = 0
     xfer_in_us: int = 0
     kernel_us: int | None = None  # a PlatformProfile holds no entry without one
@@ -74,8 +76,9 @@ class CostEntry:
         return self.setup_us + self.xfer_in_us + self.kernel_us + self.xfer_out_us
 
 
-@dataclass(frozen=True)
+@_frozen
 class PlatformProfile:
+    """A platform's units, workloads and complete cost table, and its cloud."""
     name: str
     units: tuple
     workloads: tuple  # workload names, in declaration order

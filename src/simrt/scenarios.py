@@ -6,11 +6,9 @@ graph, with task ids assigned in release order per stream. The graphs are
 valid by construction, and each `TaskGraph` checks itself when it is built.
 """
 
-from dataclasses import dataclass
-
 from .errors import InvalidRate
 from .profiles import UnitKind
-from .tasks import Task, TaskGraph, TaskTags
+from .tasks import Task, TaskGraph, TaskTags, _frozen
 
 _RT = TaskTags(real_time=True, image_input=False)
 _RT_IMAGE = TaskTags(real_time=True, image_input=True)
@@ -30,10 +28,9 @@ _DL_CHAIN = tuple((layer, _RT) for layer in (
     "conv1", "conv2", "conv3", "conv4", "conv5", "fc6", "fc7", "fc8"))
 
 
-@dataclass(frozen=True)
+@_frozen
 class ScenarioSpec:
     """A named generated scenario."""
-
     name: str
     graph: TaskGraph
     pinned_units: frozenset | None = None  # restrict the profile to these units
@@ -42,7 +39,7 @@ class ScenarioSpec:
 def convolution_batch(n: int) -> TaskGraph:
     """n independent convolution tasks, all released at time zero."""
     if type(n) is not int or n < 0:
-        raise InvalidRate("n", n)
+        raise InvalidRate("n", n, 0)
     return TaskGraph(
         Task(id=i + 1, workload="convolution", tags=_RT) for i in range(n))
 
@@ -62,7 +59,7 @@ def robot_pipeline(duration_s: int, camera_fps: int, imu_hz: int,
                ("planning_hz", planning_hz, (("planning", _RT),)))
     for name, rate, _ in (("duration_s", duration_s, ()),) + streams:
         if type(rate) is not int or rate <= 0:
-            raise InvalidRate(name, rate)
+            raise InvalidRate(name, rate, 1)
 
     tasks = []
     for _, rate, stages in streams:

@@ -21,13 +21,12 @@ may be mapped into that slot with an explicit flag).
 """
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 
 from .errors import InvalidConfig, InvalidScenario, ParseError, _check_types
 from .profiles import PlatformProfile, UnitKind
-from .tasks import Task
+from .tasks import Task, _frozen
 
 
 class BasicPolicy(Enum):
@@ -38,10 +37,9 @@ class BasicPolicy(Enum):
     __hash__ = object.__hash__  # members are singletons; see UnitKind
 
 
-@dataclass(frozen=True)
+@_frozen
 class Policy:
     """A basic policy, optionally wrapped by the tag-aware advanced dispatcher."""
-
     basic: BasicPolicy
     advanced: bool = False
 
@@ -81,8 +79,9 @@ _HIGH_PRIORITY = RouteClass.HIGH_PRIORITY
 _BASIC = RouteClass.BASIC
 
 
-@dataclass(frozen=True)
+@_frozen
 class Route:
+    """Where dispatch sends a task: the cloud, the HP queue or a unit's FIFO."""
     target: RouteClass
     unit: UnitKind | None = None  # set only for BASIC routes
 

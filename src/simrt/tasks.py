@@ -5,7 +5,9 @@ no floating-point time.
 """
 
 import json
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
+from functools import partial
+from inspect import Parameter, Signature
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NoReturn
 
@@ -16,24 +18,69 @@ from .errors import CycleDetected, DuplicateId, GraphError, ParseError, UnknownD
 MAX_UNIT_NUMBER = 1e12
 
 
-@dataclass(frozen=True)
+def _frozen(cls, /, *, slots=False):
+    """cls as dataclass(frozen=True, slots=slots) makes it, but with the methods
+    below instead of those dataclass compiles from source for each class, most of
+    simrt's import time; on fields without field() options they behave the same.
+    Without a docstring, dataclass would derive one through inspect.signature."""
+    cls = dataclass(cls, init=False, repr=False, eq=False, slots=slots)
+    cls.__dataclass_params__.frozen = True  # read by dataclass() on a subclass
+    cls.__signature__ = Signature([Parameter(f.name, Parameter.POSITIONAL_OR_KEYWORD,
+        annotation=f.type, default=Parameter.empty if f.default is MISSING else f.default)
+        for f in fields(cls)], return_annotation=None)
+    cls.__repr__, cls.__eq__, cls.__hash__ = _repr, _eq, _hash
+    cls.__setattr__ = cls.__delattr__ = _refuse
+    cls.__init__ = vars(cls).get("__init__", _init)
+    return cls
+
+
+def _field_values(obj) -> tuple:
+    return tuple(map(obj.__getattribute__, obj.__match_args__))
+
+
+def _init(self, *args, **kwargs) -> None:
+    values = self.__signature__.bind(*args, **kwargs).arguments  # TypeError for a bad call
+    for name, field in self.__dataclass_fields__.items():
+        object.__setattr__(self, name, values.get(name, field.default))
+    if hasattr(self, "__post_init__"):
+        self.__post_init__()
+
+
+def _repr(self) -> str:
+    items = map("{}={!r}".format, self.__match_args__, _field_values(self))
+    return f"{type(self).__qualname__}({', '.join(items)})"
+
+
+def _eq(self, other):
+    same = other.__class__ is self.__class__
+    return _field_values(self) == _field_values(other) if same else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_field_values(self))
+
+
+def _refuse(self, name, *value):  # __setattr__ and __delattr__
+    raise FrozenInstanceError(f"cannot {'assign to' if value else 'delete'} field {name!r}")
+
+
+@_frozen
 class TaskTags:
     """Scheduling tags: real-time requirement and image-consuming input."""
-
     real_time: bool = True
     image_input: bool = False
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@partial(_frozen, slots=True)
 class Task:
+    """A unit of work: id, workload name, tags, dependency ids, release in µs."""
     id: int
     workload: str
     tags: TaskTags = TaskTags()
     deps: frozenset = frozenset()
     release_us: int = 0
 
-    # the generated frozen __init__ stores each field through object.__setattr__;
-    # calling the slots' own setters stores the same values with less work
+    # one per scenario entry: its slots' own setters beat _init's object.__setattr__
     def __init__(self, id: int, workload: str, tags: TaskTags = TaskTags(),
                  deps: frozenset = frozenset(), release_us: int = 0) -> None:
         _set_id(self, id)
@@ -42,20 +89,12 @@ class Task:
         _set_deps(self, deps)
         _set_release_us(self, release_us)
 
+    def __reduce__(self) -> tuple:  # the default would set each slot through __setattr__
+        return Task, _field_values(self)
+
 
 _set_id, _set_workload, _set_tags, _set_deps, _set_release_us = (
     Task.__dict__[name].__set__ for name in ("id", "workload", "tags", "deps", "release_us"))
-
-
-# the generated frozen __setattr__/__delattr__ call super() on the class that
-# slots=True replaced, which raises TypeError for a name that is not a field
-def _refuse(verb):
-    def refuse(self, name, *value):
-        raise FrozenInstanceError(f"cannot {verb} field {name!r}")
-    return refuse
-
-
-Task.__setattr__, Task.__delattr__ = _refuse("assign to"), _refuse("delete")
 
 
 class TaskGraph:

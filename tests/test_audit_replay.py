@@ -24,7 +24,7 @@ from simrt import (AuditError, InvalidConfig, Policy, SimConfig, SimrtError, Tas
 
 from .randcases import hp_case, random_case
 from .test_audit_surface import mutants
-from .test_golden import _cases
+from .golden import _cases
 
 _AUDITS = ("audit_phase_order", "audit_unit_exclusivity", "audit_causality",
            "audit_work_conservation", "audit_completeness")
@@ -61,6 +61,9 @@ def _first_error(check) -> tuple:
     ("no setup", {"g": -1}, AuditError, "task 1: xfer_in follows dispatch"),
     ("no setup", None, AuditError, "task 1: xfer_in follows dispatch"),
     (None, None, AuditError, "no trace to read: the run was made with record_trace=False"),
+    # a phase the replay does not know, as a task's first record and after its setup
+    (0, None, AuditError, "task 1: first record is teleport, not dispatch"),
+    (2, None, AuditError, "task 1: teleport follows setup"),
 ])
 def test_a_rejected_trace_raises_what_the_five_audits_raise_first(records, weights, error,
                                                                    message):
@@ -70,6 +73,11 @@ def test_a_rejected_trace_raises_what_the_five_audits_raise_first(records, weigh
     if records == "no setup":  # the task of the first record loses its setup
         first = next(iter(trace)).task_id
         trace = Trace([r for r in trace if not (r.task_id == first and r.phase == "setup")])
+    if isinstance(records, int):  # task 1 records teleport there: a rejection, not an error
+        rows = list(trace)
+        rows.insert(records, (*rows[0][:4], "teleport"))
+        trace = Trace(rows)
+        assert audit._passes(trace, scenario, profile, weights, False) is False
     kind, text = _first_error(lambda: audit.audit_all(trace, scenario, profile,
                                                       weights=weights))
     assert kind is error and text.startswith(message), (kind, text)

@@ -21,7 +21,7 @@ from simrt.cli import main
 from simrt.engine import SimResult
 
 from .helpers import strict_utf8_rejections
-from .test_golden import robot_dag
+from .golden import robot_dag
 
 
 def run_cli(capsys, *argv):

@@ -24,7 +24,7 @@ from simrt import (AuditError, BasicPolicy, CycleDetected, DuplicateId, EngineEr
 
 from .helpers import ALL_POLICIES, random_profile, random_scenario
 from .randcases import hp_case
-from .test_golden import _cases as golden_cases, robot_dag
+from .golden import _cases as golden_cases, robot_dag
 
 
 def single_unit_profile(kind="CPU", kernel=100, setup=0, xin=0, xout=0,

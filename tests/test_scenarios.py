@@ -13,7 +13,7 @@ from .oracle import assert_dispatch_equivalence
 # SHA-256 over robot_pipeline's scenario JSON on a grid of rates, and over
 # the InvalidRate raised for bad argument lists; see
 # TestRobotPipeline.test_output_and_errors_are_pinned
-_ROBOT_DIGEST = "b558476d72ca8fd4c1fae9822ff5b7c709ead36b9f1ed8c5a3fb3b08fa094e73"
+_ROBOT_DIGEST = "3e96e484c2b1106333fba1ccdce26bc5b65423ad2c2d1a4a188aa2fd3c506cc7"
 
 
 class TestConvolutionBatch:
@@ -43,6 +43,17 @@ class TestConvolutionBatch:
         for n in (-1, 1.5, "1", True, None):
             with pytest.raises(InvalidRate):
                 convolution_batch(n)
+
+    def test_invalid_rate_states_the_rule(self):
+        # at least 0 for the batch size: 0 is a valid, empty batch
+        for n, got in ((-1, "-1"), (True, "True"), ("1", "'1'")):
+            with pytest.raises(InvalidRate) as exc:
+                convolution_batch(n)
+            assert str(exc.value) == f"n must be an integer >= 0 (not a bool), got {got}"
+            assert (exc.value.name, exc.value.value, exc.value.minimum) == ("n", n, 0)
+        with pytest.raises(InvalidRate) as exc:
+            robot_pipeline(2, 25.5, 200, 3)
+        assert str(exc.value) == "camera_fps must be an integer >= 1 (not a bool), got 25.5"
 
 
 class TestRobotPipeline:
