@@ -18,7 +18,7 @@ from .engine import (LABEL_CLOUD, LABEL_HP, PHASE_CLOUD_COMPLETE,
 from .errors import AuditError, _check_types
 from .profiles import PlatformProfile
 from .scheduler import SchedulerState
-from .tasks import TaskGraph, validate_graph
+from .tasks import TaskGraph, _id_order, validate_graph
 
 # phase -> phases a task may record next; the last is terminal
 _NEXT_ALLOWED = {
@@ -99,8 +99,9 @@ def audit_causality(trace: Trace, scenario: TaskGraph) -> None:
         if start < task.release_us:
             raise AuditError(
                 f"task {tid} starts at {start} before release {task.release_us}")
-        # the first failing dep by id; only those are sorted, as hand-built ids may not sort
-        for dep in sorted(d for d in task.deps if d not in done_at or start < done_at[d]):
+        # the first failing dep in id order
+        for dep in sorted((d for d in task.deps if d not in done_at or start < done_at[d]),
+                          key=_id_order):
             if dep not in done_at:
                 raise AuditError(f"task {tid} ran but dependency {dep} never completed")
             raise AuditError(
@@ -113,7 +114,6 @@ def audit_work_conservation(trace: Trace, profile: PlatformProfile,
                             fpga_as_gpu: bool = False) -> None:
     """No participating unit sits idle across a time step while its own FIFO
     holds a task or the high-priority queue head is runnable on it."""
-    _check_types(("profile", profile, PlatformProfile))
     state = SchedulerState(profile, weights=weights, fpga_as_gpu=fpga_as_gpu)
     fifos: dict = {u.value: deque() for u in state.units}
     hp: deque = deque()  # (task id, workload)

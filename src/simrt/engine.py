@@ -35,11 +35,10 @@ from typing import NamedTuple
 
 from . import scheduler as sched
 from .errors import (AuditError, EngineError, InvalidConfig, InvalidScenario, UnresolvableCost,
-                     _check_types)
-from .profiles import (PlatformProfile, SetupMode, UnitKind, _check_setup_mode,
-                       energy_of, offload_time)
+                     _check_types, _is_int_at_least)
+from .profiles import PlatformProfile, SetupMode, UnitKind, energy_of, offload_time
 from .scheduler import (_CLOUD, Policy, RouteClass, SchedulerState, _check_flag,
-                        _check_weights, _is_int_at_least)
+                        _check_weights)
 from .tasks import TaskGraph, _frozen, validate_graph
 
 PHASE_DISPATCH = "dispatch"
@@ -136,7 +135,7 @@ class SimConfig:
     record_trace: bool = True  # False: simulate keeps no records and returns trace=None
 
     def __post_init__(self):
-        _check_setup_mode(self.setup_mode)
+        _check_types(("setup_mode", self.setup_mode, SetupMode))
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise InvalidConfig(f"seed must be an integer, got {self.seed!r}")
         if self.seed < 0:  # random.Random seeds with abs(seed): -7 would repeat 7

@@ -44,8 +44,8 @@ class MissingCost(SimrtError):
 
 
 class NegativeValue(SimrtError):
-    def __init__(self, field: str, value):
-        super().__init__(f"field {field} must be >= 0, got {value}")
+    def __init__(self, field: str, value, positive: bool = False):
+        super().__init__(f"field {field} must be {'>' if positive else '>='} 0, got {value}")
         self.field = field
         self.value = value
 
@@ -79,6 +79,10 @@ def _check_types(*args) -> None:
     for name, value, kind in args:
         if not isinstance(value, kind):
             raise InvalidConfig(f"{name} must be a {kind.__name__}, got {value!r}")
+
+
+def _is_int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 class EngineError(SimrtError):

@@ -13,7 +13,8 @@ from dataclasses import replace
 from enum import Enum
 from typing import Iterable
 
-from .errors import BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError
+from .errors import (BadInterval, InvalidConfig, MissingCost, NegativeValue, ParseError,
+                     _check_types)
 from .tasks import _CSV_SPECIAL, MAX_UNIT_NUMBER, _frozen, check_object, parse_document
 
 
@@ -134,11 +135,6 @@ class PlatformProfile:
         return (workload, unit) in self.costs
 
 
-def _check_setup_mode(setup_mode) -> None:
-    if not isinstance(setup_mode, SetupMode):
-        raise InvalidConfig(f"setup_mode must be a SetupMode, got {setup_mode!r}")
-
-
 def _cost(profile: PlatformProfile, workload: str, unit: UnitKind) -> CostEntry:
     entry = profile.costs.get((workload, unit))
     if entry is None:
@@ -157,7 +153,7 @@ def offload_time(
     PER_OFFLOAD charges setup on every call; AMORTIZED never does, since
     every unit is initialized before the clock starts.
     """
-    _check_setup_mode(setup_mode)
+    _check_types(("setup_mode", setup_mode, SetupMode))
     entry = _cost(profile, workload, unit)
     return entry if setup_mode is SetupMode.PER_OFFLOAD else replace(entry, setup_us=0)
 
@@ -238,7 +234,7 @@ def _check_number(value, fieldname: str, loc: str, positive: bool = False) -> No
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"'{fieldname}' must be a number", loc)
     if not (value > 0 if positive else value >= 0):  # NaN fails too
-        raise NegativeValue(f"{loc}.{fieldname}", value)
+        raise NegativeValue(f"{loc}.{fieldname}", value, positive)
     if value > MAX_UNIT_NUMBER:
         raise ParseError(f"'{fieldname}' must be at most {MAX_UNIT_NUMBER:g}", loc)
 

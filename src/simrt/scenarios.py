@@ -6,7 +6,7 @@ graph, with task ids assigned in release order per stream. The graphs are
 valid by construction, and each `TaskGraph` checks itself when it is built.
 """
 
-from .errors import InvalidRate
+from .errors import InvalidRate, _is_int_at_least
 from .profiles import UnitKind
 from .tasks import Task, TaskGraph, TaskTags, _frozen
 
@@ -38,7 +38,7 @@ class ScenarioSpec:
 
 def convolution_batch(n: int) -> TaskGraph:
     """n independent convolution tasks, all released at time zero."""
-    if type(n) is not int or n < 0:
+    if not _is_int_at_least(n, 0):
         raise InvalidRate("n", n, 0)
     return TaskGraph(
         Task(id=i + 1, workload="convolution", tags=_RT) for i in range(n))
@@ -58,7 +58,7 @@ def robot_pipeline(duration_s: int, camera_fps: int, imu_hz: int,
                ("dl_fps", dl_fps, _DL_CHAIN),
                ("planning_hz", planning_hz, (("planning", _RT),)))
     for name, rate, _ in (("duration_s", duration_s, ()),) + streams:
-        if type(rate) is not int or rate <= 0:
+        if not _is_int_at_least(rate, 1):
             raise InvalidRate(name, rate, 1)
 
     tasks = []

@@ -24,7 +24,7 @@ from collections import deque
 from enum import Enum
 from itertools import accumulate
 
-from .errors import InvalidConfig, InvalidScenario, ParseError, _check_types
+from .errors import InvalidConfig, InvalidScenario, ParseError, _check_types, _is_int_at_least
 from .profiles import PlatformProfile, UnitKind
 from .tasks import Task, _frozen
 
@@ -44,8 +44,7 @@ class Policy:
     advanced: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.basic, BasicPolicy):
-            raise InvalidConfig(f"basic must be a BasicPolicy, got {self.basic!r}")
+        _check_types(("basic", self.basic, BasicPolicy))
         _check_flag("advanced", self.advanced)
 
     @classmethod
@@ -106,10 +105,6 @@ _FILL_ORDERS = {
     BasicPolicy.THROUGHPUT: ((_GPU_SLOT, _CPU_SLOT, _DSP_SLOT), _CPU_SLOT),
     BasicPolicy.ENERGY: ((_DSP_SLOT, _GPU_SLOT, _CPU_SLOT), _DSP_SLOT),
 }
-
-
-def _is_int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
 def _check_flag(name: str, value) -> None:

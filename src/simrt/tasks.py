@@ -128,6 +128,12 @@ def validate_graph(graph: TaskGraph) -> tuple:
     return getattr(graph, "_index", None) or _dependency_index(graph)  # unset in __init__
 
 
+def _id_order(task_id) -> tuple:
+    """The order error messages pick task ids in: ints by value, then any other
+    hashable id by type name and repr, so hand-built ids of mixed types sort."""
+    return (0, task_id) if isinstance(task_id, int) else (1, type(task_id).__name__, repr(task_id))
+
+
 def _dependency_index(graph: TaskGraph) -> tuple:
     """Build the index validate_graph returns in one pass over the graph's
     tasks, then check it; the errors come in the order validate_graph names.
@@ -154,7 +160,7 @@ def _dependency_index(graph: TaskGraph) -> tuple:
             raise GraphError(f"task {t.id}: deps must be a frozenset, not {type(t.deps).__name__}")
     for t in graph.tasks:
         if t.deps and not t.deps <= ids.keys():
-            raise UnknownDependency(t.id, min(t.deps - ids.keys()))
+            raise UnknownDependency(t.id, min(t.deps - ids.keys(), key=_id_order))
 
     # Kahn: count down each task's unfinished deps; what never reaches zero
     # lies on or behind a cycle
@@ -171,7 +177,7 @@ def _dependency_index(graph: TaskGraph) -> tuple:
         path: dict = {}  # task id -> position on the walk
         while node not in path:
             path[node] = len(path)
-            node = min(dep for dep in ids[node].deps if deps_left.get(dep))
+            node = min((dep for dep in ids[node].deps if deps_left.get(dep)), key=_id_order)
         raise CycleDetected(list(path)[path[node]:])
     return ids, dependents, dep_counts
 
@@ -295,17 +301,14 @@ def _chunk_columns(entries: list, start: int, names: dict) -> tuple:
 
 def _raise_first_error(chunk: list, start: int) -> NoReturn:
     """Raise the ParseError of a chunk whose first entry is tasks[start]: the
-    first rule broken by the first entry that breaks one. Each rule in turn
-    tests the entries before the lowest broken index found so far, which keep
-    every earlier rule, so the rule that lowers it last is that entry's first."""
-    bad = len(chunk)
-    for key, test, message in _ENTRY_RULES:
-        for i, obj in enumerate(chunk[:bad]):
+    first rule broken by the first entry that breaks one. An entry's rules are
+    tested in order, so each test sees a value that keeps every rule before it."""
+    for i, obj in enumerate(chunk):
+        for key, test, message in _ENTRY_RULES:
             value = obj if key is None else obj.get(key, _DEFAULTS[key])
             if not test([value], {type(value)}):
-                bad, broken = i, message
-                break
-    raise ParseError(broken(chunk[bad]) if callable(broken) else broken, f"tasks[{start + bad}]")
+                raise ParseError(message(obj) if callable(message) else message,
+                                 f"tasks[{start + i}]")
 
 
 def dump_scenario(graph: TaskGraph) -> str:

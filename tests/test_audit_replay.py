@@ -259,5 +259,15 @@ def test_dependency_ids_that_do_not_sort_pass_as_the_replay_passes_them():
     audit.audit_all(trace, scenario, profile)
 
 
+def test_the_first_failing_dependency_of_mixed_type_ids_is_named_in_id_order():
+    # ints by value come before any other id, where sorting them raised TypeError
+    scenario = TaskGraph([Task("a", "convolution"), Task(1, "convolution"),
+                          Task(2, "convolution", deps=frozenset({"a", 1}))])
+    trace = Trace([(0, 1, "convolution", "CPU", "setup"), (0, 2, "convolution", "DSP", "setup"),
+                   (5, 1, "convolution", "CPU", "complete")])
+    assert _first_error(lambda: audit.audit_causality(trace, scenario)) == (
+        AuditError, "task 2 starts at 0 before dependency 1 completes at 5")
+
+
 def test_the_replay_keeps_no_cells():
     assert audit._passes.__code__.co_cellvars == ()

@@ -172,9 +172,9 @@ _PROFILE_REJECTIONS = [
      "units[0]: CLOUD is configured by the 'cloud' section, not as a unit"),
     (_units({"kind": "CPU", "gops": "x"}), ParseError, "units[0]: 'gops' must be a number"),
     (_units({"kind": "CPU", "gops": True}), ParseError, "units[0]: 'gops' must be a number"),
-    (_units({"kind": "CPU", "gops": 0}), NegativeValue, 'field units[0].gops must be >= 0, got 0'),
+    (_units({"kind": "CPU", "gops": 0}), NegativeValue, 'field units[0].gops must be > 0, got 0'),
     (_units({"kind": "CPU", "gops": -2.5}), NegativeValue,
-     'field units[0].gops must be >= 0, got -2.5'),
+     'field units[0].gops must be > 0, got -2.5'),
     (_units({"kind": "CPU", "idle_watts": -1}), NegativeValue,
      'field units[0].idle_watts must be >= 0, got -1'),
     (_units({"kind": "CPU", "idle_watts": "x"}), ParseError,
@@ -192,7 +192,7 @@ _PROFILE_REJECTIONS = [
     (_units({"kind": "CPU", "weight": -1, "gops": "x", "idle_watts": -1}), NegativeValue,
      'field units[0].weight must be >= 0, got -1'),
     (_units({"kind": "CPU", "gops": 0, "idle_watts": "x"}), NegativeValue,
-     'field units[0].gops must be >= 0, got 0'),
+     'field units[0].gops must be > 0, got 0'),
     (_units({"kind": "CPU"}, {"kind": "cpu"}), ParseError,
      'units[1]: unit kind CPU declared twice'),
     (_units({"kind": "CPU"}, {"kind": "CPU", "weight": -1}), NegativeValue,
@@ -795,7 +795,7 @@ class TestHandBuiltProfiles:
 #     PYTHONPATH=src python -m tests.test_profiles 5000
 #     PYTHONPATH=src python -m tests.test_profiles 1500 --outcomes
 REJECTION_DOCUMENTS = 1500
-REJECTION_DIGEST = "c5ff6f99a500fbcd445d5256fc432b1abfc524287258b909631a52863d002447"
+REJECTION_DIGEST = "7d67dac9dc1dfe3697ee260354ce30f2e75d6b8886bef97f831fd9a6cdeb829d"
 
 _BAD_UNIT_VALUES = {
     "kind": ["TPU", "CLOUD", "cloud", 7, None],

@@ -55,6 +55,15 @@ class TestConvolutionBatch:
             robot_pipeline(2, 25.5, 200, 3)
         assert str(exc.value) == "camera_fps must be an integer >= 1 (not a bool), got 25.5"
 
+    def test_an_int_subclass_is_an_integer(self):
+        # the rule of SimConfig's integer fields: any int but a bool
+        class Count(int):
+            pass
+
+        assert dump_scenario(convolution_batch(Count(3))) == dump_scenario(convolution_batch(3))
+        assert (dump_scenario(robot_pipeline(Count(1), 25, Count(200), 3, Count(7)))
+                == dump_scenario(robot_pipeline(1, 25, 200, 3, 7)))
+
 
 class TestRobotPipeline:
     def test_camera_chain_counts_per_second(self):

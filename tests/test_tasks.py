@@ -101,6 +101,14 @@ class TestValidateGraph:
         # a repeated id is still named first
         ([Task(1, "w"), Task(2, "w", deps=5), Task(1, "w")], DuplicateId,
          "duplicate task id 1"),
+        # hand-built ids of mixed types: ints by value come before any other id,
+        # which sort by type name and repr, where min over them raised TypeError
+        ([Task(1, "w", deps=frozenset({"a", 2}))], UnknownDependency,
+         "task 1 depends on unknown task 2"),
+        ([Task("x", "w", deps=frozenset({"b", (1,), "a"}))], UnknownDependency,
+         "task x depends on unknown task a"),
+        ([Task(1, "w", deps=frozenset({"b", 2})), Task(2, "w", deps=frozenset({1})),
+          Task("b", "w", deps=frozenset({1}))], CycleDetected, "dependency cycle: 1 -> 2"),
     ])
     def test_the_constructor_checks_in_order(self, tasks, error, message):
         with pytest.raises(SimrtError) as exc:
@@ -415,10 +423,12 @@ def test_every_message_of_the_entry_rules_is_pinned_by_the_loader_errors():
 # and message) is folded into one SHA-256, so a change to which rule the
 # loader checks first, to where it looks, or to any message changes the
 # digest. Run as a module, this file prints the digest of N such documents
-# and that of M fuzzed ones (below; defaults as pinned), so that two trees
-# can be compared beyond what is pinned:
+# and that of M fuzzed ones (below; defaults as pinned), or with --outcomes
+# the `i|outcome` lines both digests fold (the faulty documents', then the
+# fuzzed ones'), so that two trees can be compared beyond what is pinned:
 #
 #     PYTHONPATH=src python -m tests.test_tasks 30000 --fuzz 20000
+#     PYTHONPATH=src python -m tests.test_tasks --outcomes
 SCENARIO_FAULT_DOCUMENTS = 1500
 SCENARIO_FAULT_DIGEST = "39254d1ceea5d6aaf0d1dc9e4a802a1be83ac8a348b229a695d7f794f90b7a40"
 
@@ -492,12 +502,10 @@ def _deps(entry: dict) -> list:
     return list(deps) if type(deps) is list else []
 
 
-def scenario_fault_digest(documents: int) -> tuple:
-    """(digest, outcome counts) of the first `documents` faulty scenarios."""
+def scenario_fault_outcomes(documents: int):
+    """The `i|outcome` line of each of the first `documents` faulty scenarios."""
     rng = random.Random(30)
     bases = [_valid_entries(rng) for _ in range(8)]
-    digest = hashlib.sha256()
-    counts = collections.Counter()
     for i in range(documents):
         entries = list(rng.choice(bases))
         for _ in range(rng.randint(1, 3)):
@@ -507,13 +515,21 @@ def scenario_fault_digest(documents: int) -> tuple:
             outcome = "ok"
         except SimrtError as exc:
             outcome = f"{type(exc).__name__}: {exc}"
-        digest.update(f"{i}|{outcome}\n".encode())
-        counts[outcome.partition(":")[0]] += 1
+        yield f"{i}|{outcome}"
+
+
+def _fold(lines) -> tuple:
+    """(SHA-256 of the lines, each ended by a newline, counts of their outcome types)."""
+    digest = hashlib.sha256()
+    counts = collections.Counter()
+    for line in lines:
+        digest.update(f"{line}\n".encode())
+        counts[line.partition("|")[2].partition(":")[0]] += 1
     return digest.hexdigest(), counts
 
 
 def test_the_first_error_of_faulty_scenarios_is_pinned():
-    digest, counts = scenario_fault_digest(SCENARIO_FAULT_DOCUMENTS)
+    digest, counts = _fold(scenario_fault_outcomes(SCENARIO_FAULT_DOCUMENTS))
     # every error type the loader raises
     assert {"ParseError", "DuplicateId", "UnknownDependency",
             "CycleDetected"} <= set(counts), counts
@@ -572,11 +588,9 @@ def _fuzzed_entries(rng: random.Random) -> list:
     return entries
 
 
-def scenario_fuzz_digest(documents: int) -> tuple:
-    """(digest, outcome counts) of the first `documents` fuzzed scenarios."""
+def scenario_fuzz_outcomes(documents: int):
+    """The `i|outcome` line of each of the first `documents` fuzzed scenarios."""
     rng = random.Random(31)
-    digest = hashlib.sha256()
-    counts = collections.Counter()
     for i in range(documents):
         try:
             graph = load_scenario(json.dumps({"tasks": _fuzzed_entries(rng)}))
@@ -585,13 +599,11 @@ def scenario_fuzz_digest(documents: int) -> tuple:
         else:
             assert type(graph) is TaskGraph
             outcome = f"ok: {dump_scenario(graph)}"
-        digest.update(f"{i}|{outcome}\n".encode())
-        counts[outcome.partition(":")[0]] += 1
-    return digest.hexdigest(), counts
+        yield f"{i}|{outcome}"
 
 
 def test_fuzzed_scenarios_load_or_raise_a_simrt_error():
-    digest, counts = scenario_fuzz_digest(SCENARIO_FUZZ_DOCUMENTS)
+    digest, counts = _fold(scenario_fuzz_outcomes(SCENARIO_FUZZ_DOCUMENTS))
     assert {"ok", "ParseError", "DuplicateId", "UnknownDependency"} <= set(counts), counts
     assert digest == SCENARIO_FUZZ_DIGEST, (counts, digest)
 
@@ -601,8 +613,14 @@ if __name__ == "__main__":
                                                  "the fuzzed scenarios this file pins.")
     parser.add_argument("documents", nargs="?", type=int, default=SCENARIO_FAULT_DOCUMENTS)
     parser.add_argument("--fuzz", type=int, default=SCENARIO_FUZZ_DOCUMENTS, metavar="M")
+    parser.add_argument("--outcomes", action="store_true",
+                        help="print the i|outcome lines each digest folds instead")
     args = parser.parse_args()
-    digest, counts = scenario_fault_digest(args.documents)
-    print(f"{args.documents} documents, {dict(sorted(counts.items()))}: {digest}")
-    digest, counts = scenario_fuzz_digest(args.fuzz)
-    print(f"{args.fuzz} fuzzed documents, {dict(sorted(counts.items()))}: {digest}")
+    if args.outcomes:
+        print(*scenario_fault_outcomes(args.documents), sep="\n")
+        print(*scenario_fuzz_outcomes(args.fuzz), sep="\n")
+    else:
+        digest, counts = _fold(scenario_fault_outcomes(args.documents))
+        print(f"{args.documents} documents, {dict(sorted(counts.items()))}: {digest}")
+        digest, counts = _fold(scenario_fuzz_outcomes(args.fuzz))
+        print(f"{args.fuzz} fuzzed documents, {dict(sorted(counts.items()))}: {digest}")
